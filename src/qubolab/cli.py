@@ -22,6 +22,7 @@ import numpy as np
 from .annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample, sweep
 from .model import (
     BRUTE_FORCE_CAP,
+    IsingModel,
     brute_force_solve,
     build_quio,
     encode_binary,
@@ -35,6 +36,7 @@ from .quality import (
     random_baseline,
     relative_error,
     solution_rates,
+    state_fidelity,
 )
 from .serialize import (
     SCHEMA_VERSION,
@@ -211,16 +213,14 @@ def _load_problem(path) -> _Problem:
 # circuits, topologies, error maps
 
 
-def _trained_state(problem: _Problem, algorithm: str, layers: int, params):
-    ising = to_ising(problem.qubo)
+def _trained_state(ising: IsingModel, algorithm: str, layers: int, params):
     vector = np.asarray(params, dtype=float)
     if algorithm == "qaoa":
         return qaoa_state_fast(ising, QaoaParams.from_vector(vector))
     return run_circuit(vqe_circuit(ising.num_qubits, layers).bind(vector))
 
 
-def _ansatz_circuit(problem: _Problem, algorithm: str, layers: int, params=None):
-    ising = to_ising(problem.qubo)
+def _ansatz_circuit(ising: IsingModel, algorithm: str, layers: int, params=None):
     n = ising.num_qubits
     if algorithm == "qaoa":
         template = qaoa_circuit(ising, layers)
@@ -348,7 +348,8 @@ def _cmd_sample(args) -> int:
     if result.get("type") != "TrainResult":
         raise ValueError("second argument must be a train result file")
     state = _trained_state(
-        problem, result["algorithm"], result["layers"], result["best_params"]
+        to_ising(problem.qubo), result["algorithm"], result["layers"],
+        result["best_params"],
     )
     samples = sample_state(state, args.shots, args.seed)
     save_json(_out_path(args.output), samples)
@@ -385,7 +386,7 @@ def _cmd_transpile(args) -> int:
     params = None
     if args.params:
         params = _load_raw(args.params)["best_params"]
-    circ = _ansatz_circuit(problem, args.algorithm, args.layers, params)
+    circ = _ansatz_circuit(to_ising(problem.qubo), args.algorithm, args.layers, params)
     coupling = _topology(args.topology, circ.num_qubits)
     errmap = _error_map(args.error_map, coupling)
     record = _transpile_once(circ, coupling, errmap, args.basis, args.seed)
@@ -509,15 +510,14 @@ def _variational_record(problem, config, seed) -> dict:
     report = multistart(
         objective, sampler, num_starts=starts, seed=seed, max_iter=max_iter
     )
-    state = _trained_state(problem, algorithm, layers, report.best_params)
+    state = _trained_state(ising, algorithm, layers, report.best_params)
     samples = sample_state(state, shots, seed)
     empirical = Distribution.from_sampleset(samples)
-    exact = Distribution.from_state(state)
     record = {
         "seed": int(seed),
         "best_cost": report.best_cost,
         "best_params": [float(v) for v in report.best_params],
-        "fidelity": hellinger_fidelity(empirical, exact),
+        "fidelity": state_fidelity(empirical, state),
         "counts": dict(samples.counts),
     }
     try:
@@ -538,7 +538,7 @@ def _variational_record(problem, config, seed) -> dict:
     }
     routing = _routing_seeds(config)
     if routing:
-        circ = _ansatz_circuit(problem, algorithm, layers, report.best_params)
+        circ = _ansatz_circuit(ising, algorithm, layers, report.best_params)
         coupling = _topology(transpile_cfg["topology"], circ.num_qubits)
         errmap = _error_map(config.get("error_map"), coupling)
         record["transpile"] = [

@@ -54,6 +54,19 @@ def all_bitstrings(num_bits: int, start: int = 0, stop: int | None = None) -> np
     return ((idx[:, None] >> np.arange(num_bits)) & 1).astype(np.float64)
 
 
+def _by_row_blocks(fn, num_bits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """``fn(all_bitstrings(num_bits, start, stop))`` evaluated on blocks of at
+    most 4096 rows, so that its temporaries stay small at 2^16 and more rows;
+    ``fn`` must treat every row on its own."""
+    if stop is None:
+        stop = 1 << num_bits
+    blocks = [
+        fn(all_bitstrings(num_bits, lo, min(lo + 4096, stop)))
+        for lo in range(start, stop, 4096)
+    ]
+    return np.concatenate(blocks) if blocks else fn(all_bitstrings(num_bits, start, stop))
+
+
 # ---------------------------------------------------------------------------
 # problem representations
 
@@ -224,6 +237,7 @@ class IsingModel:
     h_lin: np.ndarray
     h_const: float
     num_qubits: int = 0
+    _cost: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.h_lin = np.asarray(self.h_lin, dtype=np.float64).ravel()
@@ -244,13 +258,23 @@ class IsingModel:
             cost += w * z[i] * z[j]
         return cost
 
-    def cost_vector(self) -> np.ndarray:
-        """diag_cost of every bitstring, indexed by integer value."""
-        z = 1.0 - 2.0 * all_bitstrings(self.num_qubits)
+    def _block_costs(self, bits: np.ndarray) -> np.ndarray:
+        z = 1.0 - 2.0 * bits
         cost = self.h_const + z @ self.h_lin
         for (i, j), w in self.h_quad.items():
             cost += w * z[:, i] * z[:, j]
         return cost
+
+    def cost_vector(self) -> np.ndarray:
+        """diag_cost of every bitstring, indexed by integer value.
+
+        Computed on the first call; every call returns that same read-only
+        array, so the coefficients must not be changed after it."""
+        if self._cost is None:
+            cost = _by_row_blocks(self._block_costs, self.num_qubits)
+            cost.flags.writeable = False
+            self._cost = cost
+        return self._cost
 
 
 @dataclass
@@ -312,8 +336,8 @@ def qubo_cost(qubo: QuboProblem, bits: np.ndarray | str) -> float:
 
 def qubo_cost_vector(qubo: QuboProblem, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Costs of the bitstrings with integer values ``start..stop-1``, vectorized."""
-    bits = all_bitstrings(qubo.num_vars, start, stop)
-    return ((bits @ qubo.Q) * bits).sum(axis=1) + qubo.constant
+    costs = _by_row_blocks(lambda b: ((b @ qubo.Q) * b).sum(axis=1), qubo.num_vars, start, stop)
+    return costs + qubo.constant
 
 
 def to_ising(qubo: QuboProblem) -> IsingModel:
@@ -382,11 +406,14 @@ def min_penalty(
     N = enc.num_bits
     if N > cap:
         raise ValueError(f"{N} bits exceed the enumeration cap of {cap}")
-    bits = all_bitstrings(N)
-    xs = bits @ enc.B.T
-    base = ((xs @ qcio.M) * xs).sum(axis=1) + xs @ qcio.l + qcio.c
-    residual = xs @ qcio.A.T - qcio.r
-    penalty = (residual * residual).sum(axis=1)
+
+    def base_and_penalty(bits):
+        xs = bits @ enc.B.T
+        residual = xs @ qcio.A.T - qcio.r
+        base = ((xs @ qcio.M) * xs).sum(axis=1) + xs @ qcio.l + qcio.c
+        return np.stack([base, (residual * residual).sum(axis=1)], axis=1)
+
+    base, penalty = _by_row_blocks(base_and_penalty, N).T
     feasible = penalty <= _ATOL
     if not np.any(feasible):
         raise ValueError("no encodable point satisfies the constraints")

@@ -77,14 +77,39 @@ def _check_normalized(dist: Distribution):
         raise ValueError(f"distribution sums to {total}, not 1")
 
 
+def _bit_width(dist: Distribution) -> int:
+    widths = {len(s) for s in dist.probs}
+    if len(widths) != 1:
+        raise ValueError(f"bitstrings of mixed widths {sorted(widths)}")
+    return widths.pop()
+
+
 def hellinger_fidelity(p: Distribution, q: Distribution) -> float:
-    """(sum_b sqrt(p_b q_b))^2 — symmetric, 1 iff equal, 0 on disjoint support."""
+    """(sum_b sqrt(p_b q_b))^2 — symmetric, 1 iff equal, 0 on disjoint support.
+
+    Raises ValueError when the two distributions have different bit widths."""
     _check_normalized(p)
     _check_normalized(q)
+    width_p, width_q = _bit_width(p), _bit_width(q)
+    if width_p != width_q:
+        raise ValueError(f"bit widths differ: {width_p} vs {width_q}")
     overlap = sum(
         np.sqrt(v * q.probs[s]) for s, v in p.probs.items() if s in q.probs
     )
     return float(overlap) ** 2
+
+
+def state_fidelity(p: Distribution, state: StateVector) -> float:
+    """``hellinger_fidelity(p, Distribution.from_state(state))``, bit for bit,
+    reading the exact probabilities only on the support of ``p``."""
+    _check_normalized(p)
+    width = _bit_width(p)
+    if width != state.num_qubits:
+        raise ValueError(f"bit widths differ: {width} vs {state.num_qubits} qubits")
+    index = [int(s[::-1], 2) for s in p.probs]
+    terms = np.sqrt(np.fromiter(p.probs.values(), float) * state.probabilities()[index])
+    # the same left-to-right sum over p's order as hellinger_fidelity
+    return float(sum(terms)) ** 2
 
 
 def _mean_cost(p: Distribution, qubo: QuboProblem) -> float:

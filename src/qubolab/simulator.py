@@ -218,6 +218,79 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     return state
 
 
+def _apply_wall(psi: np.ndarray, mats, scratch: np.ndarray, out: np.ndarray):
+    """Apply the 2x2 matrix ``mats[q]`` to qubit q of the flat state ``psi``,
+    for every q, in place. ``scratch`` and ``out`` are flat buffers of psi's
+    size and dtype. Each qubit costs one (2, 2) x (2, 2^(n-1)) product on the
+    same operand layout ``apply_gate`` builds, so the arithmetic matches it."""
+    n = len(mats)
+    for q, mat in enumerate(mats):
+        view = psi.reshape(1 << (n - 1 - q), 2, 1 << q)
+        moved = scratch.reshape(2, view.shape[0], view.shape[2])
+        moved[...] = view.transpose(1, 0, 2)
+        product = out.reshape(2, -1)
+        np.dot(mat, scratch.reshape(2, -1), out=product)
+        view[...] = product.reshape(moved.shape).transpose(1, 0, 2)
+
+
+def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
+    """Evolve |+...+> through ``steps``, a sequence of ``(phi, theta)`` pairs.
+
+    Each step multiplies amplitude v by exp(-i phi cost[v]) and then applies
+    RX(theta) to every qubit; with ``mixer_first`` the RX wall comes first.
+    ``cost`` is the length-2^n diagonal. One complex buffer is updated in
+    place and validated once at the end. QAOA states, the p=1 landscape and
+    Trotter annealing all run on this kernel; applying the same gates one at
+    a time with ``apply_gate`` is its oracle.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.size.bit_length() - 1
+    if cost.ndim != 1 or cost.size != 1 << n:
+        raise ValueError(f"cost diagonal of length {cost.size} is not 2^n")
+    psi = np.full(cost.size, cost.size ** -0.5, dtype=complex)
+    scratch, out = np.empty_like(psi), np.empty_like(psi)
+    for phi, theta in steps:
+        rx = [gate_matrix(Gate("RX", (0,), theta))] * n
+        if mixer_first:
+            _apply_wall(psi, rx, scratch, out)
+        psi *= np.exp(-1j * phi * cost)
+        if not mixer_first:
+            _apply_wall(psi, rx, scratch, out)
+    return StateVector(psi, n)
+
+
+def cx_chain_permutation(num_qubits: int) -> np.ndarray:
+    """Index map of the chain CX(0,1) CX(1,2) ... CX(n-2,n-1): the chain
+    takes amplitudes ``a`` to ``a[perm]``."""
+    index = np.arange(1 << num_qubits)
+    perm = index
+    for q in range(num_qubits - 1):
+        perm = perm[index ^ (((index >> q) & 1) << (q + 1))]
+    return perm
+
+
+def ry_cx_amplitudes(angles, perm: np.ndarray) -> np.ndarray:
+    """Real amplitudes of |0...0> after RY walls separated by CX chains.
+
+    ``angles[l][q]`` is the RY angle on qubit q in wall l; ``perm`` (from
+    ``cx_chain_permutation``) is applied between consecutive walls. Every
+    gate is real, so the state stays real; ``run_circuit`` on the same gates
+    is the oracle.
+    """
+    angles = np.asarray(angles, dtype=float)
+    n = angles.shape[1]
+    psi = np.zeros(1 << n)
+    psi[0] = 1.0
+    scratch, out = np.empty_like(psi), np.empty_like(psi)
+    for layer, wall in enumerate(angles):
+        if layer:
+            psi = psi[perm]
+        c, s = np.cos(wall / 2), np.sin(wall / 2)
+        mats = np.ascontiguousarray(np.array([[c, -s], [s, c]]).transpose(2, 0, 1))
+        _apply_wall(psi, mats, scratch, out)
+    return psi
+
+
 def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
     """Multinomial shot sampling; deterministic for a fixed seed."""
     if shots < 1:

@@ -12,7 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import IsingModel
-from .simulator import Circuit, Gate, StateVector, apply_gate, expectation_diagonal, run_circuit
+from .simulator import Circuit, Gate, StateVector, cx_chain_permutation, expectation_diagonal
+from .simulator import phase_mixer_state, ry_cx_amplitudes
+# unused here; perfbench/spans.py traces these names in this module
+from .simulator import apply_gate, run_circuit  # noqa: F401
 
 _TWO_PI = 2.0 * np.pi
 
@@ -139,20 +142,14 @@ def qaoa_circuit(ising: IsingModel, p: int) -> ParametricCircuit:
 
 
 def qaoa_state_fast(ising: IsingModel, params: QaoaParams) -> StateVector:
-    """Diagonal-phase QAOA evolution: multiply amplitudes by
-    exp(-i gamma * cost(b)) per layer, then mix with RX(2 beta).
+    """Diagonal-phase QAOA evolution on ``phase_mixer_state``: per layer,
+    multiply amplitudes by exp(-i gamma * cost(b)), then mix with RX(2 beta).
 
-    Differs from the gate-level circuit only by a global phase (the constant
-    term h'' enters here but not there)."""
-    n = ising.num_qubits
-    cost = ising.cost_vector()
-    state = StateVector.plus_state(n)
-    for beta, gamma in zip(params.betas, params.gammas):
-        amps = state.amplitudes * np.exp(-1j * gamma * cost)
-        state = StateVector(amps, n)
-        for q in range(n):
-            state = apply_gate(state, Gate("RX", (q,), 2.0 * beta))
-    return state
+    The gate-level ``qaoa_circuit`` is its oracle and differs only by a global
+    phase (the constant term h'' enters here but not there)."""
+    return phase_mixer_state(
+        ising.cost_vector(), list(zip(params.gammas, 2.0 * params.betas))
+    )
 
 
 def vqe_circuit(num_qubits: int, layers: int) -> ParametricCircuit:
@@ -173,8 +170,7 @@ def vqe_circuit(num_qubits: int, layers: int) -> ParametricCircuit:
     return circ
 
 
-def _sampled_mean(state: StateVector, cost: np.ndarray, shots: int, rng) -> float:
-    probs = state.probabilities()
+def _sampled_mean(probs: np.ndarray, cost: np.ndarray, shots: int, rng) -> float:
     draws = rng.multinomial(shots, probs / probs.sum())
     return float(draws @ cost) / shots
 
@@ -191,7 +187,7 @@ def qaoa_expectation(
     if shots is None:
         return expectation_diagonal(state, cost)
     rng = np.random.default_rng(rng)
-    return _sampled_mean(state, cost, shots, rng)
+    return _sampled_mean(state.probabilities(), cost, shots, rng)
 
 
 def cost_landscape(
@@ -204,21 +200,16 @@ def cost_landscape(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axis = np.linspace(0.0, np.pi, resolution)
-    n = ising.num_qubits
     cost = ising.cost_vector()
     rng = np.random.default_rng(seed)
     grid = np.empty((resolution, resolution))
-    plus = StateVector.plus_state(n)
     for j, gamma in enumerate(axis):
-        phased = StateVector(plus.amplitudes * np.exp(-1j * gamma * cost), n)
         for i, beta in enumerate(axis):
-            state = phased
-            for q in range(n):
-                state = apply_gate(state, Gate("RX", (q,), 2.0 * beta))
+            state = phase_mixer_state(cost, [(gamma, 2.0 * beta)])
             if shots is None:
                 grid[i, j] = expectation_diagonal(state, cost)
             else:
-                grid[i, j] = _sampled_mean(state, cost, shots, rng)
+                grid[i, j] = _sampled_mean(state.probabilities(), cost, shots, rng)
     return Landscape(grid, axis.copy(), axis.copy())
 
 
@@ -240,15 +231,21 @@ def vqe_objective(
     shots: int | None = None,
     seed: int | None = None,
 ):
-    """Objective over two-local RY angle vectors, for the optimizer."""
-    template = vqe_circuit(ising.num_qubits, layers)
+    """Objective over two-local RY angle vectors, for the optimizer, on the
+    real-valued ``ry_cx_amplitudes`` kernel (each CX chain one precomputed
+    permutation); the gate-level ``vqe_circuit`` is its oracle."""
+    n = ising.num_qubits
+    vqe_circuit(n, layers)  # rejects n < 2 and layers < 1
+    perm = cx_chain_permutation(n)
     cost = ising.cost_vector()
     rng = np.random.default_rng(seed)
 
     def objective(vector) -> float:
-        state = run_circuit(template.bind(vector))
+        thetas = VqeParams(vector, layers, n).thetas
+        amps = ry_cx_amplitudes(thetas.reshape(layers + 1, n), perm)
+        probs = amps * amps
         if shots is None:
-            return expectation_diagonal(state, cost)
-        return _sampled_mean(state, cost, shots, rng)
+            return float(probs @ cost)
+        return _sampled_mean(probs, cost, shots, rng)
 
     return objective

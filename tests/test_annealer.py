@@ -17,7 +17,7 @@ from qubolab.model import (
     str_to_bits,
     to_ising,
 )
-from qubolab.simulator import StateVector
+from qubolab.simulator import Gate, StateVector, apply_gate
 from qubolab.usecases import build_lama, decode_lama, example_series, lama_objective
 
 
@@ -230,3 +230,32 @@ def test_sweep_rejects_unknown_axis():
     spec, qcio, enc, decoder, c_opt = lama_toy()
     with pytest.raises(ValueError):
         sweep("chain", [1.0], lambda r: None, decoder, c_opt, SaConfig(1))
+
+
+def gate_by_gate_trotter(ising, schedule, dt):
+    """qa_trotter spelled out with apply_gate: per step an RX wall, then the phase."""
+    n = ising.num_qubits
+    steps = int(round(schedule.total_time / dt))
+    dt_eff = schedule.total_time / steps
+    cost = ising.cost_vector()
+    state = StateVector.plus_state(n)
+    for k in range(steps):
+        t_k = (k + 0.5) * dt_eff
+        for q in range(n):
+            state = apply_gate(state, Gate("RX", (q,), -schedule.a(t_k) * dt_eff))
+        phase = np.exp(-0.5j * schedule.b(t_k) * dt_eff * cost)
+        state = StateVector(state.amplitudes * phase, n)
+    return state
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trotter_kernel_matches_gate_by_gate_reference(n):
+    rng = np.random.default_rng(100 + n)
+    Q = np.triu(rng.uniform(-2.0, 2.0, size=(n, n)))
+    ising = to_ising(QuboProblem(Q=Q, constant=float(rng.uniform(-1.0, 1.0))))
+    for _ in range(2):
+        schedule = AnnealSchedule.linear(float(rng.uniform(0.2, 3.0)))
+        dt = float(rng.uniform(0.02, 0.2))
+        fast = qa_trotter(ising, schedule, dt).amplitudes
+        reference = gate_by_gate_trotter(ising, schedule, dt).amplitudes
+        np.testing.assert_allclose(fast, reference, rtol=0.0, atol=1e-12)

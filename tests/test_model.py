@@ -189,6 +189,18 @@ def test_qubo_cost_vector_matches_scalar_costs():
         assert abs(vec[v] - qubo_cost(qubo, int_to_bits(v, 6))) < 1e-12
 
 
+def test_qubo_cost_vector_across_row_blocks():
+    # 14 variables: the range 1000..13001 spans several 4096-row blocks
+    qubo = random_qubo(np.random.default_rng(8), 14)
+    vec = qubo_cost_vector(qubo, 1000, 13001)
+    assert vec.shape == (12001,)
+    for v in [1000, 4095, 4096, 4097, 8191, 8192, 13000]:
+        assert abs(vec[v - 1000] - qubo_cost(qubo, int_to_bits(v, 14))) < 1e-9
+    ising = to_ising(qubo)
+    for v in [0, 4095, 4096, 16383]:
+        assert abs(ising.cost_vector()[v] - ising.diag_cost(int_to_bits(v, 14))) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # to_ising
 
@@ -221,6 +233,14 @@ def test_ising_diagonal_identity(seed, n):
     ising = to_ising(qubo)
     costs = qubo_cost_vector(qubo)
     np.testing.assert_allclose(ising.cost_vector(), costs, atol=1e-9)
+
+
+def test_cost_vector_is_memoised_and_read_only():
+    ising = to_ising(random_qubo(np.random.default_rng(6), 5))
+    vec = ising.cost_vector()
+    assert ising.cost_vector() is vec
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
 
 
 def test_ising_diag_cost_scalar_matches_vector():

@@ -16,8 +16,9 @@ from qubolab.quality import (
     random_baseline,
     relative_error,
     solution_rates,
+    state_fidelity,
 )
-from qubolab.simulator import SampleSet, StateVector
+from qubolab.simulator import SampleSet, StateVector, sample
 
 
 def test_fidelity_identical_distributions():
@@ -67,6 +68,30 @@ def test_distribution_from_sampleset_and_state():
     d = Distribution.from_state(StateVector(amps, 2))
     assert set(d.probs) == {"00", "11"}
     assert abs(d.probs["00"] - 0.5) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_state_fidelity_equals_fidelity_against_from_state(seed, n):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < 0.2] = 0.0
+    amps[0] = 1.0
+    state = StateVector(amps / np.linalg.norm(amps), n)
+    samples = sample(state, 200, seed)
+    empirical = Distribution.from_sampleset(samples)
+    exact = Distribution.from_state(state)
+    assert state_fidelity(empirical, state) == hellinger_fidelity(empirical, exact)
+
+
+def test_fidelity_rejects_mismatched_bit_widths():
+    p = Distribution({"00": 1.0})
+    with pytest.raises(ValueError):
+        hellinger_fidelity(p, Distribution({"000": 1.0}))
+    with pytest.raises(ValueError):
+        hellinger_fidelity(p, Distribution({"0": 0.5, "01": 0.5}))
+    with pytest.raises(ValueError):
+        state_fidelity(p, StateVector.plus_state(3))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from util import random_qubo
 
 from qubolab.model import qubo_cost_vector, to_ising
-from qubolab.simulator import StateVector, run_circuit
+from qubolab.simulator import StateVector, cx_chain_permutation, ry_cx_amplitudes, run_circuit
 from qubolab.variational import (
     Landscape,
     QaoaParams,
@@ -218,3 +218,26 @@ def test_qaoa_objective_shot_mode_noise_and_determinism():
     assert first == again(vec)
     # the noise stream is stateful: successive calls see fresh draws
     assert noisy(vec) != first
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_vqe_kernel_matches_gate_path(n):
+    rng = np.random.default_rng(200 + n)
+    ising, _ = random_ising(300 + n, n)
+    perm = cx_chain_permutation(n)
+    for layers in range(1, 4):
+        circ = vqe_circuit(n, layers)
+        vector = rng.uniform(0.0, 2.0 * np.pi, circ.num_params)
+        gate = run_circuit(circ.bind(vector))
+        amps = ry_cx_amplitudes(vector.reshape(layers + 1, n), perm)
+        np.testing.assert_allclose(amps, gate.amplitudes, rtol=0.0, atol=1e-12)
+        expected = float(gate.probabilities() @ ising.cost_vector())
+        assert abs(vqe_objective(ising, layers)(vector) - expected) < 1e-12
+
+
+def test_vqe_objective_validation():
+    ising, _ = random_ising(3, 3)
+    with pytest.raises(ValueError):
+        vqe_objective(ising, layers=0)
+    with pytest.raises(ValueError):
+        vqe_objective(ising, layers=1)(np.zeros(5))
