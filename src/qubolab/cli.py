@@ -9,6 +9,7 @@ usage errors exit 2 (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -23,6 +24,7 @@ from .annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample, sweep
 from .model import (
     BRUTE_FORCE_CAP,
     IsingModel,
+    SolveReport,
     brute_force_solve,
     build_quio,
     encode_binary,
@@ -46,6 +48,7 @@ from .serialize import (
     sweeps_to_csv,
     to_dict,
     traces_to_csv,
+    write_json,
 )
 from .simulator import run_circuit, sample as sample_state
 from .transpiler import (
@@ -96,8 +99,7 @@ def _load_raw(path) -> dict:
 
 
 def _save_raw(path, doc: dict):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _out_path(path).write_text(text)
+    write_json(_out_path(path), doc)
 
 
 def _floats(text: str) -> list:
@@ -151,7 +153,8 @@ def _trp_bundle(cities: int, layout: str, seed: int, rho: float) -> dict:
 
 
 class _Problem:
-    """Hydrated bundle: QUBO plus use-case decoding context."""
+    """Hydrated bundle: QUBO plus use-case decoding context. Oracle results
+    are computed on first use and shared by every seed of a batch."""
 
     def __init__(self, doc: dict):
         if doc.get("type") != "ProblemBundle":
@@ -160,6 +163,11 @@ class _Problem:
         self.use_case = doc["use_case"]
         self.qubo = from_dict(doc["qubo"])
         self.spec = from_dict(doc["spec"])
+
+    @functools.cached_property
+    def report(self) -> SolveReport:
+        """``brute_force_solve`` of the QUBO, enumerated once."""
+        return brute_force_solve(self.qubo)
 
     @property
     def num_qubits(self) -> int:
@@ -184,10 +192,14 @@ class _Problem:
 
     def optimal_cost(self) -> float:
         """Constrained optimum in decoder units (oracle; capped sizes)."""
+        return self._optimum
+
+    @functools.cached_property
+    def _optimum(self) -> float:
         if self.use_case == "lama":
             if self.num_qubits > BRUTE_FORCE_CAP:
                 raise ValueError("instance too large for the brute-force oracle")
-            report = brute_force_solve(self.qubo)
+            report = self.report
             decode = self.decoder()
             feasible = [decode(s) for s in report.optimal_set if decode(s)[0]]
             if not feasible:
@@ -287,7 +299,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_solve_brute(args) -> int:
     problem = _load_problem(args.problem)
-    report = brute_force_solve(problem.qubo)
+    report = problem.report
     print(f"optimal cost {report.optimal_cost!r}")
     print(f"optimal set ({len(report.optimal_set)}): {' '.join(report.optimal_set[:16])}")
     if args.output:
@@ -421,7 +433,7 @@ def _cmd_score(args) -> int:
     }
     if args.problem:
         problem = _load_problem(args.problem)
-        report = brute_force_solve(problem.qubo)
+        report = problem.report
         err = relative_error(p, problem.qubo, report.optimal_cost)
         base = random_baseline(
             problem.num_qubits, problem.qubo, c_opt=report.optimal_cost, seed=args.seed
@@ -521,7 +533,7 @@ def _variational_record(problem, config, seed) -> dict:
         "counts": dict(samples.counts),
     }
     try:
-        c_opt_qubo = brute_force_solve(problem.qubo).optimal_cost
+        c_opt_qubo = problem.report.optimal_cost
         err = relative_error(empirical, problem.qubo, c_opt_qubo)
         record["relative_error"] = err.value
         record["random_baseline"] = random_baseline(
@@ -586,7 +598,7 @@ def run(config: dict) -> dict:
     for seed in seeds:
         try:
             if algorithm == "brute":
-                report = brute_force_solve(problem.qubo)
+                report = problem.report
                 record = {
                     "seed": int(seed),
                     "optimal_cost": report.optimal_cost,

@@ -14,6 +14,7 @@ renderings put bit 0 leftmost, i.e. ``s[i]`` is bit i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +224,8 @@ class QuboProblem:
             raise ValueError("num_vars does not match Q")
         if np.any(np.tril(self.Q, k=-1) != 0.0):
             raise ValueError("Q must be upper-triangular")
+        if not (np.isfinite(self.Q).all() and math.isfinite(self.constant)):
+            raise ValueError("Q and constant must be finite")
 
 
 @dataclass

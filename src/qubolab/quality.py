@@ -3,6 +3,7 @@ random-statevector baseline, and feasible/optimal solution rates."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +26,8 @@ class Distribution:
         if any(v < 0.0 for v in self.probs.values()):
             raise ValueError("negative probability")
         total = sum(self.probs.values())
+        if not math.isfinite(total):  # NaN fails every comparison below
+            raise ValueError("non-finite probability")
         if abs(total - 1.0) > _NORM_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
 

@@ -1,14 +1,22 @@
 """JSON and CSV interchange for every workbench object.
 
-JSON documents carry the exact field names of their in-memory types, matrices
-as row-major nested arrays, a "type" tag, and a schema version. CSV exports
-start with a ``# schema_version=N`` comment line so plot files stay
-self-describing.
+One field-driven codec covers every JSON document type. A document carries
+the ``init`` fields of its dataclass under their own names, a "type" tag and
+a schema version: arrays become nested lists, tuples become lists, tuple
+dict keys become ``"i,j"`` strings and a nested dataclass becomes a plain
+dict. Decoding hands the fields straight to the constructor, whose
+``__post_init__`` coerces and validates them. A new document type is one
+entry in ``DOCUMENT_TYPES``, plus a ``_DECODE_HOOKS`` entry only when a
+field holds tuple-keyed dicts or nested dataclasses. CSV exports start with
+a ``# schema_version=N`` comment line so plot files stay self-describing.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,222 +38,84 @@ from .variational import Landscape
 
 SCHEMA_VERSION = 1
 
+DOCUMENT_TYPES = {cls.__name__: cls for cls in (
+    QcioProblem, QuioProblem, BinaryEncoding, QuboProblem, IsingModel, SolveReport,
+    LamaSpec, TrpSpec, Schedule, Route, Circuit, SampleSet, CouplingMap, ErrorMap,
+    Layout, Distribution, QualityReport, Landscape,
+)}
+_signature = functools.cache(inspect.signature)  # checks a document's field names
 
-def _mat(x) -> list:
-    return np.asarray(x).tolist()
+
+def _plain(value):
+    """JSON-ready form of a field value."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {
+            ",".join(map(str, k)) if isinstance(k, tuple) else str(k): _plain(v)
+            for k, v in value.items()
+        }
+    return value
 
 
 def to_dict(obj) -> dict:
     """Tagged JSON-ready dict for any serializable workbench object."""
-    if isinstance(obj, QcioProblem):
-        body = {
-            "dim_n": obj.dim_n,
-            "M": _mat(obj.M),
-            "l": _mat(obj.l),
-            "c": obj.c,
-            "A": _mat(obj.A),
-            "r": _mat(obj.r),
-            "lower": _mat(obj.lower),
-            "upper": _mat(obj.upper),
-        }
-    elif isinstance(obj, QuioProblem):
-        body = {
-            "M_rho": _mat(obj.M_rho),
-            "l_rho": _mat(obj.l_rho),
-            "c_rho": obj.c_rho,
-            "rho": obj.rho,
-        }
-    elif isinstance(obj, BinaryEncoding):
-        body = {"B": _mat(obj.B), "bits_per_var": obj.bits_per_var}
-    elif isinstance(obj, QuboProblem):
-        body = {"Q": _mat(obj.Q), "constant": obj.constant, "num_vars": obj.num_vars}
-    elif isinstance(obj, IsingModel):
-        body = {
-            "h_quad": {f"{i},{j}": v for (i, j), v in sorted(obj.h_quad.items())},
-            "h_lin": _mat(obj.h_lin),
-            "h_const": obj.h_const,
-            "num_qubits": obj.num_qubits,
-        }
-    elif isinstance(obj, SolveReport):
-        body = {
-            "optimal_cost": obj.optimal_cost,
-            "optimal_set": list(obj.optimal_set),
-            "evaluations": obj.evaluations,
-        }
-    elif isinstance(obj, LamaSpec):
-        body = {
-            "num_timeslots": obj.num_timeslots,
-            "num_cars": obj.num_cars,
-            "availability": [list(w) for w in obj.availability],
-            "required_energy": list(obj.required_energy),
-            "num_levels": obj.num_levels,
-        }
-    elif isinstance(obj, TrpSpec):
-        body = {
-            "num_cities": obj.num_cities,
-            "distances": _mat(obj.distances),
-            "layout": obj.layout,
-            "rho": obj.rho,
-        }
-    elif isinstance(obj, Schedule):
-        body = {"levels": _mat(obj.levels)}
-    elif isinstance(obj, Route):
-        body = {"order": list(obj.order)}
-    elif isinstance(obj, Circuit):
-        body = {
-            "num_qubits": obj.num_qubits,
-            "gates": [
-                {"kind": g.kind, "qubits": list(g.qubits), "angle": g.angle}
-                for g in obj.gates
-            ],
-        }
-    elif isinstance(obj, SampleSet):
-        body = {"counts": dict(obj.counts), "shots": obj.shots}
-    elif isinstance(obj, CouplingMap):
-        body = {"num_qubits": obj.num_qubits, "edges": [list(e) for e in obj.edges]}
-    elif isinstance(obj, ErrorMap):
-        body = {
-            "single": {str(q): e for q, e in sorted(obj.single.items())},
-            "two": {f"{a},{b}": e for (a, b), e in sorted(obj.two.items())},
-            "measure": {str(q): e for q, e in sorted(obj.measure.items())},
-        }
-    elif isinstance(obj, Layout):
-        body = {"assignment": list(obj.assignment)}
-    elif isinstance(obj, Distribution):
-        body = {"probs": dict(obj.probs)}
-    elif isinstance(obj, QualityReport):
-        body = {
-            "fidelity": obj.fidelity,
-            "relative_error": obj.relative_error,
-            "random_baseline": obj.random_baseline,
-            "feasible_pct": obj.feasible_pct,
-            "optimal_pct": obj.optimal_pct,
-        }
-    elif isinstance(obj, Landscape):
-        body = {
-            "grid": _mat(obj.grid),
-            "beta_axis": _mat(obj.beta_axis),
-            "gamma_axis": _mat(obj.gamma_axis),
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": type(obj).__name__,
-        **body,
-    }
+    name = type(obj).__name__
+    if DOCUMENT_TYPES.get(name) is not type(obj):
+        raise TypeError(f"cannot serialize {name}")
+    return {"schema_version": SCHEMA_VERSION, "type": name, **_plain(obj)}
+
+
+def _build(cls, body: dict):
+    """``cls(**body)`` after the decode hooks; bad field names raise ``ValueError``."""
+    try:
+        _signature(cls).bind(**body)
+    except TypeError as exc:
+        raise ValueError(f"{cls.__name__} document: {exc}") from None
+    hooks = _DECODE_HOOKS.get(cls, {})
+    return cls(**{k: hooks[k](v) if k in hooks else v for k, v in body.items()})
+
+
+def _pair_keys(doc: dict) -> dict:
+    return {tuple(int(t) for t in key.split(",")): v for key, v in doc.items()}
+
+
+_DECODE_HOOKS = {
+    IsingModel: {"h_quad": _pair_keys},
+    ErrorMap: {"two": _pair_keys},
+    Circuit: {"gates": lambda gates: [_build(Gate, g) for g in gates]},
+}
 
 
 def from_dict(data: dict):
-    """Inverse of :func:`to_dict`."""
+    """Inverse of :func:`to_dict`; a malformed document raises ``ValueError``."""
     kind = data.get("type")
-    if kind == "QcioProblem":
-        return QcioProblem(
-            dim_n=data["dim_n"],
-            M=np.array(data["M"], dtype=float),
-            l=np.array(data["l"], dtype=float),
-            c=float(data["c"]),
-            A=np.array(data["A"], dtype=float),
-            r=np.array(data["r"], dtype=float),
-            lower=np.array(data["lower"], dtype=int),
-            upper=np.array(data["upper"], dtype=int),
-        )
-    if kind == "QuioProblem":
-        return QuioProblem(
-            M_rho=np.array(data["M_rho"], dtype=float),
-            l_rho=np.array(data["l_rho"], dtype=float),
-            c_rho=float(data["c_rho"]),
-            rho=float(data["rho"]),
-        )
-    if kind == "BinaryEncoding":
-        return BinaryEncoding(
-            B=np.array(data["B"], dtype=float), bits_per_var=data["bits_per_var"]
-        )
-    if kind == "QuboProblem":
-        return QuboProblem(
-            Q=np.array(data["Q"], dtype=float), constant=float(data["constant"])
-        )
-    if kind == "IsingModel":
-        quad = {
-            tuple(int(t) for t in key.split(",")): float(v)
-            for key, v in data["h_quad"].items()
-        }
-        return IsingModel(
-            h_quad=quad,
-            h_lin=np.array(data["h_lin"], dtype=float),
-            h_const=float(data["h_const"]),
-            num_qubits=int(data["num_qubits"]),
-        )
-    if kind == "SolveReport":
-        return SolveReport(
-            optimal_cost=float(data["optimal_cost"]),
-            optimal_set=list(data["optimal_set"]),
-            evaluations=int(data["evaluations"]),
-        )
-    if kind == "LamaSpec":
-        return LamaSpec(
-            num_timeslots=data["num_timeslots"],
-            num_cars=data["num_cars"],
-            availability=[tuple(w) for w in data["availability"]],
-            required_energy=list(data["required_energy"]),
-            num_levels=data["num_levels"],
-        )
-    if kind == "TrpSpec":
-        return TrpSpec(
-            num_cities=data["num_cities"],
-            distances=np.array(data["distances"], dtype=float),
-            layout=data["layout"],
-            rho=float(data["rho"]),
-        )
-    if kind == "Schedule":
-        return Schedule(levels=np.array(data["levels"], dtype=int))
-    if kind == "Route":
-        return Route(order=list(data["order"]))
-    if kind == "Circuit":
-        circ = Circuit(data["num_qubits"])
-        for g in data["gates"]:
-            circ.append(Gate(g["kind"], tuple(g["qubits"]), g["angle"]))
-        return circ
-    if kind == "SampleSet":
-        return SampleSet(counts=data["counts"], shots=data["shots"])
-    if kind == "CouplingMap":
-        return CouplingMap(data["num_qubits"], [tuple(e) for e in data["edges"]])
-    if kind == "ErrorMap":
-        return ErrorMap(
-            single={int(q): v for q, v in data["single"].items()},
-            two={
-                tuple(int(t) for t in key.split(",")): v
-                for key, v in data["two"].items()
-            },
-            measure={int(q): v for q, v in data["measure"].items()},
-        )
-    if kind == "Layout":
-        return Layout(data["assignment"])
-    if kind == "Distribution":
-        return Distribution(data["probs"])
-    if kind == "QualityReport":
-        return QualityReport(
-            fidelity=data["fidelity"],
-            relative_error=data["relative_error"],
-            random_baseline=data["random_baseline"],
-            feasible_pct=data["feasible_pct"],
-            optimal_pct=data["optimal_pct"],
-        )
-    if kind == "Landscape":
-        return Landscape(
-            grid=np.array(data["grid"], dtype=float),
-            beta_axis=np.array(data["beta_axis"], dtype=float),
-            gamma_axis=np.array(data["gamma_axis"], dtype=float),
-        )
-    raise ValueError(f"unknown document type {kind!r}")
+    if kind not in DOCUMENT_TYPES:
+        raise ValueError(f"unknown document type {kind!r}")
+    body = {k: v for k, v in data.items() if k not in ("schema_version", "type")}
+    return _build(DOCUMENT_TYPES[kind], body)
+
+
+def _text(doc: dict) -> str:
+    """The one JSON text format: sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_dict(obj), sort_keys=True, indent=2)
+    return _text(to_dict(obj))
 
 
 def save_json(path, obj):
-    Path(path).write_text(dumps(obj) + "\n")
+    write_json(path, to_dict(obj))
+
+
+def write_json(path, doc: dict):
+    """Write a JSON-ready dict in the format of :func:`dumps`, plus a newline."""
+    Path(path).write_text(_text(doc) + "\n")
 
 
 def load_json(path):

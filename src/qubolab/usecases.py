@@ -17,6 +17,7 @@ from .model import (
     BinaryEncoding,
     QcioProblem,
     QuboProblem,
+    to_ising,
     upper_triangularize,
 )
 
@@ -327,21 +328,12 @@ class SpinModel:
 
 
 def ising_spin_form(qubo: QuboProblem) -> SpinModel:
-    """Spin-variable form of the QUBO under b = (1 + x)/2."""
-    N = qubo.num_vars
-    h = np.zeros(N)
-    c = qubo.constant
-    J: dict[tuple[int, int], float] = {}
-    for i in range(N):
-        q_ii = qubo.Q[i, i]
-        h[i] += q_ii / 2.0
-        c += q_ii / 2.0
-        for j in range(i + 1, N):
-            q_ij = qubo.Q[i, j]
-            if q_ij == 0.0:
-                continue
-            J[(i, j)] = q_ij / 4.0
-            h[i] += q_ij / 4.0
-            h[j] += q_ij / 4.0
-            c += q_ij / 4.0
-    return SpinModel(J=J, h=h, c=c, num_spins=N)
+    """Spin-variable form of the QUBO under b = (1 + x)/2.
+
+    ``to_ising`` substitutes b = (1 - z)/2, so x = -z: the couplings and the
+    constant carry over and the linear terms change sign.
+    """
+    ising = to_ising(qubo)
+    return SpinModel(
+        J=ising.h_quad, h=-ising.h_lin, c=ising.h_const, num_spins=ising.num_qubits
+    )
