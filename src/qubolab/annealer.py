@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IsingModel, QuboProblem, bits_to_str
+from .model import IsingModel, QuboProblem, bits_to_str, require_finite
 from .quality import solution_rates
 from .simulator import SampleSet, StateVector, phase_mixer_state
 from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py traces it here
@@ -28,9 +28,14 @@ class AnnealSchedule:
     b: callable
 
     def __post_init__(self):
+        require_finite("total_time", self.total_time)
         if self.total_time <= 0.0:
             raise ValueError("total_time must be positive")
         T = self.total_time
+        ts = np.linspace(0.0, T, 33)
+        a_vals = [self.a(t) for t in ts]
+        b_vals = [self.b(t) for t in ts]
+        require_finite("schedule value", a_vals, b_vals)
         for name, value, want in [
             ("a(0)", self.a(0.0), 1.0),
             ("b(0)", self.b(0.0), 0.0),
@@ -39,9 +44,6 @@ class AnnealSchedule:
         ]:
             if abs(value - want) > _BOUNDARY_ATOL:
                 raise ValueError(f"schedule boundary {name} = {value}, want {want}")
-        ts = np.linspace(0.0, T, 33)
-        a_vals = [self.a(t) for t in ts]
-        b_vals = [self.b(t) for t in ts]
         if np.any(np.diff(a_vals) > _BOUNDARY_ATOL) or np.any(
             np.diff(b_vals) < -_BOUNDARY_ATOL
         ):
@@ -66,6 +68,9 @@ class SaConfig:
             raise ValueError("num_reads must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        for name, value in (("t_hot", self.t_hot), ("t_cold", self.t_cold)):
+            if value is not None:
+                require_finite(name, value)
         if self.t_hot is not None and self.t_cold is not None:
             if not self.t_hot > self.t_cold > 0.0:
                 raise ValueError("need t_hot > t_cold > 0")
@@ -88,8 +93,14 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
     """Metropolis chains over bitstrings, all reads advanced in lockstep.
 
     Single-bit flip energies come from incrementally maintained local fields.
-    Every flip attempt updates the fields of all reads with an outer product,
-    so a sweep costs O(reads * n^2), the same as the initial setup.
+    The fields and the +-1 flip values are held as (n, reads) arrays, so bit
+    k's row is contiguous, and each sweep draws its uniforms as one
+    (n, reads) block: the same stream, in the same order, as n draws of
+    ``reads``. A flip attempt runs the Metropolis test on preallocated
+    buffers; when a read accepts, the fields of all reads take an outer
+    product, so a sweep costs O(reads * n^2), the same as the initial setup.
+    The read-major loop kept in the test suite is the oracle: its counts
+    equal these in keys and order.
     """
     n = qubo.num_vars
     rng = np.random.default_rng(cfg.seed)
@@ -99,19 +110,31 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
     np.fill_diagonal(sym, 0.0)
     diag = np.diag(qubo.Q).copy()
     states = rng.integers(0, 2, size=(reads, n)).astype(float)
-    field = states @ sym  # field[r, k] = sum_j sym[k, j] * b[r, j]
+    field = np.ascontiguousarray((states @ sym).T)  # field[k, r] = sum_j sym[k, j] * b[r, j]
+    flips = np.ascontiguousarray((1.0 - 2.0 * states).T)  # +1 flips bit 0 -> 1
+    uniforms = np.empty((n, reads))
+    d_energy, weight, delta = np.empty(reads), np.empty(reads), np.empty(reads)
+    accept = np.empty(reads, dtype=bool)
+    update = np.empty((n, reads))
+    rows = list(zip(field, diag, flips, uniforms, sym[:, :, None]))
     for temp in temps:
-        for k in range(n):
-            flip = 1.0 - 2.0 * states[:, k]
-            d_energy = flip * (diag[k] + field[:, k])
-            accept = (d_energy <= 0.0) | (
-                rng.random(reads) < np.exp(np.minimum(-d_energy / temp, 0.0))
-            )
-            delta = np.where(accept, flip, 0.0)
-            states[:, k] += delta
-            field += np.outer(delta, sym[k])
+        rng.random(out=uniforms)
+        for field_k, diag_k, flip, u, sym_k in rows:
+            np.add(field_k, diag_k, out=d_energy)
+            np.multiply(flip, d_energy, out=d_energy)
+            # exp(min(-d/T, 0)) is 1 > u whenever d <= 0
+            np.divide(d_energy, -temp, out=weight)
+            np.minimum(weight, 0.0, out=weight)
+            np.exp(weight, out=weight)
+            np.less(u, weight, out=accept)
+            if not accept.any():
+                continue
+            np.multiply(flip, accept, out=delta)
+            np.negative(flip, out=flip, where=accept)
+            np.multiply(sym_k, delta, out=update)
+            field += update
     counts = {}
-    for row in states.astype(int):
+    for row in flips.T < 0.0:
         key = bits_to_str(row)
         counts[key] = counts.get(key, 0) + 1
     return SampleSet(counts, reads)
@@ -125,6 +148,7 @@ def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateV
     n = ising.num_qubits
     if n > TROTTER_QUBIT_CAP:
         raise ValueError(f"dense Trotter evolution capped at {TROTTER_QUBIT_CAP} qubits")
+    require_finite("dt", dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     steps = int(round(schedule.total_time / dt))

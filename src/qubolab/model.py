@@ -14,7 +14,7 @@ renderings put bit 0 leftmost, i.e. ``s[i]`` is bit i.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +26,16 @@ _ATOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# bitstring helpers
+# validation and bitstring helpers
+
+
+def require_finite(name: str, *values) -> None:
+    """Raise ``ValueError`` unless every number in ``values`` (scalars or
+    arrays, real or complex) is finite: the one finite check that every
+    validator of the package goes through."""
+    for value in values:
+        if not np.isfinite(value).all():
+            raise ValueError(f"non-finite {name}")
 
 
 def int_to_bits(value: int, num_bits: int) -> np.ndarray:
@@ -224,8 +233,7 @@ class QuboProblem:
             raise ValueError("num_vars does not match Q")
         if np.any(np.tril(self.Q, k=-1) != 0.0):
             raise ValueError("Q must be upper-triangular")
-        if not (np.isfinite(self.Q).all() and math.isfinite(self.constant)):
-            raise ValueError("Q and constant must be finite")
+        require_finite("Q or constant", self.Q, self.constant)
 
 
 @dataclass
@@ -287,6 +295,21 @@ class SolveReport:
     optimal_cost: float
     optimal_set: list[str] = field(default_factory=list)
     evaluations: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.optimal_cost, numbers.Real):
+            raise ValueError(f"optimal_cost must be a number, got {self.optimal_cost!r}")
+        self.optimal_cost = float(self.optimal_cost)
+        require_finite("optimal_cost", self.optimal_cost)
+        if not isinstance(self.optimal_set, (list, tuple)) or not all(
+            isinstance(s, str) for s in self.optimal_set
+        ):
+            raise ValueError(f"optimal_set must be a list of bitstrings, got {self.optimal_set!r}")
+        if not set("".join(self.optimal_set)) <= {"0", "1"}:
+            raise ValueError("optimal_set holds a string that is not a bitstring")
+        self.optimal_set = list(self.optimal_set)
+        if not isinstance(self.evaluations, numbers.Integral) or self.evaluations < 0:
+            raise ValueError(f"evaluations must be a count, got {self.evaluations!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 
 @dataclass
@@ -44,6 +43,9 @@ class MultiStartReport:
 def minimize(objective, x0, max_iter: int = 1000, tol: float = 1e-6) -> OptTrace:
     """Local descent from ``x0``; stops on a tol-sized trust region or after
     ``max_iter`` objective evaluations. Non-finite objective values abort."""
+    # scipy.optimize costs about half a second to import; only training needs it
+    from scipy.optimize import minimize as scipy_minimize
+
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -58,7 +60,7 @@ def minimize(objective, x0, max_iter: int = 1000, tol: float = 1e-6) -> OptTrace
         iterates.append((np.array(x, dtype=float), value))
         return value
 
-    result = _scipy_minimize(
+    result = scipy_minimize(
         recorded, x0, method="COBYLA", tol=tol, options={"maxiter": max_iter}
     )
     last_x, last_f = iterates[-1]

@@ -3,13 +3,19 @@ random-statevector baseline, and feasible/optimal solution rates."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import QuboProblem, bits_to_str, brute_force_solve, int_to_bits, qubo_cost_vector
+from .model import (
+    QuboProblem,
+    bits_to_str,
+    brute_force_solve,
+    int_to_bits,
+    qubo_cost_vector,
+    require_finite,
+)
 from .simulator import SampleSet, StateVector
 
 _NORM_ATOL = 1e-9
@@ -26,8 +32,7 @@ class Distribution:
         if any(v < 0.0 for v in self.probs.values()):
             raise ValueError("negative probability")
         total = sum(self.probs.values())
-        if not math.isfinite(total):  # NaN fails every comparison below
-            raise ValueError("non-finite probability")
+        require_finite("probability", total)  # NaN fails every comparison below
         if abs(total - 1.0) > _NORM_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
 

@@ -93,8 +93,10 @@ _DECODE_HOOKS = {
 
 def from_dict(data: dict):
     """Inverse of :func:`to_dict`; a malformed document raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a document is a JSON object, not {type(data).__name__}")
     kind = data.get("type")
-    if kind not in DOCUMENT_TYPES:
+    if not isinstance(kind, str) or kind not in DOCUMENT_TYPES:
         raise ValueError(f"unknown document type {kind!r}")
     body = {k: v for k, v in data.items() if k not in ("schema_version", "type")}
     return _build(DOCUMENT_TYPES[kind], body)

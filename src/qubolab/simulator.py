@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import bits_to_str, int_to_bits
+from .model import bits_to_str, int_to_bits, require_finite
 
 # dense simulation only; 2^26 complex doubles ~ 1 GiB
 MAX_QUBITS = 26
@@ -158,6 +158,7 @@ class StateVector:
             raise ValueError(
                 f"{self.amplitudes.size} amplitudes for {self.num_qubits} qubits"
             )
+        require_finite("amplitude", self.amplitudes)  # NaN passes the norm check
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm}")
@@ -218,19 +219,35 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     return state
 
 
-def _apply_wall(psi: np.ndarray, mats, scratch: np.ndarray, out: np.ndarray):
-    """Apply the 2x2 matrix ``mats[q]`` to qubit q of the flat state ``psi``,
-    for every q, in place. ``scratch`` and ``out`` are flat buffers of psi's
-    size and dtype. Each qubit costs one (2, 2) x (2, 2^(n-1)) product on the
-    same operand layout ``apply_gate`` builds, so the arithmetic matches it."""
-    n = len(mats)
-    for q, mat in enumerate(mats):
-        view = psi.reshape(1 << (n - 1 - q), 2, 1 << q)
-        moved = scratch.reshape(2, view.shape[0], view.shape[2])
-        moved[...] = view.transpose(1, 0, 2)
-        product = out.reshape(2, -1)
-        np.dot(mat, scratch.reshape(2, -1), out=product)
-        view[...] = product.reshape(moved.shape).transpose(1, 0, 2)
+class _WallPlan:
+    """A wall of one 2x2 gate per qubit on the flat state ``psi``, planned
+    once per kernel call.
+
+    For every qubit q the plan holds three views built up front: psi as
+    (2^(n-1-q), 2, 2^q) with the qubit axis moved first, the ``scratch``
+    block that axis is gathered into, and the ``out`` block the product lands
+    in. A wall then only copies and multiplies between preallocated buffers.
+    Each qubit costs one (2, 2) x (2, 2^(n-1)) product on the operand layout
+    ``apply_gate`` builds, so the arithmetic matches it. ``scratch`` is free
+    between walls.
+    """
+
+    def __init__(self, psi: np.ndarray):
+        n = psi.size.bit_length() - 1
+        self.scratch, out = np.empty_like(psi), np.empty_like(psi)
+        self._operand, self._product = self.scratch.reshape(2, -1), out.reshape(2, -1)
+        self._qubits = []
+        for q in range(n):
+            shape = (2, 1 << (n - 1 - q), 1 << q)
+            view = psi.reshape(shape[1], 2, shape[2]).transpose(1, 0, 2)
+            self._qubits.append((view, self.scratch.reshape(shape), out.reshape(shape)))
+
+    def apply(self, mats):
+        """Apply ``mats[q]`` to qubit q of psi, for every q, in place."""
+        for mat, (view, moved, product) in zip(mats, self._qubits):
+            np.copyto(moved, view)
+            np.dot(mat, self._operand, out=self._product)
+            np.copyto(view, product)
 
 
 def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
@@ -239,23 +256,26 @@ def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
     Each step multiplies amplitude v by exp(-i phi cost[v]) and then applies
     RX(theta) to every qubit; with ``mixer_first`` the RX wall comes first.
     ``cost`` is the length-2^n diagonal. One complex buffer is updated in
-    place and validated once at the end. QAOA states, the p=1 landscape and
-    Trotter annealing all run on this kernel; applying the same gates one at
-    a time with ``apply_gate`` is its oracle.
+    place through a ``_WallPlan``, whose scratch buffer also holds the phase
+    factors, and validated once at the end. QAOA states, the p=1 landscape
+    and Trotter annealing all run on this kernel; applying the same gates one
+    at a time with ``apply_gate`` is its oracle.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.size.bit_length() - 1
     if cost.ndim != 1 or cost.size != 1 << n:
         raise ValueError(f"cost diagonal of length {cost.size} is not 2^n")
     psi = np.full(cost.size, cost.size ** -0.5, dtype=complex)
-    scratch, out = np.empty_like(psi), np.empty_like(psi)
+    wall = _WallPlan(psi)
+    phase = wall.scratch
     for phi, theta in steps:
         rx = [gate_matrix(Gate("RX", (0,), theta))] * n
         if mixer_first:
-            _apply_wall(psi, rx, scratch, out)
-        psi *= np.exp(-1j * phi * cost)
+            wall.apply(rx)
+        np.multiply(-1j * phi, cost, out=phase)
+        psi *= np.exp(phase, out=phase)
         if not mixer_first:
-            _apply_wall(psi, rx, scratch, out)
+            wall.apply(rx)
     return StateVector(psi, n)
 
 
@@ -273,21 +293,20 @@ def ry_cx_amplitudes(angles, perm: np.ndarray) -> np.ndarray:
     """Real amplitudes of |0...0> after RY walls separated by CX chains.
 
     ``angles[l][q]`` is the RY angle on qubit q in wall l; ``perm`` (from
-    ``cx_chain_permutation``) is applied between consecutive walls. Every
-    gate is real, so the state stays real; ``run_circuit`` on the same gates
-    is the oracle.
+    ``cx_chain_permutation``) is applied between consecutive walls, gathered
+    into the plan's scratch buffer and copied back. Every gate is real, so
+    the state stays real; ``run_circuit`` on the same gates is the oracle.
     """
     angles = np.asarray(angles, dtype=float)
     n = angles.shape[1]
     psi = np.zeros(1 << n)
     psi[0] = 1.0
-    scratch, out = np.empty_like(psi), np.empty_like(psi)
-    for layer, wall in enumerate(angles):
+    wall = _WallPlan(psi)
+    for layer, ry in enumerate(angles):
         if layer:
-            psi = psi[perm]
-        c, s = np.cos(wall / 2), np.sin(wall / 2)
-        mats = np.ascontiguousarray(np.array([[c, -s], [s, c]]).transpose(2, 0, 1))
-        _apply_wall(psi, mats, scratch, out)
+            np.copyto(psi, np.take(psi, perm, out=wall.scratch))
+        c, s = np.cos(ry / 2), np.sin(ry / 2)
+        wall.apply(np.ascontiguousarray(np.array([[c, -s], [s, c]]).transpose(2, 0, 1)))
     return psi
 
 

@@ -9,6 +9,7 @@ the cyclic tour assignment b_{city,time} with one-hot row/column penalties.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,6 +207,15 @@ class Route:
     """order[t] is the city visited at time t; the tour closes cyclically."""
 
     order: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.order, (list, tuple)) or not all(
+            isinstance(c, numbers.Integral) for c in self.order
+        ):
+            raise ValueError(f"route order must be a list of city indices, got {self.order!r}")
+        self.order = [int(c) for c in self.order]
+        if sorted(self.order) != list(range(len(self.order))):
+            raise ValueError(f"route order {self.order} visits cities 0..m-1 not once each")
 
 
 def gen_cities(m: int, layout: str = "symmetric", seed: int = 0, rho: float = 1.0) -> TrpSpec:

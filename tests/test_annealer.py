@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+
+from util import random_qubo
 
 from qubolab.annealer import AnnealSchedule, SaConfig, SweepRow, qa_trotter, sa_sample, sweep
 from qubolab.model import (
     QuboProblem,
+    bits_to_str,
     brute_force_solve,
     build_quio,
     encode_binary,
@@ -17,8 +22,15 @@ from qubolab.model import (
     str_to_bits,
     to_ising,
 )
-from qubolab.simulator import Gate, StateVector, apply_gate
-from qubolab.usecases import build_lama, decode_lama, example_series, lama_objective
+from qubolab.simulator import Gate, SampleSet, StateVector, apply_gate
+from qubolab.usecases import (
+    build_lama,
+    build_trp,
+    decode_lama,
+    example_series,
+    gen_cities,
+    lama_objective,
+)
 
 
 def two_var_qubo():
@@ -60,6 +72,35 @@ def test_sa_config_validation():
     assert np.all(np.diff(temps) < 0.0)
 
 
+@pytest.mark.parametrize(
+    "temps",
+    [
+        {"t_hot": np.inf},
+        {"t_hot": np.inf, "t_cold": 0.1},
+        {"t_hot": np.nan, "t_cold": 0.1},
+        {"t_hot": 5.0, "t_cold": np.nan},
+        {"t_cold": -np.inf},
+    ],
+)
+def test_sa_config_rejects_non_finite_temperatures(temps):
+    with pytest.raises(ValueError, match="non-finite"):
+        SaConfig(num_reads=4, **temps)
+
+
+@pytest.mark.parametrize("total_time", [np.inf, np.nan])
+def test_schedule_rejects_non_finite_total_time(total_time):
+    with pytest.raises(ValueError, match="non-finite"):
+        AnnealSchedule.linear(total_time)
+
+
+def test_schedule_rejects_nan_between_endpoints():
+    holed = lambda t: 1.0 - t if t in (0.0, 1.0) else np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        AnnealSchedule(1.0, holed, lambda t: t)
+    with pytest.raises(ValueError, match="non-finite"):
+        AnnealSchedule(1.0, lambda t: 1.0 - t, lambda t: np.nan if 0.4 < t < 0.6 else t)
+
+
 # ---------------------------------------------------------------------------
 # simulated annealing
 
@@ -91,6 +132,63 @@ def test_sa_flat_landscape_has_no_systematic_bias():
         for v in range(16)
     )
     assert chi2 < 50.0  # df=15; generous sanity bound
+
+
+def reference_sa_sample(qubo, cfg):
+    """The read-major Metropolis loop ``sa_sample`` replaced, kept as its
+    oracle: (reads, n) states and fields, one ``random(reads)`` per flip."""
+    n = qubo.num_vars
+    rng = np.random.default_rng(cfg.seed)
+    temps = cfg.temperatures(qubo)
+    reads = cfg.num_reads
+    sym = qubo.Q + qubo.Q.T
+    np.fill_diagonal(sym, 0.0)
+    diag = np.diag(qubo.Q).copy()
+    states = rng.integers(0, 2, size=(reads, n)).astype(float)
+    field = states @ sym  # field[r, k] = sum_j sym[k, j] * b[r, j]
+    for temp in temps:
+        for k in range(n):
+            flip = 1.0 - 2.0 * states[:, k]
+            d_energy = flip * (diag[k] + field[:, k])
+            accept = (d_energy <= 0.0) | (
+                rng.random(reads) < np.exp(np.minimum(-d_energy / temp, 0.0))
+            )
+            delta = np.where(accept, flip, 0.0)
+            states[:, k] += delta
+            field += np.outer(delta, sym[k])
+    counts = {}
+    for row in states.astype(int):
+        key = bits_to_str(row)
+        counts[key] = counts.get(key, 0) + 1
+    return SampleSet(counts, reads)
+
+
+def assert_same_samples(fast, reference):
+    assert fast.shots == reference.shots
+    assert list(fast.counts.items()) == list(reference.counts.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 40),
+    st.integers(1, 25),
+    st.one_of(st.none(), st.floats(0.05, 20.0)),
+)
+def test_sa_kernel_equals_reference_loop(seed, n, reads, sweeps, t_hot):
+    rng = np.random.default_rng(seed)
+    qubo = random_qubo(rng, n)
+    t_cold = None if t_hot is None else float(rng.uniform(0.001, 0.9)) * t_hot
+    cfg = SaConfig(reads, sweeps, t_hot=t_hot, t_cold=t_cold, seed=int(rng.integers(1000)))
+    assert_same_samples(sa_sample(qubo, cfg), reference_sa_sample(qubo, cfg))
+
+
+@pytest.mark.parametrize("cities", [4, 5])
+def test_sa_kernel_equals_reference_loop_on_tours(cities):
+    qubo = build_trp(gen_cities(cities, rho=2.0))
+    cfg = SaConfig(num_reads=400, sweeps=30, seed=cities)
+    assert_same_samples(sa_sample(qubo, cfg), reference_sa_sample(qubo, cfg))
 
 
 def test_sa_respects_fixed_temperatures():
@@ -176,6 +274,9 @@ def test_trotter_rejects_oversize_and_bad_dt():
     ising, _ = three_qubit_ising()
     with pytest.raises(ValueError):
         qa_trotter(ising, AnnealSchedule.linear(1.0), dt=0.0)
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            qa_trotter(ising, AnnealSchedule.linear(1.0), dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -258,4 +359,4 @@ def test_trotter_kernel_matches_gate_by_gate_reference(n):
         dt = float(rng.uniform(0.02, 0.2))
         fast = qa_trotter(ising, schedule, dt).amplitudes
         reference = gate_by_gate_trotter(ising, schedule, dt).amplitudes
-        np.testing.assert_allclose(fast, reference, rtol=0.0, atol=1e-12)
+        assert np.array_equal(fast, reference)

@@ -1,9 +1,14 @@
 """End-to-end command-line tests; every command is exercised through main()."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qubolab
 
 from qubolab import cli
 from qubolab.model import to_ising
@@ -153,6 +158,49 @@ def test_anneal_trotter_distribution(lama_problem, tmp_path, capsys):
     assert abs(sum(dist.probs.values()) - 1.0) < 1e-9
     # long anneal concentrates on the solved schedule
     assert "peak 101000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--total-time", "inf"],
+        ["--total-time", "nan"],
+        ["--dt", "inf"],
+        ["--dt", "nan"],
+    ],
+)
+def test_anneal_trotter_rejects_non_finite_times(lama_problem, tmp_path, capsys, flags):
+    out = tmp_path / "dist.json"
+    rc = run_cli("anneal", str(lama_problem), "--backend", "trotter", *flags, "-o", str(out))
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_and_anneal_do_not_import_scipy_optimize(tmp_path):
+    """scipy.optimize is imported by training alone, so the other commands
+    start without it."""
+    script = f"""
+import sys
+import qubolab.cli as cli
+assert "scipy.optimize" not in sys.modules, "imported by qubolab.cli"
+problem = {str(tmp_path / "trp.json")!r}
+assert cli.main(["build", "trp", "--cities", "3", "-o", problem]) == 0
+assert cli.main(["anneal", problem, "--reads", "8", "--sweeps", "5",
+                 "-o", {str(tmp_path / "sa.json")!r}]) == 0
+assert cli.main(["anneal", problem, "--backend", "trotter", "--total-time", "1",
+                 "--dt", "0.1", "-o", {str(tmp_path / "dist.json")!r}]) == 0
+assert "scipy.optimize" not in sys.modules, "imported by build or anneal"
+"""
+    source_root = str(Path(qubolab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": source_root},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from qubolab import cli
 from qubolab.model import (
     IsingModel,
     QuboProblem,
+    SolveReport,
     brute_force_solve,
     build_quio,
     encode_binary,
@@ -100,6 +101,67 @@ def test_malformed_documents_rejected():
     del report["optimal_cost"]
     with pytest.raises(ValueError, match="missing"):
         from_dict(report)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], "Route", None, 3.5, {"type": ["Route"]}, {"type": {"Route": 1}}, {"type": 5}],
+    ids=["list", "string", "null", "number", "list-type", "object-type", "number-type"],
+)
+def test_documents_that_are_not_tagged_objects_rejected(doc):
+    with pytest.raises(ValueError, match="document"):
+        from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"order": "abc"},
+        {"order": "012"},
+        {"order": 3},
+        {"order": [0, 1.5, 2]},
+        {"order": [0, 0, 1]},
+        {"order": [1, 2, 3]},
+    ],
+)
+def test_route_rejects_what_is_not_a_tour(fields):
+    with pytest.raises(ValueError, match="route order"):
+        Route(**fields)
+    with pytest.raises(ValueError, match="route order"):
+        from_dict({"type": "Route", **fields})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"optimal_cost": "x", "optimal_set": ["01"]},
+        {"optimal_cost": "1.5", "optimal_set": ["01"]},
+        {"optimal_cost": None, "optimal_set": ["01"]},
+        {"optimal_cost": float("nan"), "optimal_set": ["01"]},
+        {"optimal_cost": 1.0, "optimal_set": 5},
+        {"optimal_cost": 1.0, "optimal_set": "01"},
+        {"optimal_cost": 1.0, "optimal_set": [1, 0]},
+        {"optimal_cost": 1.0, "optimal_set": ["0x"]},
+        {"optimal_cost": 1.0, "optimal_set": ["01"], "evaluations": -1},
+        {"optimal_cost": 1.0, "optimal_set": ["01"], "evaluations": "4"},
+    ],
+)
+def test_solve_report_rejects_wrong_field_types(fields):
+    with pytest.raises(ValueError):
+        SolveReport(**fields)
+    with pytest.raises(ValueError):
+        from_dict({"type": "SolveReport", **fields})
+
+
+def test_valid_route_and_report_keep_their_values():
+    assert Route((2, np.int64(0), 1)).order == [2, 0, 1]
+    report = SolveReport(np.float64(-1.5), ("01", "10"), np.int64(4))
+    assert (report.optimal_cost, report.optimal_set, report.evaluations) == (
+        -1.5,
+        ["01", "10"],
+        4,
+    )
+    assert type(report.optimal_cost) is float
 
 
 def test_defaulted_fields_may_be_omitted():

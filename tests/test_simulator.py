@@ -223,6 +223,15 @@ def test_state_validation():
         StateVector(np.array([1.0 + 0j]), 2)  # wrong length
 
 
+@pytest.mark.parametrize(
+    "amps",
+    [[np.nan, 1.0], [1.0, complex(0.0, np.nan)], [np.inf, 0.0], [np.nan, np.nan]],
+)
+def test_state_rejects_non_finite_amplitudes(amps):
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(np.array(amps, dtype=complex), 1)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -8,7 +8,14 @@ import pytest
 from util import random_qubo
 
 from qubolab.model import qubo_cost_vector, to_ising
-from qubolab.simulator import StateVector, cx_chain_permutation, ry_cx_amplitudes, run_circuit
+from qubolab.simulator import (
+    Gate,
+    StateVector,
+    apply_gate,
+    cx_chain_permutation,
+    ry_cx_amplitudes,
+    run_circuit,
+)
 from qubolab.variational import (
     Landscape,
     QaoaParams,
@@ -100,6 +107,29 @@ def test_fast_path_matches_gate_path_up_to_global_phase(draw):
     np.testing.assert_allclose(
         align_phase(gate.amplitudes, fast.amplitudes), fast.amplitudes, atol=1e-10
     )
+
+
+def phase_then_rx_gates(ising, params):
+    """qaoa_state_fast spelled out with apply_gate: per layer the diagonal
+    phase exp(-i gamma cost), then RX(2 beta) on every qubit."""
+    n = ising.num_qubits
+    state = StateVector.plus_state(n)
+    for gamma, beta in zip(params.gammas, params.betas):
+        phase = np.exp(-1j * gamma * ising.cost_vector())
+        state = StateVector(state.amplitudes * phase, n)
+        for q in range(n):
+            state = apply_gate(state, Gate("RX", (q,), 2.0 * beta))
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_qaoa_kernel_equals_phase_then_rx_gates(n):
+    rng = np.random.default_rng(400 + n)
+    ising, _ = random_ising(500 + n, n)
+    for p in range(1, 4):
+        params = QaoaParams.from_vector(rng.uniform(-np.pi, np.pi, 2 * p))
+        fast = qaoa_state_fast(ising, params).amplitudes
+        assert np.array_equal(fast, phase_then_rx_gates(ising, params).amplitudes)
 
 
 def test_qaoa_state_normalized_for_random_params():
@@ -230,9 +260,9 @@ def test_vqe_kernel_matches_gate_path(n):
         vector = rng.uniform(0.0, 2.0 * np.pi, circ.num_params)
         gate = run_circuit(circ.bind(vector))
         amps = ry_cx_amplitudes(vector.reshape(layers + 1, n), perm)
-        np.testing.assert_allclose(amps, gate.amplitudes, rtol=0.0, atol=1e-12)
+        assert np.array_equal(amps, gate.amplitudes)
         expected = float(gate.probabilities() @ ising.cost_vector())
-        assert abs(vqe_objective(ising, layers)(vector) - expected) < 1e-12
+        assert vqe_objective(ising, layers)(vector) == expected
 
 
 def test_vqe_objective_validation():
