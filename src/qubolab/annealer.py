@@ -6,6 +6,7 @@ scale. Trotter times are abstract units, never hardware microseconds.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,12 @@ class SaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_reads < 1:
-            raise ValueError("num_reads must be >= 1")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+        for name in ("num_reads", "sweeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name, value in (("t_hot", self.t_hot), ("t_cold", self.t_cold)):
             if value is not None:
                 require_finite(name, value)
@@ -97,8 +100,11 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
     k's row is contiguous, and each sweep draws its uniforms as one
     (n, reads) block: the same stream, in the same order, as n draws of
     ``reads``. A flip attempt runs the Metropolis test on preallocated
-    buffers; when a read accepts, the fields of all reads take an outer
-    product, so a sweep costs O(reads * n^2), the same as the initial setup.
+    buffers and negates the accepted flip values by subtracting
+    delta = flip * accept twice, which is exact for +-1; when a read accepts,
+    the fields of all reads take the outer product of bit k's couplings and
+    delta, one (n, 1) x (1, reads) BLAS product, so a sweep costs
+    O(reads * n^2), the same as the initial setup.
     The read-major loop kept in the test suite is the oracle: its counts
     equal these in keys and order.
     """
@@ -114,6 +120,7 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
     flips = np.ascontiguousarray((1.0 - 2.0 * states).T)  # +1 flips bit 0 -> 1
     uniforms = np.empty((n, reads))
     d_energy, weight, delta = np.empty(reads), np.empty(reads), np.empty(reads)
+    delta_row = delta.reshape(1, reads)
     accept = np.empty(reads, dtype=bool)
     update = np.empty((n, reads))
     rows = list(zip(field, diag, flips, uniforms, sym[:, :, None]))
@@ -127,11 +134,14 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
             np.minimum(weight, 0.0, out=weight)
             np.exp(weight, out=weight)
             np.less(u, weight, out=accept)
-            if not accept.any():
+            if not np.count_nonzero(accept):
                 continue
             np.multiply(flip, accept, out=delta)
-            np.negative(flip, out=flip, where=accept)
-            np.multiply(sym_k, delta, out=update)
+            flip -= delta  # twice: -flip where accepted; reads that do
+            flip -= delta  # not accept subtract +-0
+            # each entry is one product by +-1 or +-0, exact; BLAS may
+            # return +0 for -0, which moves no value of the field
+            np.dot(sym_k, delta_row, out=update)
             field += update
     counts = {}
     for row in flips.T < 0.0:

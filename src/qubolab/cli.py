@@ -50,7 +50,7 @@ from .serialize import (
     traces_to_csv,
     write_json,
 )
-from .simulator import run_circuit, sample as sample_state
+from .simulator import StateVector, run_circuit, sample as sample_state
 from .transpiler import (
     CouplingMap,
     ErrorMap,
@@ -73,6 +73,7 @@ from .usecases import (
 )
 from .variational import (
     QaoaParams,
+    VqeParams,
     cost_landscape,
     qaoa_circuit,
     qaoa_objective,
@@ -153,8 +154,10 @@ def _trp_bundle(cities: int, layout: str, seed: int, rho: float) -> dict:
 
 
 class _Problem:
-    """Hydrated bundle: QUBO plus use-case decoding context. Oracle results
-    are computed on first use and shared by every seed of a batch."""
+    """Hydrated bundle: QUBO plus use-case decoding context. The Ising model,
+    oracle results and Trotter states are computed on first use and shared by
+    every seed of a batch; a call that raises caches nothing, so each seed
+    meets the same error."""
 
     def __init__(self, doc: dict):
         if doc.get("type") != "ProblemBundle":
@@ -163,6 +166,21 @@ class _Problem:
         self.use_case = doc["use_case"]
         self.qubo = from_dict(doc["qubo"])
         self.spec = from_dict(doc["spec"])
+        self._trotter_states = {}
+
+    @functools.cached_property
+    def ising(self) -> IsingModel:
+        """``to_ising`` of the QUBO; its memoised cost diagonal goes with it."""
+        return to_ising(self.qubo)
+
+    def trotter_state(self, total_time: float, dt: float) -> StateVector:
+        """``qa_trotter`` under the linear schedule; seed-independent, so
+        evolved once per (total_time, dt)."""
+        key = (total_time, dt)
+        if key not in self._trotter_states:
+            schedule = AnnealSchedule.linear(total_time)
+            self._trotter_states[key] = qa_trotter(self.ising, schedule, dt=dt)
+        return self._trotter_states[key]
 
     @functools.cached_property
     def report(self) -> SolveReport:
@@ -229,6 +247,7 @@ def _trained_state(ising: IsingModel, algorithm: str, layers: int, params):
     vector = np.asarray(params, dtype=float)
     if algorithm == "qaoa":
         return qaoa_state_fast(ising, QaoaParams.from_vector(vector))
+    vector = VqeParams(vector, layers, ising.num_qubits).thetas
     return run_circuit(vqe_circuit(ising.num_qubits, layers).bind(vector))
 
 
@@ -309,7 +328,7 @@ def _cmd_solve_brute(args) -> int:
 
 def _cmd_landscape(args) -> int:
     problem = _load_problem(args.problem)
-    ising = to_ising(problem.qubo)
+    ising = problem.ising
     scape = cost_landscape(ising, resolution=args.grid, shots=args.shots, seed=args.seed)
     landscape_to_csv(scape, _out_path(args.output))
     print(
@@ -321,7 +340,7 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_train(args) -> int:
     problem = _load_problem(args.problem)
-    ising = to_ising(problem.qubo)
+    ising = problem.ising
     if args.algorithm == "qaoa":
         objective = qaoa_objective(ising, shots=args.shots, seed=args.seed)
         sampler = uniform_sampler(2 * args.layers, 0.0, np.pi)
@@ -360,7 +379,7 @@ def _cmd_sample(args) -> int:
     if result.get("type") != "TrainResult":
         raise ValueError("second argument must be a train result file")
     state = _trained_state(
-        to_ising(problem.qubo), result["algorithm"], result["layers"],
+        problem.ising, result["algorithm"], result["layers"],
         result["best_params"],
     )
     samples = sample_state(state, args.shots, args.seed)
@@ -384,9 +403,7 @@ def _cmd_anneal(args) -> int:
         except ValueError:
             print(f"sa: {args.reads} reads (no oracle at this size)")
         return 0
-    ising = to_ising(problem.qubo)
-    state = qa_trotter(ising, AnnealSchedule.linear(args.total_time), dt=args.dt)
-    dist = Distribution.from_state(state)
+    dist = Distribution.from_state(problem.trotter_state(args.total_time, args.dt))
     save_json(_out_path(args.output), dist)
     best = max(dist.probs, key=dist.probs.get)
     print(f"trotter T={args.total_time}: peak {best} p={dist.probs[best]!r}")
@@ -398,7 +415,7 @@ def _cmd_transpile(args) -> int:
     params = None
     if args.params:
         params = _load_raw(args.params)["best_params"]
-    circ = _ansatz_circuit(to_ising(problem.qubo), args.algorithm, args.layers, params)
+    circ = _ansatz_circuit(problem.ising, args.algorithm, args.layers, params)
     coupling = _topology(args.topology, circ.num_qubits)
     errmap = _error_map(args.error_map, coupling)
     record = _transpile_once(circ, coupling, errmap, args.basis, args.seed)
@@ -512,7 +529,7 @@ def _variational_record(problem, config, seed) -> dict:
     shots = int(config.get("shots", 10000))
     starts = int(config.get("starts", 50))
     max_iter = int(config.get("max_iter", 1000))
-    ising = to_ising(problem.qubo)
+    ising = problem.ising
     if algorithm == "qaoa":
         objective = qaoa_objective(ising)
         sampler = uniform_sampler(2 * layers, 0.0, np.pi)
@@ -570,9 +587,9 @@ def _anneal_record(problem, config, seed) -> dict:
         )
         samples = sa_sample(problem.qubo, cfg)
     else:
-        ising = to_ising(problem.qubo)
-        schedule = AnnealSchedule.linear(float(config.get("total_time", 50.0)))
-        state = qa_trotter(ising, schedule, dt=float(config.get("dt", 0.01)))
+        state = problem.trotter_state(
+            float(config.get("total_time", 50.0)), float(config.get("dt", 0.01))
+        )
         samples = sample_state(state, int(config.get("shots", 10000)), seed)
     record = {"seed": int(seed), "counts": dict(samples.counts)}
     try:

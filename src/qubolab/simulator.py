@@ -219,35 +219,31 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     return state
 
 
-class _WallPlan:
-    """A wall of one 2x2 gate per qubit on the flat state ``psi``, planned
-    once per kernel call.
+def _rx_walls(thetas) -> np.ndarray:
+    """RX(theta) for every angle in ``thetas``, as a (len, 2, 2) array with
+    ``gate_matrix``'s arithmetic, so each entry equals its ``Gate`` matrix."""
+    half = np.asarray(thetas, dtype=float) / 2
+    c, s = np.cos(half), np.sin(half)
+    off = -1j * s
+    return np.stack([c, off, off, c], axis=-1).reshape(-1, 2, 2)
 
-    For every qubit q the plan holds three views built up front: psi as
-    (2^(n-1-q), 2, 2^q) with the qubit axis moved first, the ``scratch``
-    block that axis is gathered into, and the ``out`` block the product lands
-    in. A wall then only copies and multiplies between preallocated buffers.
-    Each qubit costs one (2, 2) x (2, 2^(n-1)) product on the operand layout
-    ``apply_gate`` builds, so the arithmetic matches it. ``scratch`` is free
-    between walls.
+
+def _wall(psi: np.ndarray, scratch: np.ndarray, mats) -> None:
+    """Apply ``mats[q]`` to qubit q of the flat state ``psi``, for every q,
+    in place; ``scratch`` is a buffer of psi's size and dtype.
+
+    Before qubit q's gate, bit q is the fastest axis of psi. One strided copy
+    gathers that bit to the front of scratch, and the (2, 2) x (2, 2^(n-1))
+    product ``apply_gate`` computes writes straight back into psi, with the
+    bit now slowest. Each gate thus rotates the layout by one bit, and after
+    n gates it is natural again, so ``mats`` must hold exactly n matrices.
     """
-
-    def __init__(self, psi: np.ndarray):
-        n = psi.size.bit_length() - 1
-        self.scratch, out = np.empty_like(psi), np.empty_like(psi)
-        self._operand, self._product = self.scratch.reshape(2, -1), out.reshape(2, -1)
-        self._qubits = []
-        for q in range(n):
-            shape = (2, 1 << (n - 1 - q), 1 << q)
-            view = psi.reshape(shape[1], 2, shape[2]).transpose(1, 0, 2)
-            self._qubits.append((view, self.scratch.reshape(shape), out.reshape(shape)))
-
-    def apply(self, mats):
-        """Apply ``mats[q]`` to qubit q of psi, for every q, in place."""
-        for mat, (view, moved, product) in zip(mats, self._qubits):
-            np.copyto(moved, view)
-            np.dot(mat, self._operand, out=self._product)
-            np.copyto(view, product)
+    half = psi.size // 2
+    fastest = psi.reshape(half, 2).T
+    operand, product = scratch.reshape(2, half), psi.reshape(2, half)
+    for mat in mats:
+        np.copyto(operand, fastest)
+        np.dot(mat, operand, out=product)
 
 
 def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
@@ -255,27 +251,26 @@ def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
 
     Each step multiplies amplitude v by exp(-i phi cost[v]) and then applies
     RX(theta) to every qubit; with ``mixer_first`` the RX wall comes first.
-    ``cost`` is the length-2^n diagonal. One complex buffer is updated in
-    place through a ``_WallPlan``, whose scratch buffer also holds the phase
+    ``cost`` is the length-2^n diagonal, n >= 1. One complex buffer is
+    updated in place by ``_wall``, whose scratch buffer also holds the phase
     factors, and validated once at the end. QAOA states, the p=1 landscape
     and Trotter annealing all run on this kernel; applying the same gates one
     at a time with ``apply_gate`` is its oracle.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.size.bit_length() - 1
-    if cost.ndim != 1 or cost.size != 1 << n:
-        raise ValueError(f"cost diagonal of length {cost.size} is not 2^n")
+    if cost.ndim != 1 or cost.size < 2 or cost.size != 1 << n:
+        raise ValueError(f"cost diagonal of length {cost.size} is not 2^n with n >= 1")
+    steps = np.reshape(np.asarray(steps, dtype=float), (len(steps), 2))
     psi = np.full(cost.size, cost.size ** -0.5, dtype=complex)
-    wall = _WallPlan(psi)
-    phase = wall.scratch
-    for phi, theta in steps:
-        rx = [gate_matrix(Gate("RX", (0,), theta))] * n
+    phase = np.empty_like(psi)
+    for phi, rx in zip(steps[:, 0], _rx_walls(steps[:, 1])):
         if mixer_first:
-            wall.apply(rx)
+            _wall(psi, phase, [rx] * n)
         np.multiply(-1j * phi, cost, out=phase)
         psi *= np.exp(phase, out=phase)
         if not mixer_first:
-            wall.apply(rx)
+            _wall(psi, phase, [rx] * n)
     return StateVector(psi, n)
 
 
@@ -293,20 +288,21 @@ def ry_cx_amplitudes(angles, perm: np.ndarray) -> np.ndarray:
     """Real amplitudes of |0...0> after RY walls separated by CX chains.
 
     ``angles[l][q]`` is the RY angle on qubit q in wall l; ``perm`` (from
-    ``cx_chain_permutation``) is applied between consecutive walls, gathered
-    into the plan's scratch buffer and copied back. Every gate is real, so
-    the state stays real; ``run_circuit`` on the same gates is the oracle.
+    ``cx_chain_permutation``) is applied between consecutive walls by
+    gathering the state into the other of two buffers, which then swap
+    roles. Every gate is real, so the state stays real; ``run_circuit`` on
+    the same gates is the oracle.
     """
     angles = np.asarray(angles, dtype=float)
-    n = angles.shape[1]
-    psi = np.zeros(1 << n)
+    psi = np.zeros(1 << angles.shape[1])
     psi[0] = 1.0
-    wall = _WallPlan(psi)
-    for layer, ry in enumerate(angles):
+    scratch = np.empty_like(psi)
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    walls = np.stack([c, -s, s, c], axis=-1).reshape(*angles.shape, 2, 2)
+    for layer, mats in enumerate(walls):
         if layer:
-            np.copyto(psi, np.take(psi, perm, out=wall.scratch))
-        c, s = np.cos(ry / 2), np.sin(ry / 2)
-        wall.apply(np.ascontiguousarray(np.array([[c, -s], [s, c]]).transpose(2, 0, 1)))
+            psi, scratch = np.take(psi, perm, out=scratch), psi
+        _wall(psi, scratch, mats)
     return psi
 
 

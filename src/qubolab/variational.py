@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import IsingModel
+from .model import IsingModel, require_finite
 from .simulator import Circuit, Gate, StateVector, cx_chain_permutation, expectation_diagonal
 from .simulator import phase_mixer_state, ry_cx_amplitudes
 # unused here; perfbench/spans.py traces these names in this module
@@ -34,6 +34,7 @@ class QaoaParams:
                 f"need {self.layers} betas and gammas, got "
                 f"{len(self.betas)} and {len(self.gammas)}"
             )
+        require_finite("QAOA angle", self.betas, self.gammas)
 
     @property
     def num_params(self) -> int:
@@ -62,6 +63,7 @@ class VqeParams:
         want = self.num_qubits * (self.layers + 1)
         if len(self.thetas) != want:
             raise ValueError(f"need {want} angles, got {len(self.thetas)}")
+        require_finite("VQE angle", self.thetas)
 
     @property
     def num_params(self) -> int:

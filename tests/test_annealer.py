@@ -67,9 +67,19 @@ def test_sa_config_validation():
         SaConfig(num_reads=1, sweeps=0)
     with pytest.raises(ValueError):
         SaConfig(num_reads=1, t_hot=0.1, t_cold=0.2)
+    assert SaConfig(np.int64(3), sweeps=np.int32(2)).num_reads == 3
     temps = SaConfig(num_reads=1, sweeps=100).temperatures(two_var_qubo())
     assert temps[0] == 2.0 and abs(temps[-1] - 0.02) < 1e-12
     assert np.all(np.diff(temps) < 0.0)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(2.5, 10), (True, 3), (4, False), (4, 10.0), ("4", 10), (None, 10), (4, np.float64(3))],
+)
+def test_sa_config_rejects_non_integer_counts(counts):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SaConfig(*counts)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +359,7 @@ def gate_by_gate_trotter(ising, schedule, dt):
     return state
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_trotter_kernel_matches_gate_by_gate_reference(n):
     rng = np.random.default_rng(100 + n)
     Q = np.triu(rng.uniform(-2.0, 2.0, size=(n, n)))

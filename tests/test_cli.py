@@ -124,6 +124,22 @@ def test_train_sample_roundtrip(lama_problem, tmp_path, capsys):
     assert "mode" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algorithm, layers, size", [("qaoa", 1, 2), ("vqe", 1, 12)])
+def test_sample_rejects_non_finite_params(lama_problem, tmp_path, capsys, algorithm, layers, size):
+    trained = tmp_path / "train.json"
+    params = [0.5] * size
+    params[1] = float("nan")
+    trained.write_text(json.dumps({
+        "type": "TrainResult", "algorithm": algorithm, "layers": layers,
+        "best_params": params,
+    }))
+    out = tmp_path / "samples.json"
+    rc = run_cli("sample", str(lama_problem), str(trained), "-o", str(out))
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_vqe_param_count(lama_problem, tmp_path):
     trained = tmp_path / "vqe.json"
     rc = run_cli(
@@ -373,6 +389,60 @@ def test_run_captures_per_seed_failures(tmp_path):
     records = json.loads(out.read_text())["records"]
     assert all("error" in rec for rec in records)
     assert [rec["seed"] for rec in records] == [0, 1]
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_run_evolves_trotter_state_once_per_batch(tmp_path, monkeypatch):
+    overrides = {
+        "use_case": {"name": "lama", "instance": "Ex0p1"},
+        "algorithm": "qa-trotter",
+        "total_time": 2.0,
+        "dt": 0.05,
+        "shots": 300,
+    }
+    singles = []
+    for seed in (4, 0, 9):
+        out = tmp_path / f"single{seed}.json"
+        cfg = sa_config(tmp_path, seeds=[seed], **overrides)
+        assert run_cli("run", str(cfg), "-o", str(out)) == 0
+        singles += json.loads(out.read_text())["records"]
+    trotter = count_calls(monkeypatch, "qa_trotter")
+    ising = count_calls(monkeypatch, "to_ising")
+    out = tmp_path / "batch.json"
+    assert run_cli("run", str(sa_config(tmp_path, seeds=[4, 0, 9], **overrides)), "-o", str(out)) == 0
+    assert (len(trotter), len(ising)) == (1, 1)
+    # each seed's record is the record of a batch of that seed alone
+    assert json.loads(out.read_text())["records"] == singles
+
+
+def test_run_variational_builds_ising_once_per_batch(tmp_path, monkeypatch):
+    ising = count_calls(monkeypatch, "to_ising")
+    cfg = sa_config(tmp_path, algorithm="vqe", seeds=[0, 1, 2], layers=1, starts=1, max_iter=14, shots=100)
+    assert run_cli("run", str(cfg), "-o", str(tmp_path / "r.json")) == 0
+    assert len(ising) == 1
+
+
+def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
+    trotter = count_calls(monkeypatch, "qa_trotter")
+    cfg = sa_config(
+        tmp_path, algorithm="qa-trotter", seeds=[0, 1, 2], total_time=1.0, dt=float("inf")
+    )
+    out = tmp_path / "r.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 1
+    records = json.loads(out.read_text())["records"]
+    assert [r["error"] for r in records] == ["non-finite dt"] * 3
+    assert len(trotter) == 3  # a raise is not cached
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubolab.model import bits_to_str, int_to_bits, str_to_bits
 from qubolab.simulator import (
@@ -14,9 +16,11 @@ from qubolab.simulator import (
     apply_gate,
     expectation_diagonal,
     gate_matrix,
+    phase_mixer_state,
     run_circuit,
     sample,
 )
+from qubolab.simulator import _rx_walls
 
 
 def basis(bits: str) -> StateVector:
@@ -214,6 +218,20 @@ def test_gate_validation():
         Circuit(2).h(2)
     with pytest.raises(ValueError):
         apply_gate(basis("00"), Gate("CX", (0, 5)))
+
+
+@pytest.mark.parametrize("cost", [[1.0], [], [1.0, 2.0, 3.0], np.zeros((2, 2))])
+def test_phase_mixer_state_rejects_diagonal_without_qubits(cost):
+    with pytest.raises(ValueError, match="not 2\\^n"):
+        phase_mixer_state(cost, [(0.1, 0.2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+def test_kernel_rx_entries_equal_gate_matrix_bit_for_bit(thetas):
+    walls = _rx_walls(thetas)
+    for theta, mat in zip(thetas, walls):
+        assert mat.tobytes() == gate_matrix(Gate("RX", (0,), theta)).tobytes()
 
 
 def test_state_validation():

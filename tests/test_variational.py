@@ -122,7 +122,7 @@ def phase_then_rx_gates(ising, params):
     return state
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 13), 16])
 def test_qaoa_kernel_equals_phase_then_rx_gates(n):
     rng = np.random.default_rng(400 + n)
     ising, _ = random_ising(500 + n, n)
@@ -250,7 +250,7 @@ def test_qaoa_objective_shot_mode_noise_and_determinism():
     assert noisy(vec) != first
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_vqe_kernel_matches_gate_path(n):
     rng = np.random.default_rng(200 + n)
     ising, _ = random_ising(300 + n, n)
@@ -263,6 +263,28 @@ def test_vqe_kernel_matches_gate_path(n):
         assert np.array_equal(amps, gate.amplitudes)
         expected = float(gate.probabilities() @ ising.cost_vector())
         assert vqe_objective(ising, layers)(vector) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        QaoaParams([0.1, bad], [0.3, 0.4], layers=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        QaoaParams.from_vector([0.1, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        VqeParams(np.r_[np.zeros(5), bad], layers=1, num_qubits=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_objectives_raise_on_non_finite_angles(bad):
+    ising, _ = random_ising(13, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        vqe_objective(ising, 1)(np.full(6, bad))
+    with pytest.raises(ValueError, match="non-finite"):
+        qaoa_objective(ising)([bad, 0.2])
+    # raises at the parameter type, before cos(inf) can warn
+    with pytest.raises(ValueError, match="non-finite"):
+        qaoa_state_fast(ising, QaoaParams([0.1], [bad], layers=1))
 
 
 def test_vqe_objective_validation():
