@@ -13,6 +13,7 @@ import functools
 import hashlib
 import itertools
 import json
+import numbers
 import os
 import sys
 from datetime import datetime, timezone
@@ -84,6 +85,8 @@ from .variational import (
 
 _PENALTY_SCAN_CAP = 16  # min_penalty enumerates 2^N points
 _TOUR_ORACLE_CAP = 9  # permutation enumeration for TRP optima
+# `run` config fields that count something: integers, never truncated
+_COUNT_FIELDS = ("layers", "shots", "starts", "max_iter", "reads", "sweeps")
 
 
 def _out_path(name) -> Path:
@@ -108,56 +111,15 @@ def _floats(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# problem bundles
-
-
-def _lama_bundle(instance: str, rho) -> dict:
-    series = example_series()
-    if instance not in series:
-        raise ValueError(
-            f"unknown instance {instance!r}; available: {', '.join(sorted(series))}"
-        )
-    spec = series[instance]
-    qcio, enc = build_lama(spec)
-    if rho == "auto":
-        if enc.num_bits > _PENALTY_SCAN_CAP:
-            raise ValueError(
-                f"automatic penalty needs <= {_PENALTY_SCAN_CAP} bits; pass --rho"
-            )
-        rho = min_penalty(qcio, enc)
-    rho = float(rho)
-    qubo = encode_binary(build_quio(qcio, rho), enc)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "ProblemBundle",
-        "use_case": "lama",
-        "instance": instance,
-        "rho": rho,
-        "spec": to_dict(spec),
-        "qcio": to_dict(qcio),
-        "encoding": to_dict(enc),
-        "qubo": to_dict(qubo),
-    }
-
-
-def _trp_bundle(cities: int, layout: str, seed: int, rho: float) -> dict:
-    spec = gen_cities(cities, layout, seed=seed, rho=rho)
-    qubo = build_trp(spec)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "ProblemBundle",
-        "use_case": "trp",
-        "rho": float(rho),
-        "spec": to_dict(spec),
-        "qubo": to_dict(qubo),
-    }
+# problems
 
 
 class _Problem:
-    """Hydrated bundle: QUBO plus use-case decoding context. The Ising model,
-    oracle results and Trotter states are computed on first use and shared by
-    every seed of a batch; a call that raises caches nothing, so each seed
-    meets the same error."""
+    """Hydrated bundle: QUBO plus use-case decoding context, and the one place
+    that tells the use cases apart. The Ising model, oracle results and
+    Trotter states are computed on first use and shared by every seed of a
+    batch; a call that raises caches nothing, so each seed meets the same
+    error."""
 
     def __init__(self, doc: dict):
         if doc.get("type") != "ProblemBundle":
@@ -168,6 +130,49 @@ class _Problem:
         self.spec = from_dict(doc["spec"])
         self._trotter_states = {}
 
+    @classmethod
+    def build(cls, use_case: dict) -> _Problem:
+        """The problem a `run` config's ``use_case`` entry names: ``{"name":
+        "lama", "instance", "rho"}`` or ``{"name": "trp", "cities", "layout",
+        "seed", "rho"}``. ``rho`` "auto" (the default) is the minimal valid
+        penalty for lama and 1.0 for trp."""
+        name, rho = use_case["name"], use_case.get("rho", "auto")
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "type": "ProblemBundle",
+            "use_case": name,
+        }
+        if name == "lama":
+            series = example_series()
+            instance = use_case.get("instance")
+            if instance not in series:
+                known = ", ".join(sorted(series))
+                raise ValueError(f"unknown instance {instance!r}; available: {known}")
+            spec = series[instance]
+            qcio, enc = build_lama(spec)
+            if rho == "auto":
+                if enc.num_bits > _PENALTY_SCAN_CAP:
+                    raise ValueError(
+                        f"automatic penalty needs <= {_PENALTY_SCAN_CAP} bits; pass --rho"
+                    )
+                rho = min_penalty(qcio, enc)
+            rho = float(rho)
+            qubo = encode_binary(build_quio(qcio, rho), enc)
+            doc.update(instance=instance, rho=rho, spec=to_dict(spec))
+            doc.update(qcio=to_dict(qcio), encoding=to_dict(enc))
+        elif name == "trp":
+            rho = 1.0 if rho == "auto" else float(rho)
+            spec = gen_cities(
+                use_case["cities"], use_case.get("layout", "symmetric"),
+                seed=use_case.get("seed", 0), rho=rho,
+            )
+            qubo = build_trp(spec)
+            doc.update(rho=rho, spec=to_dict(spec))
+        else:
+            raise ValueError(f"unknown use case {name!r}")
+        doc["qubo"] = to_dict(qubo)
+        return cls(doc)
+
     @functools.cached_property
     def ising(self) -> IsingModel:
         """``to_ising`` of the QUBO; its memoised cost diagonal goes with it."""
@@ -175,7 +180,7 @@ class _Problem:
 
     def trotter_state(self, total_time: float, dt: float) -> StateVector:
         """``qa_trotter`` under the linear schedule; seed-independent, so
-        evolved once per (total_time, dt)."""
+        evolved once per (total_time, dt). The Trotter anneal stage."""
         key = (total_time, dt)
         if key not in self._trotter_states:
             schedule = AnnealSchedule.linear(total_time)
@@ -192,21 +197,32 @@ class _Problem:
         return self.qubo.num_vars
 
     def decoder(self):
+        """Bitstring -> (feasible, objective in use-case units)."""
+        spec = self.spec
         if self.use_case == "lama":
-            spec = self.spec
 
             def decode(s):
                 schedule, ok = decode_lama(s, spec)
                 return ok, lama_objective(schedule)
 
-            return decode
-        spec = self.spec
+        else:
 
-        def decode(s):
-            _, ok, length = decode_trp(s, spec)
-            return ok, length
+            def decode(s):
+                _, ok, length = decode_trp(s, spec)
+                return ok, length
 
         return decode
+
+    def penalty_family(self):
+        """rho -> this problem's QUBO at penalty weight rho."""
+        if self.use_case == "lama":
+            qcio = from_dict(self.doc["qcio"])
+            enc = from_dict(self.doc["encoding"])
+            return lambda rho: encode_binary(build_quio(qcio, rho), enc)
+        spec = self.spec
+        return lambda rho: build_trp(
+            TrpSpec(spec.num_cities, spec.distances, spec.layout, rho)
+        )
 
     def optimal_cost(self) -> float:
         """Constrained optimum in decoder units (oracle; capped sizes)."""
@@ -234,36 +250,85 @@ class _Problem:
             best = min(best, length)
         return float(best)
 
+    def rates(self, samples) -> tuple:
+        """Feasible and optimal percentages of ``samples``, scored against the
+        oracle optimum; raises ``ValueError`` past the oracle's cap."""
+        return solution_rates(samples, self.decoder(), self.optimal_cost())
+
 
 def _load_problem(path) -> _Problem:
     return _Problem(_load_raw(path))
 
 
 # ---------------------------------------------------------------------------
-# circuits, topologies, error maps
+# pipeline stages: the subcommands and `run` call the same functions
 
 
-def _trained_state(ising: IsingModel, algorithm: str, layers: int, params):
+def _train(ising: IsingModel, algorithm, layers, starts, max_iter, seed, shots=None):
+    """Seeded COBYLA multistart on the ansatz energy; exact for ``shots=None``."""
+    if algorithm == "qaoa":
+        objective = qaoa_objective(ising, shots=shots, seed=seed)
+        sampler = uniform_sampler(2 * layers, 0.0, np.pi)
+    else:
+        objective = vqe_objective(ising, layers, shots=shots, seed=seed)
+        sampler = uniform_sampler(ising.num_qubits * (layers + 1), 0.0, 2.0 * np.pi)
+    return multistart(
+        objective, sampler, num_starts=starts, seed=seed, max_iter=max_iter
+    )
+
+
+def _sample(ising: IsingModel, algorithm: str, layers, params, shots, seed):
+    """The ansatz state at ``params`` and ``shots`` seeded samples of it."""
     vector = np.asarray(params, dtype=float)
     if algorithm == "qaoa":
-        return qaoa_state_fast(ising, QaoaParams.from_vector(vector))
-    vector = VqeParams(vector, layers, ising.num_qubits).thetas
-    return run_circuit(vqe_circuit(ising.num_qubits, layers).bind(vector))
+        state = qaoa_state_fast(ising, QaoaParams.from_vector(vector))
+    else:
+        vector = VqeParams(vector, layers, ising.num_qubits).thetas
+        state = run_circuit(vqe_circuit(ising.num_qubits, layers).bind(vector))
+    return state, sample_state(state, shots, seed)
 
 
-def _ansatz_circuit(ising: IsingModel, algorithm: str, layers: int, params=None):
+def _sa_anneal(problem: _Problem, reads, sweeps, seed):
+    """The SA anneal stage; the Trotter one is ``_Problem.trotter_state``."""
+    return sa_sample(problem.qubo, SaConfig(num_reads=reads, sweeps=sweeps, seed=seed))
+
+
+def _cost_scores(problem: _Problem, dist: Distribution, seed) -> tuple:
+    """``relative_error`` of ``dist`` and the seeded ``random_baseline``, both
+    against the brute-force QUBO optimum."""
+    c_opt = problem.report.optimal_cost
+    err = relative_error(dist, problem.qubo, c_opt)
+    base = random_baseline(problem.num_qubits, problem.qubo, c_opt=c_opt, seed=seed)
+    return err, base
+
+
+def _transpile(ising, algorithm, layers, params, topology, basis, error_map, seeds):
+    """Bind the ansatz at ``params`` (0.5 everywhere when None), then route,
+    lower and score it once per routing seed: one row per seed."""
     n = ising.num_qubits
     if algorithm == "qaoa":
         template = qaoa_circuit(ising, layers)
-    elif algorithm == "vqe":
-        template = vqe_circuit(n, layers)
     else:
-        raise ValueError(f"no circuit form for algorithm {algorithm!r}")
+        template = vqe_circuit(n, layers)
     if params is None:
         params = np.full(template.num_params, 0.5)
     circ = template.bind(np.asarray(params, dtype=float))
     circ.measure(*range(n))
-    return circ
+    coupling = _topology(topology, n)
+    errmap = _error_map(error_map, coupling)
+    rows = []
+    for seed in seeds:
+        routed = route(circ, coupling, Layout.trivial(n), seed=seed)
+        lowered = decompose(routed.circuit, basis=basis)
+        rows.append(
+            {
+                "seed": int(seed),
+                "two_qubit_count": count_two_qubit(lowered),
+                "circuit_score": circuit_score(lowered, errmap),
+                "final_layout": list(routed.final_layout.assignment),
+            }
+        )
+    return rows
 
 
 def _topology(name: str, n: int) -> CouplingMap:
@@ -289,30 +354,18 @@ def _error_map(path, coupling: CouplingMap) -> ErrorMap:
     return ErrorMap.uniform(coupling, single=0.001, two=0.01, measure=0.02)
 
 
-def _transpile_once(circ, coupling, errmap, basis, seed):
-    routed = route(circ, coupling, Layout.trivial(circ.num_qubits), seed=seed)
-    lowered = decompose(routed.circuit, basis=basis)
-    return {
-        "seed": int(seed),
-        "two_qubit_count": count_two_qubit(lowered),
-        "circuit_score": circuit_score(lowered, errmap),
-        "final_layout": list(routed.final_layout.assignment),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_build(args) -> int:
-    if args.use_case == "lama":
-        bundle = _lama_bundle(args.instance, args.rho)
-    else:
-        rho = 1.0 if args.rho == "auto" else float(args.rho)
-        bundle = _trp_bundle(args.cities, args.layout, args.seed, rho)
-    _save_raw(args.output, bundle)
-    qubo = from_dict(bundle["qubo"])
-    print(f"built {args.use_case} problem: {qubo.num_vars} variables, rho={bundle['rho']}")
+    # the flags spell a `run` config's use_case entry; _Problem.build reads its keys
+    problem = _Problem.build(dict(vars(args), name=args.use_case))
+    _save_raw(args.output, problem.doc)
+    print(
+        f"built {args.use_case} problem: {problem.num_qubits} variables, "
+        f"rho={problem.doc['rho']}"
+    )
     return 0
 
 
@@ -340,21 +393,9 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_train(args) -> int:
     problem = _load_problem(args.problem)
-    ising = problem.ising
-    if args.algorithm == "qaoa":
-        objective = qaoa_objective(ising, shots=args.shots, seed=args.seed)
-        sampler = uniform_sampler(2 * args.layers, 0.0, np.pi)
-    else:
-        objective = vqe_objective(ising, args.layers, shots=args.shots, seed=args.seed)
-        sampler = uniform_sampler(
-            ising.num_qubits * (args.layers + 1), 0.0, 2.0 * np.pi
-        )
-    report = multistart(
-        objective,
-        sampler,
-        num_starts=args.starts,
-        seed=args.seed,
-        max_iter=args.max_iter,
+    report = _train(
+        problem.ising, args.algorithm, args.layers, args.starts, args.max_iter,
+        args.seed, shots=args.shots,
     )
     result = {
         "schema_version": SCHEMA_VERSION,
@@ -378,11 +419,10 @@ def _cmd_sample(args) -> int:
     result = _load_raw(args.train_result)
     if result.get("type") != "TrainResult":
         raise ValueError("second argument must be a train result file")
-    state = _trained_state(
+    _, samples = _sample(
         problem.ising, result["algorithm"], result["layers"],
-        result["best_params"],
+        result["best_params"], args.shots, args.seed,
     )
-    samples = sample_state(state, args.shots, args.seed)
     save_json(_out_path(args.output), samples)
     top = max(samples.counts, key=samples.counts.get)
     print(f"sampled {args.shots} shots; mode {top} x{samples.counts[top]}")
@@ -392,13 +432,10 @@ def _cmd_sample(args) -> int:
 def _cmd_anneal(args) -> int:
     problem = _load_problem(args.problem)
     if args.backend == "sa":
-        cfg = SaConfig(num_reads=args.reads, sweeps=args.sweeps, seed=args.seed)
-        samples = sa_sample(problem.qubo, cfg)
+        samples = _sa_anneal(problem, args.reads, args.sweeps, args.seed)
         save_json(_out_path(args.output), samples)
-        decode = problem.decoder()
         try:
-            c_opt = problem.optimal_cost()
-            feas, opt = solution_rates(samples, decode, c_opt)
+            feas, opt = problem.rates(samples)
             print(f"sa: {args.reads} reads, feasible {feas}% optimal {opt}%")
         except ValueError:
             print(f"sa: {args.reads} reads (no oracle at this size)")
@@ -412,13 +449,11 @@ def _cmd_anneal(args) -> int:
 
 def _cmd_transpile(args) -> int:
     problem = _load_problem(args.problem)
-    params = None
-    if args.params:
-        params = _load_raw(args.params)["best_params"]
-    circ = _ansatz_circuit(problem.ising, args.algorithm, args.layers, params)
-    coupling = _topology(args.topology, circ.num_qubits)
-    errmap = _error_map(args.error_map, coupling)
-    record = _transpile_once(circ, coupling, errmap, args.basis, args.seed)
+    params = _load_raw(args.params)["best_params"] if args.params else None
+    [record] = _transpile(
+        problem.ising, args.algorithm, args.layers, params, args.topology,
+        args.basis, args.error_map, [args.seed],
+    )
     record.update(
         {
             "schema_version": SCHEMA_VERSION,
@@ -449,12 +484,7 @@ def _cmd_score(args) -> int:
         "fidelity": fidelity,
     }
     if args.problem:
-        problem = _load_problem(args.problem)
-        report = problem.report
-        err = relative_error(p, problem.qubo, report.optimal_cost)
-        base = random_baseline(
-            problem.num_qubits, problem.qubo, c_opt=report.optimal_cost, seed=args.seed
-        )
+        err, base = _cost_scores(_load_problem(args.problem), p, args.seed)
         payload["relative_error"] = err.value
         payload["relative_error_is_absolute"] = err.is_absolute
         payload["random_baseline"] = base.value
@@ -470,27 +500,11 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ValueError("empty --values list")
     cfg = SaConfig(num_reads=args.reads, sweeps=args.sweeps, seed=args.seed)
-    if args.use_case == "lama":
-        bundle = _lama_bundle(args.instance, args.rho)
-    else:
-        rho = 1.0 if args.rho == "auto" else float(args.rho)
-        bundle = _trp_bundle(args.cities, args.layout, args.seed, rho)
-    problem = _Problem(bundle)
-    decoder = problem.decoder()
-    c_opt = problem.optimal_cost()
-    if args.axis == "penalty":
-        if problem.use_case == "lama":
-            qcio = from_dict(bundle["qcio"])
-            enc = from_dict(bundle["encoding"])
-            family = lambda rho: encode_binary(build_quio(qcio, rho), enc)
-        else:
-            spec = problem.spec
-            family = lambda rho: build_trp(
-                TrpSpec(spec.num_cities, spec.distances, spec.layout, rho)
-            )
-        rows = sweep("penalty", values, family, decoder, c_opt, cfg)
-    else:
-        rows = sweep("time", values, problem.qubo, decoder, c_opt, cfg)
+    problem = _Problem.build(dict(vars(args), name=args.use_case))
+    family = problem.penalty_family() if args.axis == "penalty" else problem.qubo
+    rows = sweep(
+        args.axis, values, family, problem.decoder(), problem.optimal_cost(), cfg
+    )
     sweeps_to_csv(rows, _out_path(args.output))
     for row in rows:
         print(
@@ -504,98 +518,72 @@ def _cmd_sweep(args) -> int:
 # experiment batches
 
 
-def _experiment_problem(config: dict) -> _Problem:
-    uc = config["use_case"]
-    if uc["name"] == "lama":
-        return _Problem(_lama_bundle(uc["instance"], uc.get("rho", "auto")))
-    return _Problem(
-        _trp_bundle(
-            uc["cities"], uc.get("layout", "symmetric"), uc.get("seed", 0),
-            uc.get("rho", 1.0),
-        )
-    )
-
-
-def _routing_seeds(config: dict) -> list:
-    raw = config.get("routing_seeds", 0)
-    if isinstance(raw, int):
-        return list(range(raw))
-    return [int(s) for s in raw]
+def _check_counts(config: dict) -> None:
+    """Raise ``ValueError`` naming the first count field of ``config`` that is
+    not an integer: a bool, float or string is refused, never truncated."""
+    routing = config.get("routing_seeds", 0)
+    fields = {
+        "seeds": config["seeds"],
+        "routing_seeds": routing if isinstance(routing, list) else [routing],
+    }
+    fields.update((name, [config[name]]) for name in _COUNT_FIELDS if name in config)
+    for name, values in fields.items():
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"config field {name!r} needs integers, got {value!r}")
 
 
 def _variational_record(problem, config, seed) -> dict:
     algorithm = config["algorithm"]
-    layers = int(config.get("layers", 1))
-    shots = int(config.get("shots", 10000))
-    starts = int(config.get("starts", 50))
-    max_iter = int(config.get("max_iter", 1000))
+    layers = config.get("layers", 1)
     ising = problem.ising
-    if algorithm == "qaoa":
-        objective = qaoa_objective(ising)
-        sampler = uniform_sampler(2 * layers, 0.0, np.pi)
-    else:
-        objective = vqe_objective(ising, layers)
-        sampler = uniform_sampler(ising.num_qubits * (layers + 1), 0.0, 2.0 * np.pi)
-    report = multistart(
-        objective, sampler, num_starts=starts, seed=seed, max_iter=max_iter
+    report = _train(
+        ising, algorithm, layers, config.get("starts", 50),
+        config.get("max_iter", 1000), seed,
     )
-    state = _trained_state(ising, algorithm, layers, report.best_params)
-    samples = sample_state(state, shots, seed)
+    state, samples = _sample(
+        ising, algorithm, layers, report.best_params, config.get("shots", 10000), seed
+    )
     empirical = Distribution.from_sampleset(samples)
     record = {
-        "seed": int(seed),
+        "seed": seed,
         "best_cost": report.best_cost,
         "best_params": [float(v) for v in report.best_params],
         "fidelity": state_fidelity(empirical, state),
         "counts": dict(samples.counts),
     }
     try:
-        c_opt_qubo = problem.report.optimal_cost
-        err = relative_error(empirical, problem.qubo, c_opt_qubo)
+        err, base = _cost_scores(problem, empirical, seed)
         record["relative_error"] = err.value
-        record["random_baseline"] = random_baseline(
-            problem.num_qubits, problem.qubo, seed=seed, c_opt=c_opt_qubo
-        ).value
-        feas, opt = solution_rates(samples, problem.decoder(), problem.optimal_cost())
-        record["feasible_pct"] = feas
-        record["optimal_pct"] = opt
+        record["random_baseline"] = base.value
+        record["feasible_pct"], record["optimal_pct"] = problem.rates(samples)
     except ValueError as exc:
         record["oracle_note"] = str(exc)
-    transpile_cfg = {
-        "topology": config.get("topology", "full"),
-        "basis": config.get("basis", "CX"),
-    }
-    routing = _routing_seeds(config)
+    routing = config.get("routing_seeds", 0)
+    if isinstance(routing, numbers.Integral):
+        routing = range(routing)
     if routing:
-        circ = _ansatz_circuit(ising, algorithm, layers, report.best_params)
-        coupling = _topology(transpile_cfg["topology"], circ.num_qubits)
-        errmap = _error_map(config.get("error_map"), coupling)
-        record["transpile"] = [
-            _transpile_once(circ, coupling, errmap, transpile_cfg["basis"], rs)
-            for rs in routing
-        ]
+        record["transpile"] = _transpile(
+            ising, algorithm, layers, report.best_params,
+            config.get("topology", "full"), config.get("basis", "CX"),
+            config.get("error_map"), routing,
+        )
     return record
 
 
 def _anneal_record(problem, config, seed) -> dict:
-    algorithm = config["algorithm"]
-    if algorithm == "sa":
-        cfg = SaConfig(
-            num_reads=int(config.get("reads", 400)),
-            sweeps=int(config.get("sweeps", 1000)),
-            seed=seed,
+    if config["algorithm"] == "sa":
+        samples = _sa_anneal(
+            problem, config.get("reads", 400), config.get("sweeps", 1000), seed
         )
-        samples = sa_sample(problem.qubo, cfg)
     else:
         state = problem.trotter_state(
             float(config.get("total_time", 50.0)), float(config.get("dt", 0.01))
         )
-        samples = sample_state(state, int(config.get("shots", 10000)), seed)
-    record = {"seed": int(seed), "counts": dict(samples.counts)}
+        samples = sample_state(state, config.get("shots", 10000), seed)
+    record = {"seed": seed, "counts": dict(samples.counts)}
     try:
-        feas, opt = solution_rates(samples, problem.decoder(), problem.optimal_cost())
-        record["feasible_pct"] = feas
-        record["optimal_pct"] = opt
+        record["feasible_pct"], record["optimal_pct"] = problem.rates(samples)
     except ValueError as exc:
         record["oracle_note"] = str(exc)
     return record
@@ -605,29 +593,30 @@ def run(config: dict) -> dict:
     """Execute one experiment batch; every record is seeded, failures are
     captured per seed without aborting the batch."""
     seeds = config.get("seeds")
-    if not seeds:
+    if not isinstance(seeds, list) or not seeds:
         raise ValueError("config needs a nonempty 'seeds' list")
     algorithm = config.get("algorithm")
     if algorithm not in ("qaoa", "vqe", "sa", "qa-trotter", "brute"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    problem = _experiment_problem(config)
+    _check_counts(config)
+    problem = _Problem.build(config["use_case"])
     records = []
-    for seed in seeds:
+    for seed in map(int, seeds):
         try:
             if algorithm == "brute":
                 report = problem.report
                 record = {
-                    "seed": int(seed),
+                    "seed": seed,
                     "optimal_cost": report.optimal_cost,
                     "optimal_set": list(report.optimal_set),
                     "evaluations": report.evaluations,
                 }
             elif algorithm in ("qaoa", "vqe"):
-                record = _variational_record(problem, config, int(seed))
+                record = _variational_record(problem, config, seed)
             else:
-                record = _anneal_record(problem, config, int(seed))
+                record = _anneal_record(problem, config, seed)
         except Exception as exc:  # per-seed isolation
-            record = {"seed": int(seed), "error": str(exc)}
+            record = {"seed": seed, "error": str(exc)}
         records.append(record)
     canonical = json.dumps(config, sort_keys=True)
     return {

@@ -49,6 +49,7 @@ class Gate:
             if self.angle is None:
                 raise ValueError(f"{self.kind} requires an angle")
             object.__setattr__(self, "angle", float(self.angle))
+            require_finite(f"{self.kind} angle", self.angle)
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 

@@ -12,7 +12,7 @@ import qubolab
 
 from qubolab import cli
 from qubolab.model import to_ising
-from qubolab.serialize import from_dict
+from qubolab.serialize import from_dict, to_dict
 
 
 def run_cli(*argv):
@@ -237,6 +237,22 @@ def test_transpile_full_topology_counts(lama_problem, tmp_path):
     assert 0.0 < doc["circuit_score"] < 1.0
 
 
+@pytest.mark.parametrize("algorithm, size", [("qaoa", 2), ("vqe", 12)])
+def test_transpile_rejects_non_finite_params(lama_problem, tmp_path, capsys, algorithm, size):
+    trained = tmp_path / "train.json"
+    params = [0.5] * size
+    params[1] = float("nan")
+    trained.write_text(json.dumps({"best_params": params}))
+    out = tmp_path / "tr.json"
+    rc = run_cli(
+        "transpile", str(lama_problem), "--algorithm", algorithm,
+        "--params", str(trained), "-o", str(out),
+    )
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transpile_heavy_hex(lama_problem, capsys):
     assert run_cli("transpile", str(lama_problem), "--seed", "5") == 0
     out = capsys.readouterr().out
@@ -445,11 +461,128 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
     assert len(trotter) == 3  # a raise is not cached
 
 
-def test_run_rejects_bad_config(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"algorithm": "sa", "seeds": []}))
-    assert run_cli("run", str(path), "-o", str(tmp_path / "x.json")) == 1
-    assert "seeds" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"seeds": []}, "seeds"),
+        ({"seeds": [2.7]}, "seeds"),
+        ({"seeds": [0, True]}, "seeds"),
+        ({"seeds": ["1"]}, "seeds"),
+        ({"reads": 2.7}, "reads"),
+        ({"sweeps": "100"}, "sweeps"),
+        ({"algorithm": "qaoa", "layers": True}, "layers"),
+        ({"algorithm": "qaoa", "shots": 100.0}, "shots"),
+        ({"algorithm": "qaoa", "starts": 1.5}, "starts"),
+        ({"algorithm": "qaoa", "max_iter": "10"}, "max_iter"),
+        ({"algorithm": "qaoa", "routing_seeds": 1.5}, "routing_seeds"),
+        ({"algorithm": "qaoa", "routing_seeds": [0, 2.0]}, "routing_seeds"),
+    ],
+    ids=[
+        "empty-seeds", "float-seed", "bool-seed", "string-seed", "float-reads",
+        "string-sweeps", "bool-layers", "float-shots", "float-starts",
+        "string-max_iter", "float-routing_seeds", "float-routing-seed",
+    ],
+)
+def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
+    # a count is never truncated: "reads": 2.7 must not run 2 reads
+    out = tmp_path / "x.json"
+    assert run_cli("run", str(sa_config(tmp_path, **overrides)), "-o", str(out)) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, use_case",
+    [
+        (["lama", "--instance", "Ex0p1"], {"name": "lama", "instance": "Ex0p1"}),
+        (
+            ["lama", "--instance", "Ex1p1", "--rho", "3"],
+            {"name": "lama", "instance": "Ex1p1", "rho": 3},
+        ),
+        (["trp", "--cities", "4"], {"name": "trp", "cities": 4, "rho": "auto"}),
+        (["trp", "--cities", "3"], {"name": "trp", "cities": 3}),
+        (
+            ["trp", "--cities", "4", "--layout", "asymmetric", "--seed", "2", "--rho", "1.5"],
+            {"name": "trp", "cities": 4, "layout": "asymmetric", "seed": 2, "rho": 1.5},
+        ),
+    ],
+    ids=["lama-auto", "lama-rho", "trp-auto", "trp-default", "trp-asymmetric"],
+)
+def test_run_and_build_make_the_same_qubo(tmp_path, monkeypatch, flags, use_case):
+    bundle = tmp_path / "bundle.json"
+    assert run_cli("build", *flags, "-o", str(bundle)) == 0
+    qubos = []
+    real = cli.brute_force_solve
+    monkeypatch.setattr(cli, "brute_force_solve", lambda q: qubos.append(q) or real(q))
+    cfg = sa_config(tmp_path, use_case=use_case, algorithm="brute", seeds=[0])
+    assert run_cli("run", str(cfg), "-o", str(tmp_path / "r.json")) == 0
+    assert [to_dict(q) for q in qubos] == [json.loads(bundle.read_text())["qubo"]]
+
+
+# ---------------------------------------------------------------------------
+# subcommand / run parity: both paths call the same stage functions
+
+
+@pytest.mark.parametrize("algorithm, layers", [("qaoa", 1), ("vqe", 1), ("qaoa", 2)])
+def test_train_sample_transpile_match_run_record(lama_problem, tmp_path, algorithm, layers):
+    seed, routing = 5, [2, 9]
+    cfg = sa_config(
+        tmp_path, algorithm=algorithm, layers=layers, starts=3, max_iter=40,
+        shots=500, seeds=[seed], routing_seeds=routing, topology="ring", basis="CZ",
+    )
+    out = tmp_path / "r.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 0
+    [record] = json.loads(out.read_text())["records"]
+
+    trained = tmp_path / "train.json"
+    common = ["--algorithm", algorithm, "--layers", str(layers)]
+    assert run_cli(
+        "train", str(lama_problem), *common, "--starts", "3", "--max-iter", "40",
+        "--seed", str(seed), "-o", str(trained),
+    ) == 0
+    doc = json.loads(trained.read_text())
+    assert (doc["best_params"], doc["best_cost"]) == (record["best_params"], record["best_cost"])
+
+    samples = tmp_path / "samples.json"
+    assert run_cli(
+        "sample", str(lama_problem), str(trained), "--shots", "500",
+        "--seed", str(seed), "-o", str(samples),
+    ) == 0
+    counts = json.loads(samples.read_text())["counts"]
+    assert list(counts.items()) == list(record["counts"].items())
+
+    rows = []
+    for rs in routing:
+        path = tmp_path / f"tr{rs}.json"
+        assert run_cli(
+            "transpile", str(lama_problem), *common, "--params", str(trained),
+            "--topology", "ring", "--basis", "CZ", "--seed", str(rs), "-o", str(path),
+        ) == 0
+        row = json.loads(path.read_text())
+        for key in ("schema_version", "type", "topology", "basis"):
+            del row[key]
+        rows.append(row)
+    assert rows == record["transpile"]
+
+
+def test_anneal_sa_matches_run_record(trp_problem, tmp_path, capsys):
+    cfg = sa_config(
+        tmp_path, use_case={"name": "trp", "cities": 4, "rho": 2.0, "seed": 1},
+        seeds=[3], reads=60, sweeps=80,
+    )
+    out = tmp_path / "r.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 0
+    [record] = json.loads(out.read_text())["records"]
+    capsys.readouterr()
+    samples = tmp_path / "sa.json"
+    assert run_cli(
+        "anneal", str(trp_problem), "--backend", "sa", "--reads", "60",
+        "--sweeps", "80", "--seed", "3", "-o", str(samples),
+    ) == 0
+    counts = json.loads(samples.read_text())["counts"]
+    assert list(counts.items()) == list(record["counts"].items())
+    rates = f"feasible {record['feasible_pct']}% optimal {record['optimal_pct']}%"
+    assert rates in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,9 @@ def test_gate_validation():
         Gate("H", (0,), 0.5)
     with pytest.raises(ValueError):
         Gate("FOO", (0,))
+    for angle in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite RZZ angle"):
+            Gate("RZZ", (0, 1), angle)
     with pytest.raises(ValueError):
         Circuit(2).h(2)
     with pytest.raises(ValueError):
