@@ -99,14 +99,18 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
     The fields and the +-1 flip values are held as (n, reads) arrays, so bit
     k's row is contiguous, and each sweep draws its uniforms as one
     (n, reads) block: the same stream, in the same order, as n draws of
-    ``reads``. A flip attempt runs the Metropolis test on preallocated
-    buffers and negates the accepted flip values by subtracting
-    delta = flip * accept twice, which is exact for +-1; when a read accepts,
-    the fields of all reads take the outer product of bit k's couplings and
-    delta, one (n, 1) x (1, reads) BLAS product, so a sweep costs
-    O(reads * n^2), the same as the initial setup.
-    The read-major loop kept in the test suite is the oracle: its counts
-    equal these in keys and order.
+    ``reads``. A sweep starts with scale = flip * -T; bit k's visit takes
+    weight = (field_k + diag_k) / scale_k, which equals -flip * d / T
+    exactly because flip is +-1 and division is sign-symmetric, and accepts
+    where u < exp(weight). A positive weight gives exp >= 1 > u, the same
+    decision as clipping it at 0, and an overflow to inf still accepts. When
+    a read accepts, the fields of all reads take the outer product of bit
+    k's couplings and delta = flip * accept, one (n, 1) x (1, reads) BLAS
+    product, so a sweep costs O(reads * n^2), the same as the initial setup.
+    Flip k changes only at bit k's own visit, so the sweep negates every
+    accepted flip at its end, by subtracting flip * accept twice (exact for
+    +-1). The read-major loop kept in the test suite is the oracle: its
+    counts equal these in keys and order.
     """
     n = qubo.num_vars
     rng = np.random.default_rng(cfg.seed)
@@ -118,31 +122,31 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
     states = rng.integers(0, 2, size=(reads, n)).astype(float)
     field = np.ascontiguousarray((states @ sym).T)  # field[k, r] = sum_j sym[k, j] * b[r, j]
     flips = np.ascontiguousarray((1.0 - 2.0 * states).T)  # +1 flips bit 0 -> 1
-    uniforms = np.empty((n, reads))
-    d_energy, weight, delta = np.empty(reads), np.empty(reads), np.empty(reads)
-    delta_row = delta.reshape(1, reads)
-    accept = np.empty(reads, dtype=bool)
-    update = np.empty((n, reads))
-    rows = list(zip(field, diag, flips, uniforms, sym[:, :, None]))
-    for temp in temps:
-        rng.random(out=uniforms)
-        for field_k, diag_k, flip, u, sym_k in rows:
-            np.add(field_k, diag_k, out=d_energy)
-            np.multiply(flip, d_energy, out=d_energy)
-            # exp(min(-d/T, 0)) is 1 > u whenever d <= 0
-            np.divide(d_energy, -temp, out=weight)
-            np.minimum(weight, 0.0, out=weight)
-            np.exp(weight, out=weight)
-            np.less(u, weight, out=accept)
-            if not np.count_nonzero(accept):
-                continue
-            np.multiply(flip, accept, out=delta)
-            flip -= delta  # twice: -flip where accepted; reads that do
-            flip -= delta  # not accept subtract +-0
-            # each entry is one product by +-1 or +-0, exact; BLAS may
-            # return +0 for -0, which moves no value of the field
-            np.dot(sym_k, delta_row, out=update)
-            field += update
+    uniforms, scale, deltas, update = (np.empty((n, reads)) for _ in range(4))
+    accepts = np.empty((n, reads), dtype=bool)
+    weight = np.empty(reads)
+    rows = list(
+        zip(field, diag, scale, uniforms, accepts, flips, deltas[:, None], sym[:, :, None])
+    )
+    with np.errstate(over="ignore"):
+        for temp in temps:
+            rng.random(out=uniforms)
+            np.multiply(flips, -temp, out=scale)
+            for field_k, diag_k, scale_k, u, accept, flip, delta, sym_k in rows:
+                np.add(field_k, diag_k, out=weight)
+                np.divide(weight, scale_k, out=weight)
+                np.exp(weight, out=weight)
+                np.less(u, weight, out=accept)
+                if not np.count_nonzero(accept):
+                    continue
+                # each entry is one product by +-1 or +-0, exact; BLAS may
+                # return +0 for -0, which moves no value of the field
+                np.multiply(flip, accept, out=delta)
+                np.dot(sym_k, delta, out=update)
+                field += update
+            np.multiply(flips, accepts, out=deltas)
+            flips -= deltas  # twice: -flip where accepted; reads that do
+            flips -= deltas  # not accept subtract +-0
     counts = {}
     for row in flips.T < 0.0:
         key = bits_to_str(row)

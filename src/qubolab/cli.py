@@ -114,6 +114,36 @@ def _floats(text: str) -> list:
 # problems
 
 
+def _check_use_case(use_case: dict) -> None:
+    """Raise ``ValueError`` naming the first field of a ``use_case`` entry
+    whose type is wrong: ``cities`` and ``seed`` are integers (a bool, float
+    or string is refused, never truncated) and ``rho`` is "auto" or a finite
+    real number."""
+    for name in ("cities", "seed"):
+        value = use_case.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"use_case field {name!r} needs an integer, got {value!r}")
+    rho = use_case.get("rho", "auto")
+    if rho != "auto" and (
+        isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not np.isfinite(rho)
+    ):
+        raise ValueError(
+            f"use_case field 'rho' needs 'auto' or a finite number, got {rho!r}"
+        )
+
+
+def _flag_use_case(args) -> dict:
+    """The ``use_case`` entry that ``build``'s and ``sweep``'s flags spell,
+    with ``--rho`` read as "auto" or a number."""
+    rho = args.rho
+    if rho != "auto":
+        try:
+            rho = float(rho)
+        except ValueError:
+            raise ValueError(f"--rho needs 'auto' or a number, got {rho!r}") from None
+    return dict(vars(args), name=args.use_case, rho=rho)
+
+
 class _Problem:
     """Hydrated bundle: QUBO plus use-case decoding context, and the one place
     that tells the use cases apart. The Ising model, oracle results and
@@ -136,6 +166,7 @@ class _Problem:
         "lama", "instance", "rho"}`` or ``{"name": "trp", "cities", "layout",
         "seed", "rho"}``. ``rho`` "auto" (the default) is the minimal valid
         penalty for lama and 1.0 for trp."""
+        _check_use_case(use_case)
         name, rho = use_case["name"], use_case.get("rho", "auto")
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -359,8 +390,7 @@ def _error_map(path, coupling: CouplingMap) -> ErrorMap:
 
 
 def _cmd_build(args) -> int:
-    # the flags spell a `run` config's use_case entry; _Problem.build reads its keys
-    problem = _Problem.build(dict(vars(args), name=args.use_case))
+    problem = _Problem.build(_flag_use_case(args))
     _save_raw(args.output, problem.doc)
     print(
         f"built {args.use_case} problem: {problem.num_qubits} variables, "
@@ -500,7 +530,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ValueError("empty --values list")
     cfg = SaConfig(num_reads=args.reads, sweeps=args.sweeps, seed=args.seed)
-    problem = _Problem.build(dict(vars(args), name=args.use_case))
+    problem = _Problem.build(_flag_use_case(args))
     family = problem.penalty_family() if args.axis == "penalty" else problem.qubo
     rows = sweep(
         args.axis, values, family, problem.decoder(), problem.optimal_cost(), cfg

@@ -229,22 +229,31 @@ def _rx_walls(thetas) -> np.ndarray:
     return np.stack([c, off, off, c], axis=-1).reshape(-1, 2, 2)
 
 
-def _wall(psi: np.ndarray, scratch: np.ndarray, mats) -> None:
-    """Apply ``mats[q]`` to qubit q of the flat state ``psi``, for every q,
-    in place; ``scratch`` is a buffer of psi's size and dtype.
+def _wall_legs(a: np.ndarray, b: np.ndarray, n: int) -> tuple:
+    """The per-gate ``(source, target)`` views of an n-gate wall between the
+    equal flat buffers ``a`` and ``b``: one list for a wall that starts in
+    ``a``, one for a wall that starts in ``b``.
 
-    Before qubit q's gate, bit q is the fastest axis of psi. One strided copy
-    gathers that bit to the front of scratch, and the (2, 2) x (2, 2^(n-1))
-    product ``apply_gate`` computes writes straight back into psi, with the
-    bit now slowest. Each gate thus rotates the layout by one bit, and after
-    n gates it is natural again, so ``mats`` must hold exactly n matrices.
+    Gate q reads its buffer through the F-ordered fastest-bit view
+    ``reshape(half, 2).T`` and writes the other buffer's (2, half) view, so
+    the two buffers swap roles at every gate. The product is the one
+    ``apply_gate`` computes, and it puts the gate's bit slowest: each gate
+    rotates the layout by one bit, so after n gates it is natural again. An
+    odd n leaves the state in the other buffer.
     """
-    half = psi.size // 2
-    fastest = psi.reshape(half, 2).T
-    operand, product = scratch.reshape(2, half), psi.reshape(2, half)
-    for mat in mats:
-        np.copyto(operand, fastest)
-        np.dot(mat, operand, out=product)
+    half = a.size // 2
+    a_to_b = (a.reshape(half, 2).T, b.reshape(2, half))
+    b_to_a = (b.reshape(half, 2).T, a.reshape(2, half))
+    return ([a_to_b, b_to_a] * n)[:n], ([b_to_a, a_to_b] * n)[:n]
+
+
+def _wall(mats, legs: tuple, at: int) -> int:
+    """Apply ``mats[q]`` to qubit q, for every q, to the state in buffer
+    ``at`` of the pair that ``legs`` (from ``_wall_legs``) spans: one
+    ``np.dot`` per gate. Returns the index of the buffer that then holds it."""
+    for mat, (source, target) in zip(mats, legs[at]):
+        np.dot(mat, source, out=target)
+    return at ^ (len(legs[at]) & 1)
 
 
 def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
@@ -252,11 +261,12 @@ def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
 
     Each step multiplies amplitude v by exp(-i phi cost[v]) and then applies
     RX(theta) to every qubit; with ``mixer_first`` the RX wall comes first.
-    ``cost`` is the length-2^n diagonal, n >= 1. One complex buffer is
-    updated in place by ``_wall``, whose scratch buffer also holds the phase
-    factors, and validated once at the end. QAOA states, the p=1 landscape
-    and Trotter annealing all run on this kernel; applying the same gates one
-    at a time with ``apply_gate`` is its oracle.
+    ``cost`` is the length-2^n diagonal, n >= 1. The state lives in one of
+    two complex buffers: ``_wall`` moves it between them, one ``np.dot`` per
+    gate, and the phase factors go into the buffer it does not occupy. It is
+    validated once at the end. QAOA states, the p=1 landscape and Trotter
+    annealing all run on this kernel; applying the same gates one at a time
+    with ``apply_gate`` is its oracle.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.size.bit_length() - 1
@@ -264,15 +274,18 @@ def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
         raise ValueError(f"cost diagonal of length {cost.size} is not 2^n with n >= 1")
     steps = np.reshape(np.asarray(steps, dtype=float), (len(steps), 2))
     psi = np.full(cost.size, cost.size ** -0.5, dtype=complex)
-    phase = np.empty_like(psi)
+    buffers = (psi, np.empty_like(psi))
+    legs = _wall_legs(*buffers, n)
+    at = 0  # index of the buffer that holds the state
     for phi, rx in zip(steps[:, 0], _rx_walls(steps[:, 1])):
         if mixer_first:
-            _wall(psi, phase, [rx] * n)
+            at = _wall([rx] * n, legs, at)
+        psi, phase = buffers[at], buffers[1 - at]
         np.multiply(-1j * phi, cost, out=phase)
         psi *= np.exp(phase, out=phase)
         if not mixer_first:
-            _wall(psi, phase, [rx] * n)
-    return StateVector(psi, n)
+            at = _wall([rx] * n, legs, at)
+    return StateVector(buffers[at], n)
 
 
 def cx_chain_permutation(num_qubits: int) -> np.ndarray:
@@ -290,21 +303,24 @@ def ry_cx_amplitudes(angles, perm: np.ndarray) -> np.ndarray:
 
     ``angles[l][q]`` is the RY angle on qubit q in wall l; ``perm`` (from
     ``cx_chain_permutation``) is applied between consecutive walls by
-    gathering the state into the other of two buffers, which then swap
-    roles. Every gate is real, so the state stays real; ``run_circuit`` on
-    the same gates is the oracle.
+    gathering the state into the other of two buffers, the same pair that
+    ``_wall`` moves the state between. Every gate is real, so the state
+    stays real; ``run_circuit`` on the same gates is the oracle.
     """
     angles = np.asarray(angles, dtype=float)
-    psi = np.zeros(1 << angles.shape[1])
-    psi[0] = 1.0
-    scratch = np.empty_like(psi)
+    n = angles.shape[1]
+    buffers = (np.zeros(1 << n), np.empty(1 << n))
+    buffers[0][0] = 1.0
+    legs = _wall_legs(*buffers, n)
+    at = 0  # index of the buffer that holds the state
     c, s = np.cos(angles / 2), np.sin(angles / 2)
     walls = np.stack([c, -s, s, c], axis=-1).reshape(*angles.shape, 2, 2)
     for layer, mats in enumerate(walls):
         if layer:
-            psi, scratch = np.take(psi, perm, out=scratch), psi
-        _wall(psi, scratch, mats)
-    return psi
+            np.take(buffers[at], perm, out=buffers[1 - at])
+            at ^= 1
+        at = _wall(mats, legs, at)
+    return buffers[at]
 
 
 def sample(state: StateVector, shots: int, seed: int) -> SampleSet:

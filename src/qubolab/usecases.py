@@ -18,6 +18,7 @@ from .model import (
     BinaryEncoding,
     QcioProblem,
     QuboProblem,
+    require_finite,
     to_ising,
     upper_triangularize,
 )
@@ -196,6 +197,11 @@ class TrpSpec:
             raise ValueError("distance matrix must have zero diagonal")
         if not np.allclose(self.distances, self.distances.T):
             raise ValueError("distance matrix must be symmetric")
+        if isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real):
+            raise ValueError(f"penalty weight must be a real number, got {self.rho!r}")
+        require_finite("penalty weight", self.rho)
+        if self.rho < 0:
+            raise ValueError("penalty weight must be nonnegative")
 
     @property
     def num_vars(self) -> int:

@@ -201,6 +201,31 @@ def test_sa_kernel_equals_reference_loop_on_tours(cities):
     assert_same_samples(sa_sample(qubo, cfg), reference_sa_sample(qubo, cfg))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_sa_kernel_equals_reference_loop_when_cold(n):
+    # -d/T reaches thousands: exp overflows on every downhill move, and once
+    # the reads sit in local minima whole sweeps reject every bit
+    qubo = random_qubo(np.random.default_rng(40 + n), n)
+    cfg = SaConfig(num_reads=60, sweeps=40, t_hot=1e-3, t_cold=1e-5, seed=n)
+    assert_same_samples(sa_sample(qubo, cfg), reference_sa_sample(qubo, cfg))
+
+
+@pytest.mark.parametrize("n, sweeps", [(1, 3), (5, 8), (12, 11)])
+def test_sa_kernel_accepts_every_visit_when_hot(n, sweeps):
+    # |d/T| ~ 1e-30 rounds exp to 1 > u, so every bit flips in every sweep
+    qubo = random_qubo(np.random.default_rng(60 + n), n)
+    cfg = SaConfig(num_reads=50, sweeps=sweeps, t_hot=1e30, t_cold=1e29, seed=n)
+    samples = sa_sample(qubo, cfg)
+    assert_same_samples(samples, reference_sa_sample(qubo, cfg))
+    start = np.random.default_rng(cfg.seed).integers(0, 2, size=(cfg.num_reads, n))
+    expected = {}
+    for row in start ^ (sweeps & 1):
+        key = bits_to_str(row)
+        expected[key] = expected.get(key, 0) + 1
+    assert samples.counts == expected
+
+
 def test_sa_respects_fixed_temperatures():
     qubo = two_var_qubo()
     samples = sa_sample(qubo, SaConfig(num_reads=100, sweeps=30, t_hot=5.0, t_cold=0.05, seed=3))

@@ -476,11 +476,27 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         ({"algorithm": "qaoa", "max_iter": "10"}, "max_iter"),
         ({"algorithm": "qaoa", "routing_seeds": 1.5}, "routing_seeds"),
         ({"algorithm": "qaoa", "routing_seeds": [0, 2.0]}, "routing_seeds"),
+        ({"use_case": {"name": "trp", "cities": 4.0}}, "cities"),
+        ({"use_case": {"name": "trp", "cities": True}}, "cities"),
+        ({"use_case": {"name": "trp", "cities": "4"}}, "cities"),
+        (
+            {"use_case": {"name": "trp", "cities": 4, "layout": "asymmetric", "seed": 1.5}},
+            "seed",
+        ),
+        ({"use_case": {"name": "trp", "cities": 4, "seed": False}}, "seed"),
+        ({"use_case": {"name": "trp", "cities": 4, "rho": "x"}}, "rho"),
+        ({"use_case": {"name": "trp", "cities": 4, "rho": "2"}}, "rho"),
+        ({"use_case": {"name": "trp", "cities": 4, "rho": True}}, "rho"),
+        ({"use_case": {"name": "lama", "instance": "Ex0p1", "rho": float("nan")}}, "rho"),
+        ({"use_case": {"name": "lama", "instance": "Ex0p1", "rho": float("inf")}}, "rho"),
     ],
     ids=[
         "empty-seeds", "float-seed", "bool-seed", "string-seed", "float-reads",
         "string-sweeps", "bool-layers", "float-shots", "float-starts",
         "string-max_iter", "float-routing_seeds", "float-routing-seed",
+        "float-cities", "bool-cities", "string-cities", "float-layout-seed",
+        "bool-layout-seed", "string-rho", "numeric-string-rho", "bool-rho", "nan-rho",
+        "inf-rho",
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
@@ -488,6 +504,25 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
     out = tmp_path / "x.json"
     assert run_cli("run", str(sa_config(tmp_path, **overrides)), "-o", str(out)) == 1
     assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("use_case", ["lama", "trp"])
+def test_negative_penalty_fails_build_and_run(tmp_path, capsys, use_case):
+    out = tmp_path / "x.json"
+    assert run_cli("build", use_case, "--rho", "-1", "-o", str(out)) == 1
+    assert "penalty weight must be nonnegative" in capsys.readouterr().err
+    entry = {"name": use_case, "instance": "Ex0p1", "cities": 4, "rho": -1}
+    assert run_cli("run", str(sa_config(tmp_path, use_case=entry)), "-o", str(out)) == 1
+    assert "penalty weight must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["x", "nan", "inf"])
+def test_build_rejects_bad_rho_flag(tmp_path, capsys, rho):
+    out = tmp_path / "x.json"
+    assert run_cli("build", "trp", "--rho", rho, "-o", str(out)) == 1
+    assert "rho" in capsys.readouterr().err
     assert not out.exists()
 
 

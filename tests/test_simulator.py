@@ -229,6 +229,43 @@ def test_phase_mixer_state_rejects_diagonal_without_qubits(cost):
         phase_mixer_state(cost, [(0.1, 0.2)])
 
 
+def phase_mixer_gate_by_gate(cost, steps, mixer_first):
+    """phase_mixer_state spelled out with apply_gate: per step the diagonal
+    phase and an RX gate on every qubit, in the kernel's order."""
+    n = cost.size.bit_length() - 1
+    state = StateVector.plus_state(n)
+    for phi, theta in steps:
+        rx = [Gate("RX", (q,), theta) for q in range(n)]
+        if mixer_first:
+            for gate in rx:
+                state = apply_gate(state, gate)
+        # a named array, as in the kernel: numpy evaluates `a * temporary`
+        # into the temporary above 256 KiB, and that loop can round differently
+        phase = np.exp(-1j * phi * cost)
+        state = StateVector(state.amplitudes * phase, n)
+        if not mixer_first:
+            for gate in rx:
+                state = apply_gate(state, gate)
+    return state
+
+
+# an odd n leaves each RX wall's result in the kernel's other buffer, an even
+# n in the same one; one to four steps cover both parities of buffer swaps
+@pytest.mark.parametrize("mixer_first", [False, True], ids=["phase-first", "mixer-first"])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 7, 8, 15, 16],
+    ids=lambda n: f"{'odd' if n % 2 else 'even'}-{n}",
+)
+def test_phase_mixer_state_equals_gates_for_odd_and_even_n(n, mixer_first):
+    rng = np.random.default_rng(700 + 2 * n + mixer_first)
+    cost = rng.uniform(-3.0, 3.0, size=1 << n)
+    for p in range(1, 5):
+        steps = rng.uniform(-np.pi, np.pi, size=(p, 2))
+        fast = phase_mixer_state(cost, steps, mixer_first=mixer_first).amplitudes
+        reference = phase_mixer_gate_by_gate(cost, steps, mixer_first).amplitudes
+        assert np.array_equal(fast, reference)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
 def test_kernel_rx_entries_equal_gate_matrix_bit_for_bit(thetas):

@@ -169,6 +169,25 @@ def test_trp_penalty_block_vanishes_exactly_on_permutations():
         assert abs(penalty) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (-1.0, "must be nonnegative"),
+        (-1e-300, "must be nonnegative"),
+        (np.inf, "non-finite penalty weight"),
+        (np.nan, "non-finite penalty weight"),
+        ("2", "must be a real number"),
+        (True, "must be a real number"),
+    ],
+)
+def test_trp_spec_rejects_bad_penalty(rho, message):
+    distances = gen_cities(4).distances
+    with pytest.raises(ValueError, match=message):
+        TrpSpec(4, distances, rho=rho)
+    with pytest.raises(ValueError, match=message):
+        gen_cities(4, rho=rho)
+
+
 def test_trp_penalty_block_at_least_rho_off_permutations():
     rho = 0.9
     spec = gen_cities(3, "symmetric", rho=rho)

@@ -265,6 +265,22 @@ def test_vqe_kernel_matches_gate_path(n):
         assert vqe_objective(ising, layers)(vector) == expected
 
 
+# the state changes buffer at the permutation between walls and, for odd n,
+# at every RY wall; odd and even n with one to three layers pin every parity
+@pytest.mark.parametrize(
+    "n", [2, 3, 8, 9, 15, 16],
+    ids=lambda n: f"{'odd' if n % 2 else 'even'}-{n}",
+)
+def test_vqe_kernel_equals_gates_for_odd_and_even_n(n):
+    rng = np.random.default_rng(900 + n)
+    perm = cx_chain_permutation(n)
+    for layers in range(1, 4):
+        circ = vqe_circuit(n, layers)
+        vector = rng.uniform(0.0, 2.0 * np.pi, circ.num_params)
+        gate = run_circuit(circ.bind(vector)).amplitudes
+        assert np.array_equal(ry_cx_amplitudes(vector.reshape(layers + 1, n), perm), gate)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_params_reject_non_finite_angles(bad):
     with pytest.raises(ValueError, match="non-finite"):
