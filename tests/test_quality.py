@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab.model import QuboProblem, brute_force_solve, qubo_cost_vector
+from qubolab.model import (
+    QuboProblem,
+    bits_to_str,
+    brute_force_solve,
+    int_to_bits,
+    qubo_cost_vector,
+)
 from qubolab.quality import (
     Distribution,
     QualityReport,
@@ -60,6 +66,12 @@ def test_fidelity_symmetric_and_bounded(wa, wb):
     assert -1e-12 <= f_pq <= 1.0 + 1e-9
 
 
+def test_distribution_rejects_malformed_keys():
+    for probs in ({"200000": 1.0}, {"0b": 1.0}, {"0": 0.5, "01": 0.5}):
+        with pytest.raises(ValueError):
+            Distribution(probs)
+
+
 def test_distribution_from_sampleset_and_state():
     d = Distribution.from_sampleset(SampleSet({"00": 3, "10": 1}, shots=4))
     assert d.probs == {"00": 0.75, "10": 0.25}
@@ -82,6 +94,23 @@ def test_state_fidelity_equals_fidelity_against_from_state(seed, n):
     empirical = Distribution.from_sampleset(samples)
     exact = Distribution.from_state(state)
     assert state_fidelity(empirical, state) == hellinger_fidelity(empirical, exact)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+def test_from_state_equals_per_string_comprehension(seed, n):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < 0.3] = 0.0
+    amps[-1] = 1.0
+    state = StateVector(amps / np.linalg.norm(amps), n)
+    expected = {
+        bits_to_str(int_to_bits(v, n)): float(p)
+        for v, p in enumerate(state.probabilities())
+        if p > 0.0
+    }
+    got = Distribution.from_state(state).probs
+    assert list(got.items()) == list(expected.items())
 
 
 def test_fidelity_rejects_mismatched_bit_widths():

@@ -330,9 +330,27 @@ def test_sample_hellinger_fidelity_high_on_six_qubit_state():
     assert fidelity >= 0.99
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 3000))
+def test_sample_equals_per_string_comprehension(seed, n, shots):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(amps / np.linalg.norm(amps), n)
+    probs = state.probabilities()
+    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    expected = {bits_to_str(int_to_bits(v, n)): int(c) for v, c in enumerate(draws) if c}
+    got = sample(state, shots, seed)
+    assert got.shots == shots
+    assert list(got.counts.items()) == list(expected.items())
+
+
 def test_sampleset_validation():
     with pytest.raises(ValueError):
         SampleSet({"00": 3, "01": 2}, shots=4)
+    with pytest.raises(ValueError):
+        SampleSet({"01": 1, "2": 1, "abc": 2}, shots=4)
+    with pytest.raises(ValueError):
+        SampleSet({"01": 2, "21": 2}, shots=4)
     with pytest.raises(ValueError):
         SampleSet({"00": -1, "01": 2}, shots=1)
 
@@ -342,7 +360,7 @@ def test_sampleset_validation():
 
 
 def test_expectation_on_basis_state_is_its_cost():
-    cost = lambda bits: float(bits @ np.array([1.0, 2.0, 4.0]))
+    cost = np.arange(8.0)  # bits @ (1, 2, 4): the cost of index v is v
     assert abs(expectation_diagonal(basis("110"), cost) - 3.0) < 1e-12
 
 

@@ -88,6 +88,14 @@ def test_decode_lama_rejects_wrong_length():
         decode_lama("0000", LamaSpec(3, 1, [[0]], [0]))
 
 
+def test_decoders_refuse_non_binary_strings():
+    # read digit by digit, "200000" is a feasible level-2 schedule
+    with pytest.raises(ValueError):
+        decode_lama("200000", example_series()["Ex0p1"])
+    with pytest.raises(ValueError):
+        decode_trp("200010001", gen_cities(3, "symmetric"))
+
+
 def test_lama_feasible_schedules_cost_the_unpenalized_objective():
     spec = example_series()["Ex0p1"]
     rho = 2.0
