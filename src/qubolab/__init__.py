@@ -8,7 +8,7 @@ annealing, connectivity-aware transpilation, and brute-force oracles.
 
 __version__ = "0.1.0"
 
-from .annealer import AnnealSchedule, SaConfig, SweepRow, qa_trotter, sa_sample, sweep
+from .annealer import AnnealSchedule, SaConfig, SweepRow, qa_trotter, sa_sample
 from .model import (
     BinaryEncoding,
     IsingModel,
@@ -80,6 +80,7 @@ from .variational import (
     qaoa_state_fast,
     vqe_circuit,
     vqe_objective,
+    vqe_state,
 )
 
 __all__ = [
@@ -129,6 +130,7 @@ __all__ = [
     "qaoa_expectation",
     "cost_landscape",
     "vqe_circuit",
+    "vqe_state",
     "qaoa_objective",
     "vqe_objective",
     # optimization
@@ -143,7 +145,6 @@ __all__ = [
     "SweepRow",
     "sa_sample",
     "qa_trotter",
-    "sweep",
     # transpilation
     "CouplingMap",
     "ErrorMap",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IsingModel, QuboProblem, render_bits, require_finite
-from .quality import solution_rates
 from .simulator import SampleSet, StateVector, phase_mixer_state
 from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py traces it here
 
@@ -174,46 +173,9 @@ def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateV
 
 @dataclass
 class SweepRow:
+    """One row of a solution-rate sweep (``qubolab sweep``) CSV."""
+
     axis_value: float
     feasible_pct: float
     optimal_pct: float
     reads: int
-
-
-def sweep(
-    axis: str,
-    values,
-    family,
-    decoder,
-    optimal_cost: float,
-    cfg: SaConfig,
-) -> list:
-    """SA solution-rate scan along a penalty-weight or annealing-time axis.
-
-    axis="penalty": ``family`` maps each value to a QuboProblem.
-    axis="time": ``family`` is a fixed QuboProblem and each value replaces the
-    sweep count (the classical analog of a longer anneal), so it must be a
-    whole number.
-    Rows come back ordered by axis value.
-    """
-    if axis not in ("penalty", "time"):
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    values = sorted(values)
-    if axis == "time":
-        for value in values:
-            if not float(value).is_integer():
-                raise ValueError(f"time-axis value {value!r} is not a whole sweep count")
-    rows = []
-    for value in values:
-        if axis == "penalty":
-            qubo = family(value)
-            run_cfg = cfg
-        else:
-            qubo = family
-            run_cfg = SaConfig(
-                cfg.num_reads, int(value), cfg.t_hot, cfg.t_cold, cfg.seed
-            )
-        samples = sa_sample(qubo, run_cfg)
-        feasible, optimal = solution_rates(samples, decoder, optimal_cost)
-        rows.append(SweepRow(float(value), feasible, optimal, run_cfg.num_reads))
-    return rows

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample, sweep
+from .annealer import AnnealSchedule, SaConfig, SweepRow, qa_trotter, sa_sample
 from .model import (
     BRUTE_FORCE_CAP,
     IsingModel,
@@ -51,7 +51,8 @@ from .serialize import (
     traces_to_csv,
     write_json,
 )
-from .simulator import StateVector, run_circuit, sample as sample_state
+from .simulator import StateVector, sample as sample_state
+from .simulator import run_circuit  # noqa: F401  unused; perfbench/spans.py traces it here
 from .transpiler import (
     CouplingMap,
     ErrorMap,
@@ -62,7 +63,6 @@ from .transpiler import (
     route,
 )
 from .usecases import (
-    TrpSpec,
     build_lama,
     build_trp,
     decode_lama,
@@ -81,12 +81,29 @@ from .variational import (
     qaoa_state_fast,
     vqe_circuit,
     vqe_objective,
+    vqe_state,
 )
 
 _PENALTY_SCAN_CAP = 16  # min_penalty enumerates 2^N points
 _TOUR_ORACLE_CAP = 9  # permutation enumeration for TRP optima
-# `run` config fields that count something: integers, never truncated
-_COUNT_FIELDS = ("layers", "shots", "starts", "max_iter", "reads", "sweeps")
+# every optional `run` config field with its default, which the same-named
+# subcommand flags share; an int default makes the field an integer (never
+# truncated; routing_seeds may be a list of them), a float one a number
+_RUN_FIELDS = {
+    "layers": 1,
+    "starts": 50,
+    "max_iter": 1000,
+    "shots": 10000,
+    "routing_seeds": 0,
+    "topology": "full",
+    "basis": "CX",
+    "error_map": None,
+    "reads": 400,
+    "sweeps": 1000,
+    "total_time": 50.0,
+    "dt": 0.01,
+}
+_NUMBER_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "a number")}
 
 
 def _out_path(name) -> Path:
@@ -244,17 +261,6 @@ class _Problem:
 
         return decode
 
-    def penalty_family(self):
-        """rho -> this problem's QUBO at penalty weight rho."""
-        if self.use_case == "lama":
-            qcio = from_dict(self.doc["qcio"])
-            enc = from_dict(self.doc["encoding"])
-            return lambda rho: encode_binary(build_quio(qcio, rho), enc)
-        spec = self.spec
-        return lambda rho: build_trp(
-            TrpSpec(spec.num_cities, spec.distances, spec.layout, rho)
-        )
-
     def optimal_cost(self) -> float:
         """Constrained optimum in decoder units (oracle; capped sizes)."""
         return self._optimum
@@ -310,12 +316,10 @@ def _train(ising: IsingModel, algorithm, layers, starts, max_iter, seed, shots=N
 
 def _sample(ising: IsingModel, algorithm: str, layers, params, shots, seed):
     """The ansatz state at ``params`` and ``shots`` seeded samples of it."""
-    vector = np.asarray(params, dtype=float)
     if algorithm == "qaoa":
-        state = qaoa_state_fast(ising, QaoaParams.from_vector(vector))
+        state = qaoa_state_fast(ising, QaoaParams.from_vector(params))
     else:
-        vector = VqeParams(vector, layers, ising.num_qubits).thetas
-        state = run_circuit(vqe_circuit(ising.num_qubits, layers).bind(vector))
+        state = vqe_state(VqeParams(params, layers, ising.num_qubits))
     return state, sample_state(state, shots, seed)
 
 
@@ -526,15 +530,27 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = _floats(args.values)
+    """SA solution rates over penalty weights (the QUBO's rho) or annealing
+    times (whole sweep counts), scored against the flags' problem."""
+    values = sorted(_floats(args.values))
     if not values:
         raise ValueError("empty --values list")
-    cfg = SaConfig(num_reads=args.reads, sweeps=args.sweeps, seed=args.seed)
-    problem = _Problem.build(_flag_use_case(args))
-    family = problem.penalty_family() if args.axis == "penalty" else problem.qubo
-    rows = sweep(
-        args.axis, values, family, problem.decoder(), problem.optimal_cost(), cfg
-    )
+    SaConfig(args.reads, args.sweeps, seed=args.seed)  # bad flags fail before the oracle runs
+    use_case = _flag_use_case(args)
+    problem = _Problem.build(use_case)
+    problem.optimal_cost()  # the oracle must exist before any anneal
+    if args.axis == "time":
+        for value in values:
+            if not value.is_integer():
+                raise ValueError(f"time-axis value {value!r} is not a whole sweep count")
+    rows = []
+    for value in values:
+        if args.axis == "penalty":
+            point = _Problem.build(dict(use_case, rho=value))
+            samples = _sa_anneal(point, args.reads, args.sweeps, args.seed)
+        else:
+            samples = _sa_anneal(problem, args.reads, int(value), args.seed)
+        rows.append(SweepRow(value, *problem.rates(samples), args.reads))
     sweeps_to_csv(rows, _out_path(args.output))
     for row in rows:
         print(
@@ -548,31 +564,34 @@ def _cmd_sweep(args) -> int:
 # experiment batches
 
 
-def _check_counts(config: dict) -> None:
-    """Raise ``ValueError`` naming the first count field of ``config`` that is
-    not an integer: a bool, float or string is refused, never truncated."""
-    routing = config.get("routing_seeds", 0)
-    fields = {
-        "seeds": config["seeds"],
-        "routing_seeds": routing if isinstance(routing, list) else [routing],
-    }
-    fields.update((name, [config[name]]) for name in _COUNT_FIELDS if name in config)
-    for name, values in fields.items():
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"config field {name!r} needs integers, got {value!r}")
+def _settings(config: dict) -> dict:
+    """``config`` over the ``_RUN_FIELDS`` defaults; raises ``ValueError``
+    naming the first field that is unknown or of the wrong type (a bool
+    never passes as a number, nor a float as a count)."""
+    for name in config:
+        if name not in _RUN_FIELDS and name not in ("use_case", "algorithm", "seeds"):
+            raise ValueError(f"unknown config field {name!r}")
+    settings = {**_RUN_FIELDS, **config}
+    for name, default in [("seeds", 0), *_RUN_FIELDS.items()]:
+        if type(default) not in _NUMBER_KINDS:
+            continue
+        kind, noun = _NUMBER_KINDS[type(default)]
+        value = settings[name]
+        listed = name in ("seeds", "routing_seeds") and isinstance(value, list)
+        for item in value if listed else [value]:
+            if isinstance(item, bool) or not isinstance(item, kind):
+                raise ValueError(f"config field {name!r} needs {noun}, got {item!r}")
+    return settings
 
 
-def _variational_record(problem, config, seed) -> dict:
-    algorithm = config["algorithm"]
-    layers = config.get("layers", 1)
+def _variational_record(problem, settings, seed) -> dict:
+    algorithm, layers = settings["algorithm"], settings["layers"]
     ising = problem.ising
     report = _train(
-        ising, algorithm, layers, config.get("starts", 50),
-        config.get("max_iter", 1000), seed,
+        ising, algorithm, layers, settings["starts"], settings["max_iter"], seed
     )
     state, samples = _sample(
-        ising, algorithm, layers, report.best_params, config.get("shots", 10000), seed
+        ising, algorithm, layers, report.best_params, settings["shots"], seed
     )
     empirical = Distribution.from_sampleset(samples)
     record = {
@@ -589,28 +608,25 @@ def _variational_record(problem, config, seed) -> dict:
         record["feasible_pct"], record["optimal_pct"] = problem.rates(samples)
     except ValueError as exc:
         record["oracle_note"] = str(exc)
-    routing = config.get("routing_seeds", 0)
+    routing = settings["routing_seeds"]
     if isinstance(routing, numbers.Integral):
         routing = range(routing)
     if routing:
         record["transpile"] = _transpile(
-            ising, algorithm, layers, report.best_params,
-            config.get("topology", "full"), config.get("basis", "CX"),
-            config.get("error_map"), routing,
+            ising, algorithm, layers, report.best_params, settings["topology"],
+            settings["basis"], settings["error_map"], routing,
         )
     return record
 
 
-def _anneal_record(problem, config, seed) -> dict:
-    if config["algorithm"] == "sa":
-        samples = _sa_anneal(
-            problem, config.get("reads", 400), config.get("sweeps", 1000), seed
-        )
+def _anneal_record(problem, settings, seed) -> dict:
+    if settings["algorithm"] == "sa":
+        samples = _sa_anneal(problem, settings["reads"], settings["sweeps"], seed)
     else:
         state = problem.trotter_state(
-            float(config.get("total_time", 50.0)), float(config.get("dt", 0.01))
+            float(settings["total_time"]), float(settings["dt"])
         )
-        samples = sample_state(state, config.get("shots", 10000), seed)
+        samples = sample_state(state, settings["shots"], seed)
     record = {"seed": seed, "counts": dict(samples.counts)}
     try:
         record["feasible_pct"], record["optimal_pct"] = problem.rates(samples)
@@ -628,7 +644,7 @@ def run(config: dict) -> dict:
     algorithm = config.get("algorithm")
     if algorithm not in ("qaoa", "vqe", "sa", "qa-trotter", "brute"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    _check_counts(config)
+    settings = _settings(config)
     problem = _Problem.build(config["use_case"])
     records = []
     for seed in map(int, seeds):
@@ -642,9 +658,9 @@ def run(config: dict) -> dict:
                     "evaluations": report.evaluations,
                 }
             elif algorithm in ("qaoa", "vqe"):
-                record = _variational_record(problem, config, seed)
+                record = _variational_record(problem, settings, seed)
             else:
-                record = _anneal_record(problem, config, seed)
+                record = _anneal_record(problem, settings, seed)
         except Exception as exc:  # per-seed isolation
             record = {"seed": seed, "error": str(exc)}
         records.append(record)
@@ -717,9 +733,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="multi-start variational optimization")
     _add_common_problem_arg(p)
     p.add_argument("--algorithm", choices=["qaoa", "vqe"], default="qaoa")
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--starts", type=int, default=50)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--layers", type=int, default=_RUN_FIELDS["layers"])
+    p.add_argument("--starts", type=int, default=_RUN_FIELDS["starts"])
+    p.add_argument("--max-iter", type=int, default=_RUN_FIELDS["max_iter"])
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", help="optional CSV of per-run convergence")
@@ -729,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="shots from a trained state")
     _add_common_problem_arg(p)
     p.add_argument("train_result", help="JSON from `train`")
-    p.add_argument("--shots", type=int, default=10000)
+    p.add_argument("--shots", type=int, default=_RUN_FIELDS["shots"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -737,10 +753,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anneal", help="simulated annealing or Trotter evolution")
     _add_common_problem_arg(p)
     p.add_argument("--backend", choices=["sa", "trotter"], default="sa")
-    p.add_argument("--reads", type=int, default=400)
-    p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--total-time", type=float, default=50.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--reads", type=int, default=_RUN_FIELDS["reads"])
+    p.add_argument("--sweeps", type=int, default=_RUN_FIELDS["sweeps"])
+    p.add_argument("--total-time", type=float, default=_RUN_FIELDS["total_time"])
+    p.add_argument("--dt", type=float, default=_RUN_FIELDS["dt"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_anneal)
@@ -773,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_use_case_args(p)
     p.add_argument("--axis", choices=["penalty", "time"], default="penalty")
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--reads", type=int, default=400)
-    p.add_argument("--sweeps", type=int, default=1000)
+    p.add_argument("--reads", type=int, default=_RUN_FIELDS["reads"])
+    p.add_argument("--sweeps", type=int, default=_RUN_FIELDS["sweeps"])
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)
 

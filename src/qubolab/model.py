@@ -71,6 +71,11 @@ def render_bits(rows) -> list[str]:
     return [text[j * n : (j + 1) * n] for j in range(k)]
 
 
+def _not_a_bit(entry) -> ValueError:
+    """The error for a bitstring character or array entry other than 0, 1."""
+    return ValueError(f"bit {entry!r} is not 0 or 1")
+
+
 def str_to_bits(s: str) -> np.ndarray:
     """0/1 array of the bitstring ``s``, bit i at index i; raises
     ``ValueError`` on any character other than 0 and 1."""
@@ -78,19 +83,37 @@ def str_to_bits(s: str) -> np.ndarray:
     # translate leaves the bytes that are not 0 or 1; on the long joined
     # text of parse_bits it is ~15x faster than str.strip("01")
     if raw.translate(None, b"01"):
-        raise ValueError(f"bitstring character {s.strip('01')[0]!r} is not 0 or 1")
+        raise _not_a_bit(s.strip("01")[0])
     return np.frombuffer(raw, dtype=np.uint8) - ord("0")
+
+
+def as_bits(bits) -> np.ndarray:
+    """0/1 array of ``bits``: a bitstring goes through ``str_to_bits``, an
+    array is returned as it is; raises ``ValueError`` on any entry other
+    than 0 and 1."""
+    if isinstance(bits, str):
+        return str_to_bits(bits)
+    bits = np.asarray(bits)
+    bad = bits[(bits != 0) & (bits != 1)]
+    if bad.size:
+        raise _not_a_bit(bad[0].item())
+    return bits
 
 
 def parse_bits(keys) -> np.ndarray:
     """(k, n) 0/1 rows of the k bitstrings ``keys``, the inverse of
-    ``render_bits``; raises ``ValueError`` on keys of different widths or a
-    character other than 0 and 1."""
+    ``render_bits``; raises ``ValueError`` on a key that is not a ``str``,
+    keys of different widths or a character other than 0 and 1."""
     keys = list(keys)
-    widths = set(map(len, keys))
+    try:
+        widths = set(map(len, keys))
+        text = "".join(keys)
+    except TypeError:  # only str keys join; look for the culprit on failure
+        bad = next(k for k in keys if not isinstance(k, str))
+        raise ValueError(f"bitstring key {bad!r} is not a str") from None
     if len(widths) > 1:
         raise ValueError(f"bitstrings of mixed widths {sorted(widths)}")
-    return str_to_bits("".join(keys)).reshape(len(keys), widths.pop() if keys else 0)
+    return str_to_bits(text).reshape(len(keys), widths.pop() if keys else 0)
 
 
 def all_bitstrings(num_bits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -333,9 +356,10 @@ class SolveReport:
     evaluations: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.optimal_cost, numbers.Real):
-            raise ValueError(f"optimal_cost must be a number, got {self.optimal_cost!r}")
-        self.optimal_cost = float(self.optimal_cost)
+        cost = self.optimal_cost
+        if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+            raise ValueError(f"optimal_cost must be a number, got {cost!r}")
+        self.optimal_cost = float(cost)
         require_finite("optimal_cost", self.optimal_cost)
         if not isinstance(self.optimal_set, (list, tuple)) or not all(
             isinstance(s, str) for s in self.optimal_set
@@ -343,8 +367,9 @@ class SolveReport:
             raise ValueError(f"optimal_set must be a list of bitstrings, got {self.optimal_set!r}")
         self.optimal_set = list(self.optimal_set)
         parse_bits(self.optimal_set)
-        if not isinstance(self.evaluations, numbers.Integral) or self.evaluations < 0:
-            raise ValueError(f"evaluations must be a count, got {self.evaluations!r}")
+        count = self.evaluations
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"evaluations must be a count, got {count!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +412,7 @@ def encode_binary(quio: QuioProblem, enc: BinaryEncoding) -> QuboProblem:
 
 def qubo_cost(qubo: QuboProblem, bits: np.ndarray | str) -> float:
     """b'Qb + constant for a single bitstring."""
-    if isinstance(bits, str):
-        bits = str_to_bits(bits)
-    b = np.asarray(bits, dtype=np.float64).ravel()
+    b = np.asarray(as_bits(bits), dtype=np.float64).ravel()
     if b.size != qubo.num_vars:
         raise ValueError(f"expected {qubo.num_vars} bits, got {b.size}")
     return float(b @ qubo.Q @ b + qubo.constant)

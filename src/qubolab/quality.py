@@ -13,6 +13,7 @@ from .model import (
     brute_force_solve,
     index_bits,
     parse_bits,
+    qubo_cost,
     qubo_cost_vector,
     render_bits,
     require_finite,
@@ -29,7 +30,7 @@ class Distribution:
     probs: dict
 
     def __post_init__(self):
-        self.probs = {str(k): float(v) for k, v in self.probs.items()}
+        self.probs = {k: float(v) for k, v in self.probs.items()}
         parse_bits(self.probs)
         if any(v < 0.0 for v in self.probs.values()):
             raise ValueError("negative probability")
@@ -106,8 +107,6 @@ def state_fidelity(p: Distribution, state: StateVector) -> float:
 
 
 def _mean_cost(p: Distribution, qubo: QuboProblem) -> float:
-    from .model import qubo_cost
-
     return sum(v * qubo_cost(qubo, s) for s, v in p.probs.items())
 
 

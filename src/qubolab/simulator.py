@@ -124,9 +124,6 @@ class Circuit:
     def rx(self, q, theta):
         return self.append(Gate("RX", (q,), theta))
 
-    def ry(self, q, theta):
-        return self.append(Gate("RY", (q,), theta))
-
     def rz(self, q, theta):
         return self.append(Gate("RZ", (q,), theta))
 
@@ -185,7 +182,7 @@ class SampleSet:
     shots: int
 
     def __post_init__(self):
-        self.counts = {str(k): int(v) for k, v in self.counts.items()}
+        self.counts = {k: int(v) for k, v in self.counts.items()}
         parse_bits(self.counts)
         if any(v < 0 for v in self.counts.values()):
             raise ValueError("negative count")

@@ -49,7 +49,6 @@ class CouplingMap:
                 seen.add(e)
                 normalized.append(e)
         self.edges = sorted(normalized)
-        self._edge_set = set(self.edges)
         self._adjacency = {q: [] for q in range(self.num_qubits)}
         for a, b in self.edges:
             self._adjacency[a].append(b)
@@ -59,9 +58,6 @@ class CouplingMap:
 
     def neighbors(self, q: int) -> list:
         return list(self._adjacency[q])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._edge_set
 
     def distances(self, source: int) -> np.ndarray:
         """BFS hop counts from ``source``; unreachable qubits get -1."""

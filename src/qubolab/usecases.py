@@ -18,8 +18,8 @@ from .model import (
     BinaryEncoding,
     QcioProblem,
     QuboProblem,
+    as_bits,
     require_finite,
-    str_to_bits,
     to_ising,
     upper_triangularize,
 )
@@ -126,9 +126,7 @@ def build_lama(spec: LamaSpec) -> tuple[QcioProblem, BinaryEncoding]:
 
 def decode_lama(bits: np.ndarray | str, spec: LamaSpec) -> tuple[Schedule, bool]:
     """Schedule encoded by ``bits`` and whether it satisfies every constraint."""
-    if isinstance(bits, str):
-        bits = str_to_bits(bits)
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    bits = np.asarray(as_bits(bits), dtype=np.int64).ravel()
     T, C = spec.num_timeslots, spec.num_cars
     if bits.size != 2 * C * T:
         raise ValueError(f"expected {2 * C * T} bits, got {bits.size}")
@@ -217,7 +215,7 @@ class Route:
 
     def __post_init__(self):
         if not isinstance(self.order, (list, tuple)) or not all(
-            isinstance(c, numbers.Integral) for c in self.order
+            isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in self.order
         ):
             raise ValueError(f"route order must be a list of city indices, got {self.order!r}")
         self.order = [int(c) for c in self.order]
@@ -292,9 +290,7 @@ def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[Route | None, boo
     Infeasible bitstrings (not a permutation matrix) decode to
     (None, False, inf).
     """
-    if isinstance(bits, str):
-        bits = str_to_bits(bits)
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    bits = np.asarray(as_bits(bits), dtype=np.int64).ravel()
     m = spec.num_cities
     if bits.size != m * m:
         raise ValueError(f"expected {m * m} bits, got {bits.size}")

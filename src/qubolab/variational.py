@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import IsingModel, require_finite
-from .simulator import Circuit, Gate, StateVector, cx_chain_permutation, expectation_diagonal
+from .simulator import Circuit, Gate, StateVector, cx_chain_permutation
 from .simulator import phase_mixer_state, ry_cx_amplitudes
 # unused here; perfbench/spans.py traces these names in this module
 from .simulator import apply_gate, run_circuit  # noqa: F401
@@ -60,6 +60,8 @@ class VqeParams:
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
+        if self.num_qubits < 2 or self.layers < 1:
+            raise ValueError("the two-local ansatz needs two qubits and one layer")
         want = self.num_qubits * (self.layers + 1)
         if len(self.thetas) != want:
             raise ValueError(f"need {want} angles, got {len(self.thetas)}")
@@ -172,7 +174,20 @@ def vqe_circuit(num_qubits: int, layers: int) -> ParametricCircuit:
     return circ
 
 
-def _sampled_mean(probs: np.ndarray, cost: np.ndarray, shots: int, rng) -> float:
+def vqe_state(params: VqeParams) -> StateVector:
+    """The two-local ansatz state at ``params`` on the real-valued
+    ``ry_cx_amplitudes`` kernel; ``vqe_circuit`` through ``run_circuit`` is
+    its oracle."""
+    n = params.num_qubits
+    thetas = params.thetas.reshape(params.layers + 1, n)
+    return StateVector(ry_cx_amplitudes(thetas, cx_chain_permutation(n)), n)
+
+
+def _energy(probs: np.ndarray, cost: np.ndarray, shots: int | None, rng) -> float:
+    """<cost> under ``probs``: exact for ``shots=None``, otherwise the mean
+    over ``shots`` multinomial draws from the generator ``rng``."""
+    if shots is None:
+        return float(probs @ cost)
     draws = rng.multinomial(shots, probs / probs.sum())
     return float(draws @ cost) / shots
 
@@ -185,11 +200,9 @@ def qaoa_expectation(
 ) -> float:
     """<H_C> in the QAOA state; exact by default, empirical when shots given."""
     state = qaoa_state_fast(ising, params)
-    cost = ising.cost_vector()
-    if shots is None:
-        return expectation_diagonal(state, cost)
-    rng = np.random.default_rng(rng)
-    return _sampled_mean(state.probabilities(), cost, shots, rng)
+    if shots is not None:
+        rng = np.random.default_rng(rng)
+    return _energy(state.probabilities(), ising.cost_vector(), shots, rng)
 
 
 def cost_landscape(
@@ -202,16 +215,12 @@ def cost_landscape(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axis = np.linspace(0.0, np.pi, resolution)
-    cost = ising.cost_vector()
     rng = np.random.default_rng(seed)
     grid = np.empty((resolution, resolution))
     for j, gamma in enumerate(axis):
         for i, beta in enumerate(axis):
-            state = phase_mixer_state(cost, [(gamma, 2.0 * beta)])
-            if shots is None:
-                grid[i, j] = expectation_diagonal(state, cost)
-            else:
-                grid[i, j] = _sampled_mean(state.probabilities(), cost, shots, rng)
+            params = QaoaParams([beta], [gamma], 1)
+            grid[i, j] = qaoa_expectation(ising, params, shots, rng)
     return Landscape(grid, axis.copy(), axis.copy())
 
 
@@ -245,9 +254,6 @@ def vqe_objective(
     def objective(vector) -> float:
         thetas = VqeParams(vector, layers, n).thetas
         amps = ry_cx_amplitudes(thetas.reshape(layers + 1, n), perm)
-        probs = amps * amps
-        if shots is None:
-            return float(probs @ cost)
-        return _sampled_mean(probs, cost, shots, rng)
+        return _energy(amps * amps, cost, shots, rng)
 
     return objective

@@ -1,4 +1,4 @@
-"""Annealing backend tests: Metropolis sampler, Trotter evolution, sweeps."""
+"""Annealing backend tests: Metropolis sampler and Trotter evolution."""
 
 from __future__ import annotations
 
@@ -10,27 +10,17 @@ from scipy.integrate import solve_ivp
 
 from util import random_qubo
 
-from qubolab.annealer import AnnealSchedule, SaConfig, SweepRow, qa_trotter, sa_sample, sweep
+from qubolab.annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample
 from qubolab.model import (
     QuboProblem,
     bits_to_str,
     brute_force_solve,
-    build_quio,
-    encode_binary,
     int_to_bits,
-    min_penalty,
     str_to_bits,
     to_ising,
 )
 from qubolab.simulator import Gate, SampleSet, StateVector, apply_gate
-from qubolab.usecases import (
-    build_lama,
-    build_trp,
-    decode_lama,
-    example_series,
-    gen_cities,
-    lama_objective,
-)
+from qubolab.usecases import build_trp, gen_cities
 
 
 def two_var_qubo():
@@ -312,60 +302,6 @@ def test_trotter_rejects_oversize_and_bad_dt():
     for dt in (np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite"):
             qa_trotter(ising, AnnealSchedule.linear(1.0), dt=dt)
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-
-
-def lama_toy():
-    spec = example_series()["Ex0p1"]
-    qcio, enc = build_lama(spec)
-
-    def decoder(s):
-        schedule, ok = decode_lama(s, spec)
-        return ok, lama_objective(schedule)
-
-    rho_min = min_penalty(qcio, enc)
-    qubo_opt = encode_binary(build_quio(qcio, rho_min), enc)
-    c_opt = brute_force_solve(qubo_opt).optimal_cost
-    return spec, qcio, enc, decoder, c_opt
-
-
-def test_penalty_sweep_rows_ordered_and_bounded():
-    spec, qcio, enc, decoder, c_opt = lama_toy()
-    family = lambda rho: encode_binary(build_quio(qcio, rho), enc)
-    cfg = SaConfig(num_reads=200, sweeps=60, seed=4)
-    rows = sweep("penalty", [5.0, 0.5, 2.0], family, decoder, c_opt, cfg)
-    assert [r.axis_value for r in rows] == [0.5, 2.0, 5.0]
-    for row in rows:
-        assert isinstance(row, SweepRow)
-        assert 0.0 <= row.optimal_pct <= row.feasible_pct <= 100.0
-        assert row.reads == 200
-
-
-def test_penalty_sweep_finds_optima_at_tuned_weight():
-    spec, qcio, enc, decoder, c_opt = lama_toy()
-    family = lambda rho: encode_binary(build_quio(qcio, rho), enc)
-    cfg = SaConfig(num_reads=400, seed=7)
-    rows = sweep("penalty", [5.0], family, decoder, c_opt, cfg)
-    assert rows[0].optimal_pct > 0.0
-
-
-def test_time_sweep_uses_value_as_sweep_count():
-    spec, qcio, enc, decoder, c_opt = lama_toy()
-    qubo = encode_binary(build_quio(qcio, 5.0), enc)
-    cfg = SaConfig(num_reads=150, seed=8)
-    rows = sweep("time", [5, 80], qubo, decoder, c_opt, cfg)
-    assert len(rows) == 2
-    for row in rows:
-        assert row.optimal_pct <= row.feasible_pct
-
-
-def test_sweep_rejects_unknown_axis():
-    spec, qcio, enc, decoder, c_opt = lama_toy()
-    with pytest.raises(ValueError):
-        sweep("chain", [1.0], lambda r: None, decoder, c_opt, SaConfig(1))
 
 
 def gate_by_gate_trotter(ising, schedule, dt):

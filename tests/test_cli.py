@@ -346,6 +346,81 @@ def test_sweep_time_axis_refuses_fractional_sweep_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def sweep_rows(path) -> list:
+    """(axis value, feasible %, optimal %, reads) of every sweep CSV row."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    return [(float(a), float(f), float(o), int(r)) for a, f, o, r in rows]
+
+
+def test_sweep_rows_sorted_and_bounded(tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = run_cli(
+        "sweep", "lama", "--instance", "Ex0p1", "--values", "5,0.5,2",
+        "--reads", "200", "--sweeps", "60", "--seed", "4", "-o", str(out),
+    )
+    assert rc == 0
+    rows = sweep_rows(out)
+    assert [row[0] for row in rows] == [0.5, 2.0, 5.0]
+    for _, feasible, optimal, reads in rows:
+        assert 0.0 <= optimal <= feasible <= 100.0
+        assert reads == 200
+
+
+def test_sweep_finds_optima_at_tuned_weight(tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = run_cli(
+        "sweep", "lama", "--instance", "Ex0p1", "--values", "5",
+        "--reads", "400", "--seed", "7", "-o", str(out),
+    )
+    assert rc == 0
+    [(_, _, optimal, _)] = sweep_rows(out)
+    assert optimal > 0.0
+
+
+@pytest.mark.parametrize("use_case", [["lama", "--instance", "Ex0p1"], ["trp", "--cities", "4"]])
+def test_penalty_sweep_anneals_the_qubo_build_makes(tmp_path, monkeypatch, use_case):
+    annealed = []
+    real = cli.sa_sample
+    monkeypatch.setattr(cli, "sa_sample", lambda q, cfg: annealed.append(q) or real(q, cfg))
+    rc = run_cli(
+        "sweep", *use_case, "--values", "3,0.5", "--reads", "10", "--sweeps", "5",
+        "-o", str(tmp_path / "sweep.csv"),
+    )
+    assert rc == 0
+    bundles = []
+    for rho in ("0.5", "3"):
+        path = tmp_path / f"bundle{rho}.json"
+        assert run_cli("build", *use_case, "--rho", rho, "-o", str(path)) == 0
+        bundles.append(json.loads(path.read_text())["qubo"])
+    assert [to_dict(q) for q in annealed] == bundles
+
+
+def test_time_sweep_uses_value_as_sweep_count(tmp_path, monkeypatch):
+    sweeps = []
+    real = cli.sa_sample
+    monkeypatch.setattr(cli, "sa_sample", lambda q, cfg: sweeps.append(cfg.sweeps) or real(q, cfg))
+    out = tmp_path / "tsweep.csv"
+    rc = run_cli(
+        "sweep", "lama", "--instance", "Ex0p1", "--rho", "5", "--axis", "time",
+        "--values", "80,5", "--reads", "150", "--seed", "8", "-o", str(out),
+    )
+    assert rc == 0
+    assert sweeps == [5, 80]
+    rows = sweep_rows(out)
+    assert [row[0] for row in rows] == [5.0, 80.0]
+    for _, feasible, optimal, _ in rows:
+        assert optimal <= feasible
+
+
+def test_sweep_rejects_unknown_axis(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "lama", "--axis", "chain", "--values", "1", "-o", str(out))
+    assert exc.value.code == 2
+    assert "chain" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run batches
 
@@ -510,6 +585,11 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         ({"use_case": {"name": "trp", "cities": 4, "rho": True}}, "rho"),
         ({"use_case": {"name": "lama", "instance": "Ex0p1", "rho": float("nan")}}, "rho"),
         ({"use_case": {"name": "lama", "instance": "Ex0p1", "rho": float("inf")}}, "rho"),
+        ({"read": 10}, "read"),
+        ({"algorithm": "qa-trotter", "total_time": True}, "total_time"),
+        ({"algorithm": "qa-trotter", "total_time": "25"}, "total_time"),
+        ({"algorithm": "qa-trotter", "dt": True}, "dt"),
+        ({"algorithm": "qa-trotter", "dt": "0.5"}, "dt"),
     ],
     ids=[
         "empty-seeds", "float-seed", "bool-seed", "string-seed", "float-reads",
@@ -517,7 +597,8 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         "string-max_iter", "float-routing_seeds", "float-routing-seed",
         "float-cities", "bool-cities", "string-cities", "float-layout-seed",
         "bool-layout-seed", "string-rho", "numeric-string-rho", "bool-rho", "nan-rho",
-        "inf-rho",
+        "inf-rho", "unknown-field", "bool-total_time", "string-total_time", "bool-dt",
+        "string-dt",
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
@@ -526,6 +607,36 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
     assert run_cli("run", str(sa_config(tmp_path, **overrides)), "-o", str(out)) == 1
     assert f"'{field}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_takes_integer_times(tmp_path):
+    # JSON integers are numbers: "total_time": 2 runs as 2.0
+    overrides = {"algorithm": "qa-trotter", "dt": 0.1, "shots": 50, "seeds": [0]}
+    docs = []
+    for total_time in (2, 2.0):
+        out = tmp_path / f"r{total_time!r}.json"
+        cfg = sa_config(tmp_path, total_time=total_time, **overrides)
+        assert run_cli("run", str(cfg), "-o", str(out)) == 0
+        docs.append(json.loads(out.read_text())["records"])
+    assert docs[0] == docs[1]
+
+
+def test_flag_defaults_are_the_run_config_defaults():
+    parser = cli.build_parser()
+    argvs = [
+        ["train", "p.json", "-o", "x"],
+        ["sample", "p.json", "t.json", "-o", "x"],
+        ["anneal", "p.json", "-o", "x"],
+        ["sweep", "lama", "--values", "1", "-o", "x"],
+    ]
+    checked = set()
+    for argv in argvs:
+        args = vars(parser.parse_args(argv))
+        for name, default in cli._RUN_FIELDS.items():
+            if name in args and not (argv[0] == "train" and name == "shots"):
+                assert args[name] == default, (argv[0], name)
+                checked.add(name)
+    assert checked == {"layers", "starts", "max_iter", "shots", "reads", "sweeps", "total_time", "dt"}
 
 
 @pytest.mark.parametrize("use_case", ["lama", "trp"])

@@ -122,6 +122,7 @@ def test_documents_that_are_not_tagged_objects_rejected(doc):
         {"order": [0, 1.5, 2]},
         {"order": [0, 0, 1]},
         {"order": [1, 2, 3]},
+        {"order": [True, False]},
     ],
 )
 def test_route_rejects_what_is_not_a_tour(fields):
@@ -144,6 +145,8 @@ def test_route_rejects_what_is_not_a_tour(fields):
         {"optimal_cost": 1.0, "optimal_set": ["0x"]},
         {"optimal_cost": 1.0, "optimal_set": ["01"], "evaluations": -1},
         {"optimal_cost": 1.0, "optimal_set": ["01"], "evaluations": "4"},
+        {"optimal_cost": True, "optimal_set": ["01"]},
+        {"optimal_cost": 1.0, "optimal_set": ["01"], "evaluations": True},
     ],
 )
 def test_solve_report_rejects_wrong_field_types(fields):

@@ -80,6 +80,14 @@ def test_parser_refuses_non_binary_characters_and_mixed_widths(keys):
             str_to_bits(keys[0])
 
 
+@pytest.mark.parametrize(
+    "keys", [[10, 11], ["01", 10], [b"01"], [("0", "1")]], ids=["ints", "mixed", "bytes", "tuple"]
+)
+def test_parser_refuses_keys_that_are_not_str(keys):
+    with pytest.raises(ValueError, match="is not a str"):
+        parse_bits(keys)
+
+
 def test_all_bitstrings_enumerates_in_integer_order():
     mat = all_bitstrings(3)
     assert mat.shape == (8, 3)
@@ -208,6 +216,22 @@ def test_qubo_cost_rejects_non_binary_string():
     qubo = QuboProblem(Q=[[1.0, 4.0], [0.0, 4.0]], constant=0.0)
     with pytest.raises(ValueError, match="'2'"):
         qubo_cost(qubo, "2x")
+
+
+@pytest.mark.parametrize(
+    "bits", [[2, 7], [1, -1], [0.5, 1.0], [np.nan, 0.0]], ids=["2-7", "minus-one", "half", "nan"]
+)
+def test_qubo_cost_rejects_non_binary_array(bits):
+    # read as bits, [2, 7] would cost 4 + 56 + 196 = 256 on this QUBO
+    qubo = QuboProblem(Q=[[1.0, 4.0], [0.0, 4.0]], constant=0.0)
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        qubo_cost(qubo, np.array(bits))
+
+
+def test_qubo_cost_takes_binary_arrays_of_any_dtype():
+    qubo = QuboProblem(Q=[[1.0, 4.0], [0.0, 4.0]], constant=0.5)
+    for bits in (np.array([1, 1]), np.array([1.0, 1.0]), np.array([True, True]), [1, 1]):
+        assert qubo_cost(qubo, bits) == qubo_cost(qubo, "11") == 9.5
 
 
 def test_qubo_problem_rejects_lower_triangular_entries():

@@ -67,7 +67,7 @@ def test_fidelity_symmetric_and_bounded(wa, wb):
 
 
 def test_distribution_rejects_malformed_keys():
-    for probs in ({"200000": 1.0}, {"0b": 1.0}, {"0": 0.5, "01": 0.5}):
+    for probs in ({"200000": 1.0}, {"0b": 1.0}, {"0": 0.5, "01": 0.5}, {10: 0.5, 11: 0.5}):
         with pytest.raises(ValueError):
             Distribution(probs)
 

@@ -353,6 +353,10 @@ def test_sampleset_validation():
         SampleSet({"01": 2, "21": 2}, shots=4)
     with pytest.raises(ValueError):
         SampleSet({"00": -1, "01": 2}, shots=1)
+    # str(10) and str(11) would pass as the bitstrings "10" and "11"
+    for counts in ({10: 1, 11: 1}, {"10": 1, 11: 1}):
+        with pytest.raises(ValueError, match="is not a str"):
+            SampleSet(counts, shots=2)
 
 
 # ---------------------------------------------------------------------------

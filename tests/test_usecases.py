@@ -96,6 +96,17 @@ def test_decoders_refuse_non_binary_strings():
         decode_trp("200010001", gen_cities(3, "symmetric"))
 
 
+def test_decoders_refuse_non_binary_arrays():
+    spec = example_series()["Ex0p1"]
+    for bits in ([2, 0, 0, 0, 0, 0], [0.5, 1, 0, 1, 0, 0], [-1, 1, 0, 1, 0, 0]):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            decode_lama(np.array(bits), spec)
+    # truncated to int64, [1.5, 0, ...] would be the permutation matrix of 0, 1, 2
+    cities = gen_cities(3, "symmetric")
+    for bits in ([2, 0, 0, 0, 1, 0, 0, 0, 1], [1.5, 0, 0, 0, 1, 0, 0, 0, 1]):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            decode_trp(np.array(bits), cities)
+
 def test_lama_feasible_schedules_cost_the_unpenalized_objective():
     spec = example_series()["Ex0p1"]
     rho = 2.0

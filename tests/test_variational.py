@@ -27,6 +27,7 @@ from qubolab.variational import (
     qaoa_state_fast,
     vqe_circuit,
     vqe_objective,
+    vqe_state,
 )
 
 
@@ -66,6 +67,10 @@ def test_vqe_parameter_counts():
     assert vqe_circuit(8, 1).num_params == 16
     with pytest.raises(ValueError):
         VqeParams(np.zeros(11), layers=2, num_qubits=4)
+    with pytest.raises(ValueError, match="two qubits"):
+        VqeParams(np.zeros(2), layers=1, num_qubits=1)
+    with pytest.raises(ValueError, match="one layer"):
+        VqeParams(np.zeros(3), layers=0, num_qubits=3)
 
 
 def test_bind_rejects_wrong_length():
@@ -218,6 +223,18 @@ def test_landscape_matches_pointwise_expectation():
             assert abs(scape.grid[i, j] - qaoa_expectation(ising, params)) < 1e-9
 
 
+@pytest.mark.parametrize("shots, seed", [(None, None), (300, 5)], ids=["exact", "seeded"])
+def test_landscape_is_the_qaoa_expectation_grid(shots, seed):
+    ising, _ = random_ising(14, 4)
+    scape = cost_landscape(ising, resolution=6, shots=shots, seed=seed)
+    rng = np.random.default_rng(seed)
+    grid = np.empty((6, 6))
+    for j, gamma in enumerate(scape.gamma_axis):
+        for i, beta in enumerate(scape.beta_axis):
+            grid[i, j] = qaoa_expectation(ising, QaoaParams([beta], [gamma], 1), shots, rng)
+    assert np.array_equal(scape.grid, grid)
+
+
 def test_landscape_shot_mode_is_seed_deterministic():
     ising, _ = random_ising(10, 3)
     a = cost_landscape(ising, resolution=4, shots=200, seed=1)
@@ -261,6 +278,9 @@ def test_vqe_kernel_matches_gate_path(n):
         gate = run_circuit(circ.bind(vector))
         amps = ry_cx_amplitudes(vector.reshape(layers + 1, n), perm)
         assert np.array_equal(amps, gate.amplitudes)
+        state = vqe_state(VqeParams(vector, layers, n))
+        assert np.array_equal(state.amplitudes, gate.amplitudes)
+        assert np.array_equal(state.probabilities(), gate.probabilities())
         expected = float(gate.probabilities() @ ising.cost_vector())
         assert vqe_objective(ising, layers)(vector) == expected
 
