@@ -64,13 +64,12 @@ from .transpiler import (
 )
 from .usecases import (
     build_lama,
-    build_trp,
     decode_lama,
     decode_trp,
     example_series,
     gen_cities,
     lama_objective,
-    route_to_bits,
+    trp_model,
 )
 from .variational import (
     QaoaParams,
@@ -104,6 +103,8 @@ _RUN_FIELDS = {
     "dt": 0.01,
 }
 _NUMBER_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "a number")}
+# the fields besides "name" that each use case takes, in `use_case` and as flags
+_USE_CASE_FIELDS = {"lama": ("instance", "rho"), "trp": ("cities", "layout", "seed", "rho")}
 
 
 def _out_path(name) -> Path:
@@ -131,15 +132,26 @@ def _floats(text: str) -> list:
 # problems
 
 
-def _check_use_case(use_case: dict) -> None:
+def _check_use_case(use_case) -> None:
     """Raise ``ValueError`` naming the first field of a ``use_case`` entry
-    whose type is wrong: ``cities`` and ``seed`` are integers (a bool, float
-    or string is refused, never truncated) and ``rho`` is "auto" or a finite
-    real number."""
-    for name in ("cities", "seed"):
-        value = use_case.get(name, 0)
+    that is missing, foreign to the named use case (a typo such as
+    ``layuot``) or of the wrong type: ``cities`` and ``seed`` are integers (a
+    bool, float or string is refused, never truncated) and ``rho`` is "auto"
+    or a finite real number."""
+    if not isinstance(use_case, dict):
+        raise ValueError(f"config field 'use_case' needs an object, got {use_case!r}")
+    name = use_case.get("name")
+    if not isinstance(name, str) or name not in _USE_CASE_FIELDS:
+        raise ValueError(f"use_case field 'name' needs 'lama' or 'trp', got {name!r}")
+    for key in use_case:
+        if key != "name" and key not in _USE_CASE_FIELDS[name]:
+            raise ValueError(f"use_case field {key!r} is not a {name} field")
+    if name == "trp" and "cities" not in use_case:
+        raise ValueError("use_case field 'cities' is required for trp")
+    for key in ("cities", "seed"):
+        value = use_case.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"use_case field {name!r} needs an integer, got {value!r}")
+            raise ValueError(f"use_case field {key!r} needs an integer, got {value!r}")
     rho = use_case.get("rho", "auto")
     if rho != "auto" and (
         isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not np.isfinite(rho)
@@ -150,15 +162,17 @@ def _check_use_case(use_case: dict) -> None:
 
 
 def _flag_use_case(args) -> dict:
-    """The ``use_case`` entry that ``build``'s and ``sweep``'s flags spell,
-    with ``--rho`` read as "auto" or a number."""
+    """The ``use_case`` entry that ``build``'s and ``sweep``'s flags spell:
+    the named use case's fields only, with ``--rho`` read as "auto" or a
+    number."""
     rho = args.rho
     if rho != "auto":
         try:
             rho = float(rho)
         except ValueError:
             raise ValueError(f"--rho needs 'auto' or a number, got {rho!r}") from None
-    return dict(vars(args), name=args.use_case, rho=rho)
+    fields = {key: getattr(args, key) for key in _USE_CASE_FIELDS[args.use_case]}
+    return dict(fields, name=args.use_case, rho=rho)
 
 
 class _Problem:
@@ -181,8 +195,8 @@ class _Problem:
     def build(cls, use_case: dict) -> _Problem:
         """The problem a `run` config's ``use_case`` entry names: ``{"name":
         "lama", "instance", "rho"}`` or ``{"name": "trp", "cities", "layout",
-        "seed", "rho"}``. ``rho`` "auto" (the default) is the minimal valid
-        penalty for lama and 1.0 for trp."""
+        "seed", "rho"}``, and no other key. ``rho`` "auto" (the default) is the
+        minimal valid penalty for lama and 1.0 for trp."""
         _check_use_case(use_case)
         name, rho = use_case["name"], use_case.get("rho", "auto")
         doc = {
@@ -193,7 +207,7 @@ class _Problem:
         if name == "lama":
             series = example_series()
             instance = use_case.get("instance")
-            if instance not in series:
+            if not isinstance(instance, str) or instance not in series:
                 known = ", ".join(sorted(series))
                 raise ValueError(f"unknown instance {instance!r}; available: {known}")
             spec = series[instance]
@@ -205,20 +219,17 @@ class _Problem:
                     )
                 rho = min_penalty(qcio, enc)
             rho = float(rho)
-            qubo = encode_binary(build_quio(qcio, rho), enc)
             doc.update(instance=instance, rho=rho, spec=to_dict(spec))
             doc.update(qcio=to_dict(qcio), encoding=to_dict(enc))
-        elif name == "trp":
+        else:
             rho = 1.0 if rho == "auto" else float(rho)
             spec = gen_cities(
                 use_case["cities"], use_case.get("layout", "symmetric"),
                 seed=use_case.get("seed", 0), rho=rho,
             )
-            qubo = build_trp(spec)
+            qcio, enc = trp_model(spec)
             doc.update(rho=rho, spec=to_dict(spec))
-        else:
-            raise ValueError(f"unknown use case {name!r}")
-        doc["qubo"] = to_dict(qubo)
+        doc["qubo"] = to_dict(encode_binary(build_quio(qcio, rho), enc))
         return cls(doc)
 
     @functools.cached_property
@@ -281,11 +292,7 @@ class _Problem:
         m = self.spec.num_cities
         if m > _TOUR_ORACLE_CAP:
             raise ValueError("instance too large for the tour-enumeration oracle")
-        best = np.inf
-        for order in itertools.permutations(range(m)):
-            _, _, length = decode_trp(route_to_bits(list(order), m), self.spec)
-            best = min(best, length)
-        return float(best)
+        return min(map(self.spec.tour_length, itertools.permutations(range(m))))
 
     def rates(self, samples) -> tuple:
         """Feasible and optimal percentages of ``samples``, scored against the

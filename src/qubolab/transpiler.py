@@ -16,6 +16,7 @@ import numpy as np
 from .simulator import Circuit, Gate, gate_matrix, run_circuit, StateVector
 
 UNITARY_QUBIT_CAP = 6
+_H = gate_matrix(Gate("H", (0,)))
 
 # 27-qubit heavy-hex lattice (rows of hexagons sharing cell borders)
 _HEAVY_HEX_27 = [
@@ -195,33 +196,25 @@ def route(
     if any(p >= n_phys for p in layout.assignment):
         raise ValueError("layout exceeds the physical register")
     rng = np.random.default_rng(seed)
-    position = list(layout.assignment)  # logical -> physical
-    occupant = {p: l for l, p in enumerate(position)}  # physical -> logical
-    sigma = list(range(n_phys))  # wire -> current position of its content
+    start = layout.assignment  # logical qubit -> the wire it starts on
+    where = list(range(n_phys))  # wire -> current position of its content
+    held = list(range(n_phys))  # position -> wire whose content it holds
     out = Circuit(n_phys)
 
     def do_swap(p, q):
         out.swap(p, q)
-        lp, lq = occupant.get(p), occupant.get(q)
-        if lp is not None:
-            position[lp] = q
-        if lq is not None:
-            position[lq] = p
-        occupant[p], occupant[q] = lq, lp
-        for w in range(n_phys):
-            if sigma[w] == p:
-                sigma[w] = q
-            elif sigma[w] == q:
-                sigma[w] = p
+        wp, wq = held[p], held[q]
+        held[p], held[q] = wq, wp
+        where[wp], where[wq] = q, p
 
     for gate in circuit.gates:
         if len(gate.qubits) == 1 or gate.kind == "MEASURE":
             out.append(
-                Gate(gate.kind, tuple(position[q] for q in gate.qubits), gate.angle)
+                Gate(gate.kind, tuple(where[start[q]] for q in gate.qubits), gate.angle)
             )
             continue
         a, b = gate.qubits
-        pa, pb = position[a], position[b]
+        pa, pb = where[start[a]], where[start[b]]
         dist = coupling.distances(pb)
         if dist[pa] < 0:
             raise ValueError(f"qubits {pa} and {pb} are disconnected")
@@ -233,12 +226,7 @@ def route(
             do_swap(pa, step)
             pa = step
         out.append(Gate(gate.kind, (pa, pb), gate.angle))
-    return RoutedCircuit(
-        out,
-        layout,
-        Layout(list(position)),
-        sigma,
-    )
+    return RoutedCircuit(out, layout, Layout([where[w] for w in start]), where)
 
 
 def _zyz_angles(u: np.ndarray) -> tuple:
@@ -264,13 +252,15 @@ def _emit_1q(out: Circuit, q: int, u: np.ndarray):
     out.rz(q, phi + np.pi)
 
 
-def _emit_cx(out: Circuit, control: int, target: int, basis: str):
-    if basis == "CZ":
-        _emit_1q(out, target, gate_matrix(Gate("H", (0,))))
-        out.cz(control, target)
-        _emit_1q(out, target, gate_matrix(Gate("H", (0,))))
+def _emit_2q(out: Circuit, kind: str, control: int, target: int, basis: str):
+    """A CX or CZ in ``basis``: as is, or as the other one conjugated by H on
+    the target (H CZ H = CX and H CX H = CZ)."""
+    if kind == basis:
+        out.append(Gate(kind, (control, target)))
     else:
-        out.cx(control, target)
+        _emit_1q(out, target, _H)
+        out.append(Gate(basis, (control, target)))
+        _emit_1q(out, target, _H)
 
 
 def decompose(circuit: Circuit, basis: str = "CX") -> Circuit:
@@ -293,24 +283,15 @@ def decompose(circuit: Circuit, basis: str = "CX") -> Circuit:
             _emit_1q(out, gate.qubits[0], gate_matrix(gate))
         elif kind == "RZZ":
             i, j = gate.qubits
-            _emit_cx(out, i, j, basis)
+            _emit_2q(out, "CX", i, j, basis)
             out.rz(j, gate.angle)
-            _emit_cx(out, i, j, basis)
+            _emit_2q(out, "CX", i, j, basis)
         elif kind == "SWAP":
             a, b = gate.qubits
-            _emit_cx(out, a, b, basis)
-            _emit_cx(out, b, a, basis)
-            _emit_cx(out, a, b, basis)
-        elif kind == "CX":
-            _emit_cx(out, gate.qubits[0], gate.qubits[1], basis)
-        elif kind == "CZ":
-            if basis == "CZ":
-                out.append(gate)
-            else:
-                c, t = gate.qubits
-                _emit_1q(out, t, gate_matrix(Gate("H", (0,))))
-                out.cx(c, t)
-                _emit_1q(out, t, gate_matrix(Gate("H", (0,))))
+            for control, target in ((a, b), (b, a), (a, b)):
+                _emit_2q(out, "CX", control, target, basis)
+        elif kind in ("CX", "CZ"):
+            _emit_2q(out, kind, *gate.qubits, basis)
         else:
             raise ValueError(f"cannot decompose gate kind {kind!r}")
     return out

@@ -19,9 +19,10 @@ from .model import (
     QcioProblem,
     QuboProblem,
     as_bits,
+    build_quio,
+    encode_binary,
     require_finite,
     to_ising,
-    upper_triangularize,
 )
 
 NUM_LEVELS = 4  # charging levels 0..3, two bits per variable
@@ -42,6 +43,8 @@ class LamaSpec:
     num_levels: int = NUM_LEVELS
 
     def __post_init__(self) -> None:
+        if self.num_levels != NUM_LEVELS:  # the 2-bit encoding holds levels 0..3 only
+            raise ValueError(f"num_levels must be {NUM_LEVELS}, got {self.num_levels!r}")
         T, C = self.num_timeslots, self.num_cars
         if T < 1 or C < 1:
             raise ValueError("need at least one slot and one car")
@@ -187,6 +190,8 @@ class TrpSpec:
 
     def __post_init__(self) -> None:
         m = self.num_cities
+        if m < 3:
+            raise ValueError("need at least three cities")
         self.distances = np.asarray(self.distances, dtype=np.float64)
         if self.distances.shape != (m, m):
             raise ValueError(f"distance matrix must be {m}x{m}")
@@ -205,6 +210,11 @@ class TrpSpec:
     @property
     def num_vars(self) -> int:
         return self.num_cities**2
+
+    def tour_length(self, order) -> float:
+        """Raw cyclic length of visiting the cities in ``order``."""
+        m = self.num_cities
+        return float(sum(self.distances[order[t], order[(t + 1) % m]] for t in range(m)))
 
 
 @dataclass
@@ -230,8 +240,6 @@ def gen_cities(m: int, layout: str = "symmetric", seed: int = 0, rho: float = 1.
     2 sin(pi/m)); asymmetric: seeded uniform points in the unit square. Both
     use Euclidean distances.
     """
-    if m < 3:
-        raise ValueError("need at least three cities")
     if layout == "symmetric":
         angles = 2.0 * np.pi * np.arange(m) / m
         points = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -244,44 +252,42 @@ def gen_cities(m: int, layout: str = "symmetric", seed: int = 0, rho: float = 1.
     return TrpSpec(num_cities=m, distances=distances, layout=layout, rho=rho)
 
 
-def build_trp(spec: TrpSpec) -> QuboProblem:
-    """Tour QUBO over m^2 assignment bits b_{i,t} (index i*m + t).
+def trp_model(spec: TrpSpec) -> tuple[QcioProblem, BinaryEncoding]:
+    """Integer model of the tour problem, bounds 0..1, plus its one-bit encoding.
 
-    The distance block charges d_ij for city j following city i (time wraps);
+    Variable b_{i,t} (index i*m + t) is 1 when city i is visited at time t.
+    The objective charges d_ij for city j following city i (time wraps);
     distances are rescaled so the largest coefficient is 1, which keeps rho
-    sweeps comparable across instances. The penalty block is
-    rho * [sum_i (1 - sum_t b_{i,t})^2 + sum_t (1 - sum_i b_{i,t})^2].
+    sweeps comparable across instances. The constraints are the 2m one-hot
+    rows of Lucas (arXiv:1302.5843); the remaining rows of A are zero padding.
     """
     m = spec.num_cities
-    if m < 3:
-        raise ValueError("need at least three cities")
     d_max = spec.distances.max()
     if d_max <= 0.0:
         raise ValueError("distances are all zero")
-    d = spec.distances / d_max
-    N = m * m
-    W = np.zeros((N, N))
+    n = m * m
+    successor = np.roll(np.eye(m), 1, axis=1)  # time t -> t + 1 (mod m)
+    A = np.zeros((n, n))
     for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for t in range(m):
-                W[i * m + t, j * m + (t + 1) % m] += d[i, j]
-    constant = 0.0
-    rho = spec.rho
-    for i in range(m):  # each city appears exactly once
-        v = np.zeros(N)
-        v[i * m : (i + 1) * m] = 1.0
-        W += rho * np.outer(v, v)
-        W[np.diag_indices(N)] -= 2.0 * rho * v
-        constant += rho
-    for t in range(m):  # each time step hosts exactly one city
-        v = np.zeros(N)
-        v[t::m] = 1.0
-        W += rho * np.outer(v, v)
-        W[np.diag_indices(N)] -= 2.0 * rho * v
-        constant += rho
-    return QuboProblem(Q=upper_triangularize(W), constant=constant)
+        A[i, i * m : (i + 1) * m] = 1.0  # city i appears exactly once
+        A[m + i, i::m] = 1.0  # time step i hosts exactly one city
+    qcio = QcioProblem(
+        dim_n=n,
+        M=np.kron(spec.distances / d_max, successor),
+        l=np.zeros(n),
+        c=0.0,
+        A=A,
+        r=np.repeat([1.0, 0.0], [2 * m, n - 2 * m]),
+        lower=np.zeros(n, dtype=int),
+        upper=np.ones(n, dtype=int),
+    )
+    return qcio, BinaryEncoding.levels(n, 1)
+
+
+def build_trp(spec: TrpSpec) -> QuboProblem:
+    """Tour QUBO over m^2 assignment bits at the spec's penalty weight."""
+    qcio, enc = trp_model(spec)
+    return encode_binary(build_quio(qcio, spec.rho), enc)
 
 
 def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[Route | None, bool, float]:
@@ -298,10 +304,7 @@ def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[Route | None, boo
     if not (np.all(mat.sum(axis=0) == 1) and np.all(mat.sum(axis=1) == 1)):
         return None, False, math.inf
     order = [int(np.argmax(mat[:, t])) for t in range(m)]
-    length = sum(
-        spec.distances[order[t], order[(t + 1) % m]] for t in range(m)
-    )
-    return Route(order=order), True, float(length)
+    return Route(order=order), True, spec.tour_length(order)
 
 
 def route_to_bits(order: list[int], m: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests; every command is exercised through main()."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import qubolab
 from qubolab import cli
 from qubolab.model import to_ising
 from qubolab.serialize import from_dict, to_dict
+from qubolab.usecases import decode_trp, route_to_bits
 
 
 def run_cli(*argv):
@@ -585,6 +587,17 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         ({"use_case": {"name": "trp", "cities": 4, "rho": True}}, "rho"),
         ({"use_case": {"name": "lama", "instance": "Ex0p1", "rho": float("nan")}}, "rho"),
         ({"use_case": {"name": "lama", "instance": "Ex0p1", "rho": float("inf")}}, "rho"),
+        ({"use_case": "lama"}, "use_case"),
+        ({"use_case": ["trp", 4]}, "use_case"),
+        ({"use_case": {"instance": "Ex0p1"}}, "name"),
+        ({"use_case": {"name": "tsp", "cities": 4}}, "name"),
+        ({"use_case": {"name": ["trp"], "cities": 4}}, "name"),
+        ({"use_case": {"name": "trp"}}, "cities"),
+        # a misspelled key must not fall back to its default and run
+        ({"use_case": {"name": "trp", "cities": 4, "layuot": "asymmetric"}}, "layuot"),
+        ({"use_case": {"name": "trp", "cities": 4, "instance": "Ex0p1"}}, "instance"),
+        ({"use_case": {"name": "lama", "instance": "Ex0p1", "cities": 4}}, "cities"),
+        ({"use_case": {"name": "lama", "instance": "Ex0p1", "seed": 0}}, "seed"),
         ({"read": 10}, "read"),
         ({"algorithm": "qa-trotter", "total_time": True}, "total_time"),
         ({"algorithm": "qa-trotter", "total_time": "25"}, "total_time"),
@@ -597,8 +610,10 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         "string-max_iter", "float-routing_seeds", "float-routing-seed",
         "float-cities", "bool-cities", "string-cities", "float-layout-seed",
         "bool-layout-seed", "string-rho", "numeric-string-rho", "bool-rho", "nan-rho",
-        "inf-rho", "unknown-field", "bool-total_time", "string-total_time", "bool-dt",
-        "string-dt",
+        "inf-rho", "string-use_case", "list-use_case", "missing-name",
+        "unknown-name", "list-name", "missing-cities", "misspelled-layout",
+        "trp-instance", "lama-cities", "lama-seed", "unknown-field", "bool-total_time",
+        "string-total_time", "bool-dt", "string-dt",
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
@@ -644,10 +659,50 @@ def test_negative_penalty_fails_build_and_run(tmp_path, capsys, use_case):
     out = tmp_path / "x.json"
     assert run_cli("build", use_case, "--rho", "-1", "-o", str(out)) == 1
     assert "penalty weight must be nonnegative" in capsys.readouterr().err
-    entry = {"name": use_case, "instance": "Ex0p1", "cities": 4, "rho": -1}
+    entry = {"name": use_case, "rho": -1}
+    entry.update({"instance": "Ex0p1"} if use_case == "lama" else {"cities": 4})
     assert run_cli("run", str(sa_config(tmp_path, use_case=entry)), "-o", str(out)) == 1
     assert "penalty weight must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["build", "lama", "-o", "x"], {"name", "instance", "rho"}),
+        (
+            ["sweep", "trp", "--values", "1", "-o", "x"],
+            {"name", "cities", "layout", "seed", "rho"},
+        ),
+    ],
+)
+def test_flags_spell_only_the_named_use_cases_fields(argv, fields):
+    use_case = cli._flag_use_case(cli.build_parser().parse_args(argv))
+    assert set(use_case) == fields
+    cli._check_use_case(use_case)
+
+
+def reference_tour_optimum(spec):
+    """The tour oracle ``_Problem`` replaced, kept as its oracle: every tour
+    decoded from its assignment bits and its length summed along the route."""
+    m = spec.num_cities
+    best = np.inf
+    for order in itertools.permutations(range(m)):
+        route, _, _ = decode_trp(route_to_bits(list(order), m), spec)
+        length = sum(
+            spec.distances[route.order[t], route.order[(t + 1) % m]] for t in range(m)
+        )
+        best = min(best, length)
+    return float(best)
+
+
+@pytest.mark.parametrize("layout", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("cities", range(3, 8))
+def test_tour_oracle_equals_decoding_every_tour(cities, layout):
+    problem = cli._Problem.build(
+        {"name": "trp", "cities": cities, "layout": layout, "seed": cities}
+    )
+    assert problem.optimal_cost() == reference_tour_optimum(problem.spec)
 
 
 @pytest.mark.parametrize("rho", ["x", "nan", "inf"])

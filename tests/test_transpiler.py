@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qubolab import transpiler
 from qubolab.simulator import Circuit, Gate, gate_matrix
 from qubolab.transpiler import (
     CouplingMap,
@@ -166,6 +167,122 @@ def test_route_maps_measure_operands():
     measure = routed.circuit.gates[-1]
     assert measure.kind == "MEASURE"
     assert measure.qubits == (3, 1)
+
+
+def reference_route(circuit, coupling, layout, seed=0):
+    """The routing loop ``route`` replaced, kept as its oracle: a logical ->
+    physical list, a physical -> logical dict and a wire -> position list,
+    the last rescanned over every wire on each SWAP."""
+    n_phys = coupling.num_qubits
+    rng = np.random.default_rng(seed)
+    position = list(layout.assignment)
+    occupant = {p: l for l, p in enumerate(position)}
+    sigma = list(range(n_phys))
+    out = Circuit(n_phys)
+
+    def do_swap(p, q):
+        out.swap(p, q)
+        lp, lq = occupant.get(p), occupant.get(q)
+        if lp is not None:
+            position[lp] = q
+        if lq is not None:
+            position[lq] = p
+        occupant[p], occupant[q] = lq, lp
+        for w in range(n_phys):
+            if sigma[w] == p:
+                sigma[w] = q
+            elif sigma[w] == q:
+                sigma[w] = p
+
+    for gate in circuit.gates:
+        if len(gate.qubits) == 1 or gate.kind == "MEASURE":
+            out.append(Gate(gate.kind, tuple(position[q] for q in gate.qubits), gate.angle))
+            continue
+        a, b = gate.qubits
+        pa, pb = position[a], position[b]
+        dist = coupling.distances(pb)
+        while dist[pa] > 1:
+            options = [r for r in coupling.neighbors(pa) if dist[r] == dist[pa] - 1]
+            step = int(options[rng.integers(len(options))])
+            do_swap(pa, step)
+            pa = step
+        out.append(Gate(gate.kind, (pa, pb), gate.angle))
+    return RoutedCircuit(out, layout, Layout(list(position)), sigma)
+
+
+def reference_decompose(circuit, basis="CX"):
+    """The lowering ``decompose`` replaced, kept as its oracle: CX and CZ
+    each written out with their own H conjugation."""
+    h = gate_matrix(Gate("H", (0,)))
+
+    def emit_cx(out, control, target):
+        if basis == "CZ":
+            transpiler._emit_1q(out, target, h)
+            out.cz(control, target)
+            transpiler._emit_1q(out, target, h)
+        else:
+            out.cx(control, target)
+
+    if basis == "ECR":
+        basis = "CX"
+    out = Circuit(circuit.num_qubits)
+    for gate in circuit.gates:
+        kind = gate.kind
+        if kind in ("RZ", "SX", "X", "MEASURE"):
+            out.append(gate)
+        elif kind in ("H", "RX", "RY"):
+            transpiler._emit_1q(out, gate.qubits[0], gate_matrix(gate))
+        elif kind == "RZZ":
+            i, j = gate.qubits
+            emit_cx(out, i, j)
+            out.rz(j, gate.angle)
+            emit_cx(out, i, j)
+        elif kind == "SWAP":
+            a, b = gate.qubits
+            emit_cx(out, a, b)
+            emit_cx(out, b, a)
+            emit_cx(out, a, b)
+        elif kind == "CX":
+            emit_cx(out, *gate.qubits)
+        elif basis == "CZ":
+            out.append(gate)
+        else:
+            c, t = gate.qubits
+            transpiler._emit_1q(out, t, h)
+            out.cx(c, t)
+            transpiler._emit_1q(out, t, h)
+    return out
+
+
+_TOPOLOGIES = {
+    "line": CouplingMap.line(7),
+    "ring": CouplingMap.ring(7),
+    "full": CouplingMap.full(7),
+    "heavy_hex_27": CouplingMap.heavy_hex_27(),
+}
+
+
+@pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
+@pytest.mark.parametrize("basis", ["CX", "CZ", "ECR"])
+def test_route_and_decompose_equal_reference_loops(topology, basis):
+    coupling = _TOPOLOGIES[topology]
+    rng = np.random.default_rng(sum(map(ord, topology + basis)))
+    for trial in range(12):
+        n = int(rng.integers(2, 7))
+        circ = random_circuit(rng, n, depth=int(rng.integers(5, 40)))
+        circ.measure(*range(n))
+        if trial % 3:
+            placed = rng.choice(coupling.num_qubits, size=n, replace=False)
+            layout = Layout(list(map(int, placed)))
+        else:
+            layout = Layout.trivial(n)
+        routed = route(circ, coupling, layout, seed=trial)
+        expected = reference_route(circ, coupling, layout, seed=trial)
+        assert routed.circuit.gates == expected.circuit.gates
+        assert routed.final_layout.assignment == expected.final_layout.assignment
+        assert routed.wire_permutation == expected.wire_permutation
+        lowered = decompose(routed.circuit, basis=basis)
+        assert lowered.gates == reference_decompose(routed.circuit, basis=basis).gates
 
 
 # ---------------------------------------------------------------------------

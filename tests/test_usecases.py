@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qubolab.model import (
+    QuboProblem,
     brute_force_solve,
     build_quio,
     encode_binary,
@@ -20,6 +21,7 @@ from qubolab.model import (
     min_penalty,
     qubo_cost,
     str_to_bits,
+    upper_triangularize,
 )
 from qubolab.usecases import (
     LamaSpec,
@@ -33,6 +35,7 @@ from qubolab.usecases import (
     ising_spin_form,
     lama_objective,
     route_to_bits,
+    trp_model,
 )
 
 
@@ -57,6 +60,14 @@ def test_lama_qubit_counts_match_series_sizes():
 def test_lama_rejects_excess_energy_demand():
     with pytest.raises(ValueError):
         LamaSpec(3, 1, [[0]], [4])  # one slot holds at most level 3
+
+
+@pytest.mark.parametrize("num_levels", [2, 3, 8])
+def test_lama_rejects_levels_the_two_bit_encoding_cannot_hold(num_levels):
+    # at 2 levels "010000" would decode as a feasible level-2 schedule, and at
+    # 8 the QCIO bounds 0..7 would sit on 2-bit variables
+    with pytest.raises(ValueError, match="num_levels must be 4"):
+        LamaSpec(3, 1, [[0, 1]], [2], num_levels=num_levels)
 
 
 def test_lama_rejects_empty_window():
@@ -152,6 +163,74 @@ def test_trp_variable_counts():
     for m, n in [(6, 36), (7, 49), (8, 64)]:
         qubo = build_trp(gen_cities(m, "symmetric"))
         assert qubo.num_vars == n
+
+
+def reference_build_trp(spec):
+    """The hand-folded tour QUBO ``build_trp`` replaced, kept as its oracle:
+    the distance block plus one outer product and diagonal update per one-hot
+    row, with the constant summed 2m times."""
+    m = spec.num_cities
+    d = spec.distances / spec.distances.max()
+    N = m * m
+    W = np.zeros((N, N))
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            for t in range(m):
+                W[i * m + t, j * m + (t + 1) % m] += d[i, j]
+    constant = 0.0
+    rho = spec.rho
+    for i in range(m):  # each city appears exactly once
+        v = np.zeros(N)
+        v[i * m : (i + 1) * m] = 1.0
+        W += rho * np.outer(v, v)
+        W[np.diag_indices(N)] -= 2.0 * rho * v
+        constant += rho
+    for t in range(m):  # each time step hosts exactly one city
+        v = np.zeros(N)
+        v[t::m] = 1.0
+        W += rho * np.outer(v, v)
+        W[np.diag_indices(N)] -= 2.0 * rho * v
+        constant += rho
+    return QuboProblem(Q=upper_triangularize(W), constant=constant)
+
+
+_DYADIC_RHOS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("layout", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("m", range(3, 10))
+def test_trp_chain_equals_hand_folded_reference(m, layout):
+    for rho in (*_DYADIC_RHOS, 0.1, 1.3):
+        spec = gen_cities(m, layout, seed=m, rho=rho)
+        qubo, expected = build_trp(spec), reference_build_trp(spec)
+        np.testing.assert_array_equal(qubo.Q, expected.Q)
+        # rho * |r|^2 rounds once; the reference's running sum rounds at
+        # every step, so the two agree whenever the multiples of rho are exact
+        assert qubo.constant == rho * 2 * m
+        if rho in _DYADIC_RHOS:
+            assert qubo.constant == expected.constant
+
+
+def test_trp_model_is_one_hot_rows_over_one_bit_variables():
+    qcio, enc = trp_model(gen_cities(4, "asymmetric", seed=2))
+    assert qcio.dim_n == 16 and enc.num_bits == 16
+    np.testing.assert_array_equal(enc.B, np.eye(16))
+    np.testing.assert_array_equal(qcio.r, [1.0] * 8 + [0.0] * 8)
+    np.testing.assert_array_equal(qcio.A[8:], 0.0)
+    np.testing.assert_array_equal(qcio.lower, 0)
+    np.testing.assert_array_equal(qcio.upper, 1)
+    for order in itertools.permutations(range(4)):
+        x = route_to_bits(list(order), 4)
+        np.testing.assert_array_equal(qcio.constraint_residual(x), 0.0)
+
+
+def test_trp_spec_needs_three_cities():
+    with pytest.raises(ValueError, match="at least three cities"):
+        TrpSpec(2, [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="at least three cities"):
+        gen_cities(2)
 
 
 def test_gen_cities_symmetric_ring_distances():
