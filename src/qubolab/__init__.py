@@ -27,7 +27,6 @@ from .model import (
 from .optimizer import MultiStartReport, OptTrace, minimize, multistart, uniform_sampler
 from .quality import (
     Distribution,
-    QualityReport,
     RelativeError,
     hellinger_fidelity,
     random_baseline,
@@ -40,7 +39,6 @@ from .simulator import (
     SampleSet,
     StateVector,
     apply_gate,
-    expectation_diagonal,
     run_circuit,
     sample,
 )
@@ -66,7 +64,6 @@ from .usecases import (
     decode_trp,
     example_series,
     gen_cities,
-    ising_spin_form,
 )
 from .variational import (
     Landscape,
@@ -110,7 +107,6 @@ __all__ = [
     "gen_cities",
     "build_trp",
     "decode_trp",
-    "ising_spin_form",
     # simulation
     "Gate",
     "Circuit",
@@ -119,7 +115,6 @@ __all__ = [
     "apply_gate",
     "run_circuit",
     "sample",
-    "expectation_diagonal",
     # variational
     "QaoaParams",
     "VqeParams",
@@ -158,7 +153,6 @@ __all__ = [
     # quality
     "Distribution",
     "RelativeError",
-    "QualityReport",
     "hellinger_fidelity",
     "relative_error",
     "random_baseline",

@@ -39,22 +39,6 @@ def require_finite(name: str, *values) -> None:
             raise ValueError(f"non-finite {name}")
 
 
-def int_to_bits(value: int, num_bits: int) -> np.ndarray:
-    """Bits of ``value`` as an array with bit i (weight 2^i) at index i; the
-    per-value reference that ``index_bits`` is tested against."""
-    return (value >> np.arange(num_bits)) & 1
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    bits = np.asarray(bits)
-    return int((bits.astype(np.int64) << np.arange(bits.size)).sum())
-
-
-def bits_to_str(bits: np.ndarray) -> str:
-    """The per-row reference that ``render_bits`` is tested against."""
-    return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
-
-
 def index_bits(index, num_bits: int) -> np.ndarray:
     """(k, num_bits) 0/1 rows of the k integers ``index``: row j holds bit i
     (weight 2^i) of ``index[j]`` in column i."""
@@ -457,15 +441,17 @@ def brute_force_solve(qubo: QuboProblem, cap: int = BRUTE_FORCE_CAP) -> SolveRep
     total = 1 << N
     chunk = min(total, 1 << 18)
     best = np.inf
-    for start in range(0, total, chunk):
-        best = min(best, qubo_cost_vector(qubo, start, min(start + chunk, total)).min())
-    minimizers = []
+    near = []  # per chunk: the indices and costs within _ATOL of the running minimum
     for start in range(0, total, chunk):
         costs = qubo_cost_vector(qubo, start, min(start + chunk, total))
-        minimizers.append(start + np.flatnonzero(costs <= best + _ATOL))
+        best = min(best, costs.min())
+        keep = np.flatnonzero(costs <= best + _ATOL)
+        near.append((start + keep, costs[keep]))
+    # the running minimum never falls below the final one, so no minimizer was dropped
+    minimizers = np.concatenate([index[cost <= best + _ATOL] for index, cost in near])
     return SolveReport(
         optimal_cost=float(best),
-        optimal_set=render_bits(index_bits(np.concatenate(minimizers), N)),
+        optimal_set=render_bits(index_bits(minimizers, N)),
         evaluations=total,
     )
 

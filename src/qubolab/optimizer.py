@@ -26,12 +26,6 @@ class OptTrace:
         if self.final_cost != self.iterates[-1][1]:
             raise ValueError("final_cost must equal the last iterate's cost")
 
-    def costs(self) -> np.ndarray:
-        return np.array([c for _, c in self.iterates])
-
-    def best_so_far(self) -> np.ndarray:
-        return np.minimum.accumulate(self.costs())
-
 
 @dataclass
 class MultiStartReport:

@@ -65,23 +65,6 @@ class RelativeError(NamedTuple):
     is_absolute: bool
 
 
-@dataclass
-class QualityReport:
-    fidelity: float
-    relative_error: float
-    random_baseline: float
-    feasible_pct: float
-    optimal_pct: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0 + _NORM_ATOL:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
-        for name in ("feasible_pct", "optimal_pct"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 100.0:
-                raise ValueError(f"{name} {v} outside [0, 100]")
-
-
 def hellinger_fidelity(p: Distribution, q: Distribution) -> float:
     """(sum_b sqrt(p_b q_b))^2 — symmetric, 1 iff equal, 0 on disjoint support.
 

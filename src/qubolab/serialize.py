@@ -1,4 +1,4 @@
-"""JSON and CSV interchange for every workbench object.
+"""JSON interchange for every workbench document, and the CLI's CSV exports.
 
 One field-driven codec covers every JSON document type. A document carries
 the ``init`` fields of its dataclass under their own names, a "type" tag and
@@ -30,7 +30,7 @@ from .model import (
     QuioProblem,
     SolveReport,
 )
-from .quality import Distribution, QualityReport
+from .quality import Distribution
 from .simulator import Circuit, Gate, SampleSet
 from .transpiler import CouplingMap, ErrorMap, Layout
 from .usecases import LamaSpec, Route, Schedule, TrpSpec
@@ -41,7 +41,7 @@ SCHEMA_VERSION = 1
 DOCUMENT_TYPES = {cls.__name__: cls for cls in (
     QcioProblem, QuioProblem, BinaryEncoding, QuboProblem, IsingModel, SolveReport,
     LamaSpec, TrpSpec, Schedule, Route, Circuit, SampleSet, CouplingMap, ErrorMap,
-    Layout, Distribution, QualityReport, Landscape,
+    Layout, Distribution, Landscape,
 )}
 _signature = functools.cache(inspect.signature)  # checks a document's field names
 
@@ -161,29 +161,3 @@ def sweeps_to_csv(rows, path):
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def schedule_to_csv(schedule: Schedule, path):
-    """Decoded charging schedule: one row per (car, timeslot)."""
-    lines = [_CSV_HEADER.rstrip("\n"), "car,timeslot,level"]
-    cars, slots = schedule.levels.shape
-    for c in range(cars):
-        for t in range(slots):
-            lines.append(f"{c},{t},{int(schedule.levels[c, t])}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def route_to_csv(route: Route, path):
-    lines = [_CSV_HEADER.rstrip("\n"), "position,city"]
-    for pos, city in enumerate(route.order):
-        lines.append(f"{pos},{city}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def scatter_to_csv(records, path):
-    """Per-seed transpilation scatter: seed, two_qubit_count, circuit_score."""
-    lines = [_CSV_HEADER.rstrip("\n"), "seed,two_qubit_count,circuit_score"]
-    for rec in records:
-        lines.append(
-            f"{rec['seed']},{rec['two_qubit_count']},{float(rec['circuit_score'])!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -332,12 +332,3 @@ def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
     keys = render_bits(index_bits(drawn, state.num_qubits))
     return SampleSet(dict(zip(keys, draws[drawn].tolist())), shots)
 
-
-def expectation_diagonal(state: StateVector, diag_cost) -> float:
-    """<state| D |state> for the diagonal operator D whose length-2^n value
-    vector is ``diag_cost``."""
-    probs = state.probabilities()
-    values = np.asarray(diag_cost, dtype=float)
-    if values.shape != probs.shape:
-        raise ValueError("diagonal length does not match state dimension")
-    return float(probs @ values)

@@ -75,9 +75,6 @@ class CouplingMap:
             frontier = nxt
         return dist
 
-    def is_connected(self) -> bool:
-        return bool(np.all(self.distances(0) >= 0))
-
     @classmethod
     def line(cls, n: int) -> "CouplingMap":
         return cls(n, [(q, q + 1) for q in range(n - 1)])
@@ -175,12 +172,11 @@ class Layout:
 
 @dataclass
 class RoutedCircuit:
-    """Routing result: the physical circuit, the layouts before and after,
-    and the net wire permutation produced by inserted SWAPs
+    """Routing result: the physical circuit, the layout after routing, and
+    the net wire permutation produced by inserted SWAPs
     (wire_permutation[w] = where wire w's content ends up)."""
 
     circuit: Circuit
-    initial_layout: Layout
     final_layout: Layout
     wire_permutation: list
 
@@ -226,7 +222,7 @@ def route(
             do_swap(pa, step)
             pa = step
         out.append(Gate(gate.kind, (pa, pb), gate.angle))
-    return RoutedCircuit(out, layout, Layout([where[w] for w in start]), where)
+    return RoutedCircuit(out, Layout([where[w] for w in start]), where)
 
 
 def _zyz_angles(u: np.ndarray) -> tuple:
@@ -322,26 +318,3 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         cols[:, v] = run_circuit(circuit, StateVector(amps, n)).amplitudes
     return cols
 
-
-def permutation_unitary(wire_permutation: list) -> np.ndarray:
-    """Unitary that relocates each wire's content per ``wire_permutation``."""
-    n = len(wire_permutation)
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for v in range(dim):
-        target = 0
-        for w in range(n):
-            if (v >> w) & 1:
-                target |= 1 << wire_permutation[w]
-        mat[target, v] = 1.0
-    return mat
-
-
-def embed_circuit(circuit: Circuit, layout: Layout, num_physical: int) -> Circuit:
-    """The logical circuit rewritten onto physical wires (no routing)."""
-    out = Circuit(num_physical)
-    for gate in circuit.gates:
-        out.append(
-            Gate(gate.kind, tuple(layout.physical(q) for q in gate.qubits), gate.angle)
-        )
-    return out

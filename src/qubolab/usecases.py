@@ -22,7 +22,6 @@ from .model import (
     build_quio,
     encode_binary,
     require_finite,
-    to_ising,
 )
 
 NUM_LEVELS = 4  # charging levels 0..3, two bits per variable
@@ -240,6 +239,8 @@ def gen_cities(m: int, layout: str = "symmetric", seed: int = 0, rho: float = 1.
     2 sin(pi/m)); asymmetric: seeded uniform points in the unit square. Both
     use Euclidean distances.
     """
+    if m < 3:  # TrpSpec's own check, made before any points are drawn
+        raise ValueError("need at least three cities")
     if layout == "symmetric":
         angles = 2.0 * np.pi * np.arange(m) / m
         points = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -306,50 +307,3 @@ def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[Route | None, boo
     order = [int(np.argmax(mat[:, t])) for t in range(m)]
     return Route(order=order), True, spec.tour_length(order)
 
-
-def route_to_bits(order: list[int], m: int) -> np.ndarray:
-    """Assignment bits of a tour, inverse of decode_trp for feasible inputs."""
-    bits = np.zeros(m * m, dtype=np.int64)
-    for t, i in enumerate(order):
-        bits[i * m + t] = 1
-    return bits
-
-
-# ---------------------------------------------------------------------------
-# spin form
-
-
-@dataclass
-class SpinModel:
-    """H(x) = sum h_i x_i + sum J_ij x_i x_j + c over spins x in {-1, +1}."""
-
-    J: dict[tuple[int, int], float]
-    h: np.ndarray
-    c: float
-    num_spins: int = 0
-
-    def __post_init__(self) -> None:
-        self.h = np.asarray(self.h, dtype=np.float64).ravel()
-        self.c = float(self.c)
-        if self.num_spins == 0:
-            self.num_spins = self.h.size
-        self.J = {(int(i), int(j)): float(w) for (i, j), w in self.J.items()}
-
-    def evaluate(self, spins: np.ndarray) -> float:
-        x = np.asarray(spins, dtype=np.float64)
-        value = self.c + float(self.h @ x)
-        for (i, j), w in self.J.items():
-            value += w * x[i] * x[j]
-        return value
-
-
-def ising_spin_form(qubo: QuboProblem) -> SpinModel:
-    """Spin-variable form of the QUBO under b = (1 + x)/2.
-
-    ``to_ising`` substitutes b = (1 - z)/2, so x = -z: the couplings and the
-    constant carry over and the linear terms change sign.
-    """
-    ising = to_ising(qubo)
-    return SpinModel(
-        J=ising.h_quad, h=-ising.h_lin, c=ising.h_const, num_spins=ising.num_qubits
-    )

@@ -28,7 +28,6 @@ from qubolab import cli
 from qubolab.annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample
 from qubolab.model import (
     all_bitstrings,
-    bits_to_int,
     brute_force_solve,
     build_quio,
     encode_binary,
@@ -47,7 +46,6 @@ from qubolab.quality import (
 from qubolab.simulator import (
     Circuit,
     Gate,
-    expectation_diagonal,
     run_circuit,
     sample,
 )
@@ -58,8 +56,6 @@ from qubolab.transpiler import (
     circuit_score,
     count_two_qubit,
     decompose,
-    embed_circuit,
-    permutation_unitary,
     route,
     unitary_of,
 )
@@ -71,7 +67,6 @@ from qubolab.usecases import (
     example_series,
     gen_cities,
     lama_objective,
-    route_to_bits,
 )
 from qubolab.variational import (
     QaoaParams,
@@ -82,7 +77,15 @@ from qubolab.variational import (
     vqe_objective,
 )
 
-from util import random_qcio, random_qubo
+from util import (
+    bits_to_int,
+    embed_circuit,
+    expectation_diagonal,
+    permutation_unitary,
+    random_qcio,
+    random_qubo,
+    route_to_bits,
+)
 
 
 def lama_qubo(name):

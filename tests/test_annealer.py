@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from util import random_qubo
+from util import bits_to_str, int_to_bits, random_qubo
 
 from qubolab.annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample
 from qubolab.model import (
     QuboProblem,
-    bits_to_str,
     brute_force_solve,
-    int_to_bits,
     str_to_bits,
     to_ising,
 )

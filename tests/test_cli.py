@@ -2,19 +2,26 @@
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import qubolab
 
 from qubolab import cli
 from qubolab.model import to_ising
 from qubolab.serialize import from_dict, to_dict
-from qubolab.usecases import decode_trp, route_to_bits
+from qubolab.usecases import decode_trp
+
+from util import route_to_bits
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SOURCE_ROOT = str(Path(qubolab.__file__).resolve().parents[1])
 
 
 def run_cli(*argv):
@@ -214,6 +221,56 @@ assert "scipy.optimize" not in sys.modules, "imported by build or anneal"
     result = subprocess.run(
         [sys.executable, "-c", script],
         env={"PYTHONPATH": source_root},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_ci_smoke_step_passes(tmp_path):
+    """The workflow's console-script smoke step, run as CI runs it: under
+    ``bash -e`` in an empty directory, with ``qubolab`` on PATH."""
+    workflow = yaml.safe_load((REPO_ROOT / ".github/workflows/tier1.yml").read_text())
+    (step,) = [
+        step for job in workflow["jobs"].values() for step in job["steps"]
+        if step.get("name") == "Smoke-test the qubolab console script"
+    ]
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "qubolab"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m qubolab.cli "$@"\n')
+    shim.chmod(0o755)
+    work = tmp_path / "work"
+    work.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "QUBOLAB_OUTDIR"}
+    env["PATH"] = f"{bin_dir}{os.pathsep}{env.get('PATH', '')}"
+    env["PYTHONPATH"] = SOURCE_ROOT
+    result = subprocess.run(
+        ["bash", "-e", "-c", step["run"]], cwd=work, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_benchmark_tracer_finds_every_patch_point():
+    """perfbench/spans.py patches names of the package by lookup; a name
+    deleted or renamed here must fail tier-1, not only a traced benchmark."""
+    script = """
+import sys
+sys.path.insert(0, "perfbench")
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+tracer.uninstall()
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO_ROOT,
+        env={
+            "PYTHONPATH": SOURCE_ROOT,
+            "PYTHONDONTWRITEBYTECODE": "1",  # leave no compiled files in perfbench/
+        },
         capture_output=True,
         text=True,
         timeout=120,
@@ -652,6 +709,19 @@ def test_flag_defaults_are_the_run_config_defaults():
                 assert args[name] == default, (argv[0], name)
                 checked.add(name)
     assert checked == {"layers", "starts", "max_iter", "shots", "reads", "sweeps", "total_time", "dt"}
+
+
+@pytest.mark.parametrize("layout", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("cities", range(-2, 3))
+def test_too_few_cities_fail_build_and_run(tmp_path, capsys, cities, layout):
+    out = tmp_path / "x.json"
+    argv = ["build", "trp", "--cities", str(cities), "--layout", layout, "-o", str(out)]
+    assert run_cli(*argv) == 1
+    assert "need at least three cities" in capsys.readouterr().err
+    entry = {"name": "trp", "cities": cities, "layout": layout}
+    assert run_cli("run", str(sa_config(tmp_path, use_case=entry)), "-o", str(out)) == 1
+    assert "need at least three cities" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("use_case", ["lama", "trp"])

@@ -18,7 +18,7 @@ from qubolab.model import (
     build_quio,
     encode_binary,
 )
-from qubolab.quality import Distribution, QualityReport
+from qubolab.quality import Distribution
 from qubolab.serialize import DOCUMENT_TYPES, dumps, from_dict
 from qubolab.simulator import Circuit, SampleSet
 from qubolab.transpiler import CouplingMap, ErrorMap, Layout
@@ -62,7 +62,6 @@ def instances() -> list:
         ),
         Layout([2, 0, 1]),
         Distribution({"00": 0.5, "01": 0.25, "11": 0.25}),
-        QualityReport(0.97, 0.12, 0.9, 80.0, 20.0),
         Landscape(
             np.arange(6.0).reshape(2, 3), np.array([0.0, 0.5]), np.array([0.0, 1.0, 2.0])
         ),

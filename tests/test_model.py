@@ -8,21 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubolab.model import (
     BinaryEncoding,
     QcioProblem,
     QuboProblem,
+    SolveReport,
     all_bitstrings,
-    bits_to_int,
-    bits_to_str,
     brute_force_solve,
     build_quio,
     encode_binary,
     index_bits,
-    int_to_bits,
     min_penalty,
     parse_bits,
     qubo_cost,
@@ -33,7 +31,7 @@ from qubolab.model import (
     upper_triangularize,
 )
 
-from util import random_qcio, random_qubo
+from util import bits_to_int, bits_to_str, int_to_bits, random_qcio, random_qubo
 
 
 def toy_qcio(M, l, c, A, r, upper=3):
@@ -366,6 +364,41 @@ def test_brute_force_respects_cap():
     qubo = QuboProblem(Q=np.zeros((5, 5)), constant=0.0)
     with pytest.raises(ValueError):
         brute_force_solve(qubo, cap=4)
+
+
+def two_pass_brute_force(qubo: QuboProblem) -> SolveReport:
+    """The two-pass enumeration ``brute_force_solve`` replaced, kept as its
+    oracle: the minimum over every chunk first, then a second pass that
+    recomputes each chunk's costs to collect the minimizers."""
+    N = qubo.num_vars
+    total = 1 << N
+    chunk = min(total, 1 << 18)
+    best = np.inf
+    for start in range(0, total, chunk):
+        best = min(best, qubo_cost_vector(qubo, start, min(start + chunk, total)).min())
+    minimizers = []
+    for start in range(0, total, chunk):
+        costs = qubo_cost_vector(qubo, start, min(start + chunk, total))
+        minimizers.append(start + np.flatnonzero(costs <= best + 1e-9))
+    return SolveReport(
+        optimal_cost=float(best),
+        optimal_set=render_bits(index_bits(np.concatenate(minimizers), N)),
+        evaluations=total,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=19, seed=1)
+@example(n=20, seed=2)  # 19 and 20 variables span two and four 2^18 chunks
+@given(n=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+def test_brute_force_equals_two_pass_reference(n, seed):
+    # entries on a coarse grid tie often; the diagonal offsets of k * 4e-10
+    # put costs both inside and outside the 1e-9 band around the minimum
+    rng = np.random.default_rng(seed)
+    Q = np.triu(rng.choice([-1.0, 0.0, 0.0, 1.0], size=(n, n)))
+    Q += np.diag(rng.integers(0, 4, size=n) * 4e-10)
+    qubo = QuboProblem(Q=Q, constant=0.0)
+    assert brute_force_solve(qubo) == two_pass_brute_force(qubo)
 
 
 def test_brute_force_chunking_agrees_with_single_pass():

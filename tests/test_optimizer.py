@@ -55,14 +55,6 @@ def test_non_finite_objective_aborts():
         minimize(poisoned, np.ones(2))
 
 
-def test_best_so_far_is_nonincreasing():
-    rng = np.random.default_rng(0)
-    noisy = lambda x: float((x[0] - 2.0) ** 2 + 0.01 * rng.normal())
-    trace = minimize(noisy, [0.0], max_iter=60)
-    best = trace.best_so_far()
-    assert np.all(np.diff(best) <= 0.0)
-
-
 def test_trace_validation():
     with pytest.raises(ValueError):
         OptTrace([(np.zeros(1), 1.0)], final_cost=2.0, termination="tolerance")

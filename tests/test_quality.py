@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from qubolab.model import (
     QuboProblem,
-    bits_to_str,
     brute_force_solve,
-    int_to_bits,
     qubo_cost_vector,
 )
 from qubolab.quality import (
     Distribution,
-    QualityReport,
     RelativeError,
     hellinger_fidelity,
     random_baseline,
@@ -25,6 +22,8 @@ from qubolab.quality import (
     state_fidelity,
 )
 from qubolab.simulator import SampleSet, StateVector, sample
+
+from util import bits_to_str, int_to_bits
 
 
 def test_fidelity_identical_distributions():
@@ -221,14 +220,6 @@ def test_solution_rates_optimal_never_exceeds_feasible():
 def test_solution_rates_rejects_empty():
     with pytest.raises(ValueError):
         solution_rates(SampleSet({}, shots=0), lambda s: (True, 0.0), 0.0)
-
-
-def test_quality_report_validation():
-    QualityReport(1.0, 0.1, 0.5, 50.0, 10.0)
-    with pytest.raises(ValueError):
-        QualityReport(1.5, 0.1, 0.5, 50.0, 10.0)
-    with pytest.raises(ValueError):
-        QualityReport(0.5, 0.1, 0.5, 101.0, 10.0)
 
 
 def test_relative_error_is_namedtuple():

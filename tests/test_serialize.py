@@ -17,17 +17,14 @@ from qubolab.model import (
     to_ising,
 )
 from qubolab.optimizer import OptTrace
-from qubolab.quality import Distribution, QualityReport
+from qubolab.quality import Distribution
 from qubolab.serialize import (
     SCHEMA_VERSION,
     dumps,
     from_dict,
     landscape_to_csv,
     load_json,
-    route_to_csv,
     save_json,
-    scatter_to_csv,
-    schedule_to_csv,
     sweeps_to_csv,
     to_dict,
     traces_to_csv,
@@ -116,8 +113,6 @@ def test_topology_and_errmap_roundtrip():
 def test_quality_and_distribution_roundtrip():
     dist = Distribution({"00": 0.5, "11": 0.5})
     assert roundtrip(dist).probs == dist.probs
-    report = QualityReport(0.97, 0.12, 0.9, 80.0, 20.0)
-    assert roundtrip(report) == report
 
 
 def test_schedule_and_route_roundtrip():
@@ -198,19 +193,3 @@ def test_sweeps_csv(tmp_path):
     assert lines[2] == "0.5,40.0,10.0,400"
     with pytest.raises(TypeError):
         sweeps_to_csv([(1, 2, 3, 4)], path)
-
-
-def test_schedule_route_scatter_csv(tmp_path):
-    schedule_to_csv(Schedule(np.array([[0, 3]])), tmp_path / "sched.csv")
-    lines = (tmp_path / "sched.csv").read_text().splitlines()
-    assert lines[1] == "car,timeslot,level"
-    assert lines[3] == "0,1,3"
-    route_to_csv(Route([1, 0]), tmp_path / "route.csv")
-    assert (tmp_path / "route.csv").read_text().splitlines()[2] == "0,1"
-    scatter_to_csv(
-        [{"seed": 3, "two_qubit_count": 12, "circuit_score": 0.75}],
-        tmp_path / "scatter.csv",
-    )
-    lines = (tmp_path / "scatter.csv").read_text().splitlines()
-    assert lines[1] == "seed,two_qubit_count,circuit_score"
-    assert lines[2] == "3,12,0.75"

@@ -7,20 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubolab.model import bits_to_str, int_to_bits, str_to_bits
+from qubolab.model import str_to_bits
 from qubolab.simulator import (
     Circuit,
     Gate,
     SampleSet,
     StateVector,
     apply_gate,
-    expectation_diagonal,
     gate_matrix,
     phase_mixer_state,
     run_circuit,
     sample,
 )
 from qubolab.simulator import _rx_walls
+
+from util import bits_to_str, expectation_diagonal, int_to_bits
 
 
 def basis(bits: str) -> StateVector:

@@ -19,11 +19,11 @@ from qubolab.transpiler import (
     circuit_score,
     count_two_qubit,
     decompose,
-    embed_circuit,
-    permutation_unitary,
     route,
     unitary_of,
 )
+
+from util import embed_circuit, permutation_unitary
 
 
 def assert_equal_up_to_phase(u, v, atol=1e-9):
@@ -61,7 +61,7 @@ def test_presets():
     hh = CouplingMap.heavy_hex_27()
     assert hh.num_qubits == 27
     assert len(hh.edges) == 28
-    assert hh.is_connected()
+    assert np.all(hh.distances(0) >= 0)
     assert max(len(hh.neighbors(q)) for q in range(27)) == 3
 
 
@@ -79,7 +79,7 @@ def test_bfs_distances():
     np.testing.assert_array_equal(line.distances(0), [0, 1, 2, 3, 4])
     split = CouplingMap(4, [(0, 1), (2, 3)])
     assert split.distances(0)[2] == -1
-    assert not split.is_connected()
+    assert not np.all(split.distances(0) >= 0)
 
 
 def test_layout_validation():
@@ -207,7 +207,7 @@ def reference_route(circuit, coupling, layout, seed=0):
             do_swap(pa, step)
             pa = step
         out.append(Gate(gate.kind, (pa, pb), gate.angle))
-    return RoutedCircuit(out, layout, Layout(list(position)), sigma)
+    return RoutedCircuit(out, Layout(list(position)), sigma)
 
 
 def reference_decompose(circuit, basis="CX"):

@@ -17,10 +17,10 @@ from qubolab.model import (
     brute_force_solve,
     build_quio,
     encode_binary,
-    int_to_bits,
     min_penalty,
     qubo_cost,
     str_to_bits,
+    to_ising,
     upper_triangularize,
 )
 from qubolab.usecases import (
@@ -32,11 +32,11 @@ from qubolab.usecases import (
     decode_trp,
     example_series,
     gen_cities,
-    ising_spin_form,
     lama_objective,
-    route_to_bits,
     trp_model,
 )
+
+from util import int_to_bits, random_qubo, route_to_bits
 
 
 def lama_qubo(spec, rho):
@@ -229,8 +229,10 @@ def test_trp_model_is_one_hot_rows_over_one_bit_variables():
 def test_trp_spec_needs_three_cities():
     with pytest.raises(ValueError, match="at least three cities"):
         TrpSpec(2, [[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="at least three cities"):
-        gen_cities(2)
+    for m in range(-2, 3):
+        for layout in ("symmetric", "asymmetric"):
+            with pytest.raises(ValueError, match="at least three cities"):
+                gen_cities(m, layout)
 
 
 def test_gen_cities_symmetric_ring_distances():
@@ -371,42 +373,38 @@ def test_symmetric_optimum_set_closed_under_dihedral_group():
 
 
 # ---------------------------------------------------------------------------
-# spin form
+# Ising form: the one transform, to_ising, checked on the use-case QUBOs
+
+
+def _assert_ising_matches_by_enumeration(qubo):
+    ising = to_ising(qubo)
+    n = qubo.num_vars
+    for v in range(1 << n):
+        bits = int_to_bits(v, n)
+        assert abs(ising.diag_cost(bits) - qubo_cost(qubo, bits)) < 1e-9
 
 
 def test_ising_spin_form_single_diagonal():
-    from qubolab.model import QuboProblem
-
-    spin = ising_spin_form(QuboProblem(Q=[[1.0]], constant=0.0))
-    np.testing.assert_allclose(spin.h, [0.5])
-    assert spin.c == 0.5
-    assert spin.J == {}
+    qubo = QuboProblem(Q=[[1.0]], constant=0.0)
+    ising = to_ising(qubo)
+    np.testing.assert_allclose(ising.h_lin, [-0.5])
+    assert ising.h_const == 0.5
+    assert ising.h_quad == {}
+    _assert_ising_matches_by_enumeration(qubo)
 
 
 def test_ising_spin_form_zero_qubo():
-    from qubolab.model import QuboProblem
-
-    spin = ising_spin_form(QuboProblem(Q=np.zeros((3, 3)), constant=0.0))
-    assert spin.J == {}
-    np.testing.assert_array_equal(spin.h, np.zeros(3))
-    assert spin.c == 0.0
+    qubo = QuboProblem(Q=np.zeros((3, 3)), constant=0.0)
+    ising = to_ising(qubo)
+    assert ising.h_quad == {}
+    np.testing.assert_array_equal(ising.h_lin, np.zeros(3))
+    assert ising.h_const == 0.0
+    _assert_ising_matches_by_enumeration(qubo)
 
 
 def test_ising_spin_form_matches_qubo_cost_by_enumeration():
-    from util import random_qubo
-
-    qubo = random_qubo(np.random.default_rng(13), 8)
-    spin = ising_spin_form(qubo)
-    for v in range(1 << 8):
-        bits = int_to_bits(v, 8)
-        spins = 2.0 * bits - 1.0
-        assert abs(spin.evaluate(spins) - qubo_cost(qubo, bits)) < 1e-9
+    _assert_ising_matches_by_enumeration(random_qubo(np.random.default_rng(13), 8))
 
 
 def test_trp_spin_form_matches_on_tour_qubo():
-    qubo = build_trp(gen_cities(3, "symmetric", rho=1.3))
-    spin = ising_spin_form(qubo)
-    for v in range(1 << 9):
-        bits = int_to_bits(v, 9)
-        spins = 2.0 * bits - 1.0
-        assert abs(spin.evaluate(spins) - qubo_cost(qubo, bits)) < 1e-9
+    _assert_ising_matches_by_enumeration(build_trp(gen_cities(3, "symmetric", rho=1.3)))

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the per-value references that the
+package's vectorised code is tested against."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ from qubolab.model import (
     QuboProblem,
     upper_triangularize,
 )
+from qubolab.simulator import Circuit, Gate, StateVector
+from qubolab.transpiler import Layout
 
 
 def random_qubo(rng: np.random.Generator, n: int, density: float = 0.6) -> QuboProblem:
@@ -41,3 +44,61 @@ def random_qcio(rng: np.random.Generator, n: int) -> tuple[QcioProblem, BinaryEn
 
 def symmetrized(Q: np.ndarray) -> np.ndarray:
     return upper_triangularize(Q)
+
+
+def int_to_bits(value: int, num_bits: int) -> np.ndarray:
+    """Bits of ``value`` as an array with bit i (weight 2^i) at index i; the
+    per-value reference that ``index_bits`` is tested against."""
+    return (value >> np.arange(num_bits)) & 1
+
+
+def bits_to_int(bits: np.ndarray) -> int:
+    bits = np.asarray(bits)
+    return int((bits.astype(np.int64) << np.arange(bits.size)).sum())
+
+
+def bits_to_str(bits: np.ndarray) -> str:
+    """The per-row reference that ``render_bits`` is tested against."""
+    return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
+
+
+def expectation_diagonal(state: StateVector, diag_cost) -> float:
+    """<state| D |state> for the diagonal operator D whose length-2^n value
+    vector is ``diag_cost``."""
+    probs = state.probabilities()
+    values = np.asarray(diag_cost, dtype=float)
+    if values.shape != probs.shape:
+        raise ValueError("diagonal length does not match state dimension")
+    return float(probs @ values)
+
+
+def route_to_bits(order: list[int], m: int) -> np.ndarray:
+    """Assignment bits of a tour, inverse of decode_trp for feasible inputs."""
+    bits = np.zeros(m * m, dtype=np.int64)
+    for t, i in enumerate(order):
+        bits[i * m + t] = 1
+    return bits
+
+
+def permutation_unitary(wire_permutation: list) -> np.ndarray:
+    """Unitary that relocates each wire's content per ``wire_permutation``."""
+    n = len(wire_permutation)
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=complex)
+    for v in range(dim):
+        target = 0
+        for w in range(n):
+            if (v >> w) & 1:
+                target |= 1 << wire_permutation[w]
+        mat[target, v] = 1.0
+    return mat
+
+
+def embed_circuit(circuit: Circuit, layout: Layout, num_physical: int) -> Circuit:
+    """The logical circuit rewritten onto physical wires (no routing)."""
+    out = Circuit(num_physical)
+    for gate in circuit.gates:
+        out.append(
+            Gate(gate.kind, tuple(layout.physical(q) for q in gate.qubits), gate.angle)
+        )
+    return out
