@@ -103,6 +103,15 @@ _RUN_FIELDS = {
     "dt": 0.01,
 }
 _NUMBER_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "a number")}
+# the integer fields that hold seeds (>= 0); every other one is a count (>= 1)
+_SEED_FIELDS = ("seeds", "routing_seeds")
+# the string fields of a `run` config and the values they take; the
+# `transpile` flags take the same topologies and bases
+_CHOICES = {
+    "algorithm": ("qaoa", "vqe", "sa", "qa-trotter", "brute"),
+    "topology": ("line", "ring", "full", "heavy_hex_27"),
+    "basis": ("CX", "CZ", "ECR"),
+}
 # the fields besides "name" that each use case takes, in `use_case` and as flags
 _USE_CASE_FIELDS = {"lama": ("instance", "rho"), "trp": ("cities", "layout", "seed", "rho")}
 
@@ -340,7 +349,7 @@ def _cost_scores(problem: _Problem, dist: Distribution, seed) -> tuple:
     against the brute-force QUBO optimum."""
     c_opt = problem.report.optimal_cost
     err = relative_error(dist, problem.qubo, c_opt)
-    base = random_baseline(problem.num_qubits, problem.qubo, c_opt=c_opt, seed=seed)
+    base = random_baseline(problem.qubo, c_opt=c_opt, seed=seed)
     return err, base
 
 
@@ -574,20 +583,35 @@ def _cmd_sweep(args) -> int:
 def _settings(config: dict) -> dict:
     """``config`` over the ``_RUN_FIELDS`` defaults; raises ``ValueError``
     naming the first field that is unknown or of the wrong type (a bool
-    never passes as a number, nor a float as a count)."""
+    never passes as a number, nor a float as a count), a count below 1, a
+    negative seed, a ``_CHOICES`` value outside its choices or an
+    ``error_map`` that is neither null nor a path."""
     for name in config:
         if name not in _RUN_FIELDS and name not in ("use_case", "algorithm", "seeds"):
             raise ValueError(f"unknown config field {name!r}")
-    settings = {**_RUN_FIELDS, **config}
+    settings = {**_RUN_FIELDS, "algorithm": None, **config}
+    for name, choices in _CHOICES.items():
+        if settings[name] not in choices:
+            raise ValueError(
+                f"config field {name!r} needs one of {', '.join(choices)}, "
+                f"got {settings[name]!r}"
+            )
+    if not isinstance(settings["error_map"], (str, type(None))):
+        raise ValueError(
+            f"config field 'error_map' needs null or a path, got {settings['error_map']!r}"
+        )
     for name, default in [("seeds", 0), *_RUN_FIELDS.items()]:
         if type(default) not in _NUMBER_KINDS:
             continue
         kind, noun = _NUMBER_KINDS[type(default)]
         value = settings[name]
-        listed = name in ("seeds", "routing_seeds") and isinstance(value, list)
+        listed = name in _SEED_FIELDS and isinstance(value, list)
+        least = 0 if name in _SEED_FIELDS else 1
         for item in value if listed else [value]:
             if isinstance(item, bool) or not isinstance(item, kind):
                 raise ValueError(f"config field {name!r} needs {noun}, got {item!r}")
+            if kind is numbers.Integral and item < least:
+                raise ValueError(f"config field {name!r} needs {noun} >= {least}, got {item!r}")
     return settings
 
 
@@ -648,10 +672,8 @@ def run(config: dict) -> dict:
     seeds = config.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ValueError("config needs a nonempty 'seeds' list")
-    algorithm = config.get("algorithm")
-    if algorithm not in ("qaoa", "vqe", "sa", "qa-trotter", "brute"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     settings = _settings(config)
+    algorithm = settings["algorithm"]
     problem = _Problem.build(config["use_case"])
     records = []
     for seed in map(int, seeds):
@@ -772,12 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_problem_arg(p)
     p.add_argument("--algorithm", choices=["qaoa", "vqe"], default="qaoa")
     p.add_argument("--layers", type=int, default=1)
-    p.add_argument(
-        "--topology",
-        choices=["line", "ring", "full", "heavy_hex_27"],
-        default="heavy_hex_27",
-    )
-    p.add_argument("--basis", choices=["CX", "CZ", "ECR"], default="CX")
+    p.add_argument("--topology", choices=_CHOICES["topology"], default="heavy_hex_27")
+    p.add_argument("--basis", choices=_CHOICES["basis"], default="CX")
     p.add_argument("--error-map", help="ErrorMap JSON; uniform defaults otherwise")
     p.add_argument("--params", help="train result JSON to bind angles from")
     p.add_argument("--seed", type=int, default=0)

@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Enumeration beyond this many variables refuses rather than thrashes.
+# An array of 2^n entries past this many bits (qubits) refuses rather than thrashes.
 BRUTE_FORCE_CAP = 26
 
 _ATOL = 1e-9
+_PENALTY_STEP = 0.1
+_PENALTY_CEILING = 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +39,15 @@ def require_finite(name: str, *values) -> None:
     for value in values:
         if not np.isfinite(value).all():
             raise ValueError(f"non-finite {name}")
+
+
+def require_dense(num_qubits: int) -> None:
+    """Raise ``ValueError`` for a register past ``BRUTE_FORCE_CAP``: the check
+    that goes before any array of 2^num_qubits entries is allocated."""
+    if num_qubits > BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"{num_qubits} qubits exceed the cap of {BRUTE_FORCE_CAP} for 2^n-entry arrays"
+        )
 
 
 def index_bits(index, num_bits: int) -> np.ndarray:
@@ -110,7 +121,9 @@ def all_bitstrings(num_bits: int, start: int = 0, stop: int | None = None) -> np
 def _by_row_blocks(fn, num_bits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """``fn(all_bitstrings(num_bits, start, stop))`` evaluated on blocks of at
     most 4096 rows, so that its temporaries stay small at 2^16 and more rows;
-    ``fn`` must treat every row on its own."""
+    ``fn`` must treat every row on its own. Past ``BRUTE_FORCE_CAP`` bits it
+    refuses before the first block."""
+    require_dense(num_bits)
     if stop is None:
         stop = 1 << num_bits
     blocks = [
@@ -433,11 +446,11 @@ def to_ising(qubo: QuboProblem) -> IsingModel:
 # oracles
 
 
-def brute_force_solve(qubo: QuboProblem, cap: int = BRUTE_FORCE_CAP) -> SolveReport:
+def brute_force_solve(qubo: QuboProblem) -> SolveReport:
     """Enumerate every bitstring and collect all minimizers (tolerance 1e-9)."""
     N = qubo.num_vars
-    if N > cap:
-        raise ValueError(f"{N} variables exceed the enumeration cap of {cap}")
+    if N > BRUTE_FORCE_CAP:
+        raise ValueError(f"{N} variables exceed the enumeration cap of {BRUTE_FORCE_CAP}")
     total = 1 << N
     chunk = min(total, 1 << 18)
     best = np.inf
@@ -456,24 +469,16 @@ def brute_force_solve(qubo: QuboProblem, cap: int = BRUTE_FORCE_CAP) -> SolveRep
     )
 
 
-def min_penalty(
-    qcio: QcioProblem,
-    enc: BinaryEncoding,
-    step: float = 0.1,
-    ceiling: float = 50.0,
-    cap: int = BRUTE_FORCE_CAP,
-) -> float:
+def min_penalty(qcio: QcioProblem, enc: BinaryEncoding) -> float:
     """Smallest grid penalty weight whose QUBO optima all solve the constrained problem.
 
-    Scans rho = 0, step, 2*step, ... and brute-forces the penalized problem at
-    every grid point; returns the first rho for which every minimizer decodes
+    Scans rho = 0, 0.1, 0.2, ... up to 50 and brute-forces the penalized problem
+    at every grid point; returns the first rho for which every minimizer decodes
     to a feasible integer vector attaining the constrained optimum.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     N = enc.num_bits
-    if N > cap:
-        raise ValueError(f"{N} bits exceed the enumeration cap of {cap}")
+    if N > BRUTE_FORCE_CAP:
+        raise ValueError(f"{N} bits exceed the enumeration cap of {BRUTE_FORCE_CAP}")
 
     def base_and_penalty(bits):
         xs = bits @ enc.B.T
@@ -488,9 +493,9 @@ def min_penalty(
     c_star = base[feasible].min()
     k = 0
     while True:
-        rho = k * step
-        if rho > ceiling + _ATOL:
-            raise ValueError(f"no valid penalty weight found up to ceiling {ceiling}")
+        rho = k * _PENALTY_STEP
+        if rho > _PENALTY_CEILING + _ATOL:
+            raise ValueError(f"no valid penalty weight found up to ceiling {_PENALTY_CEILING}")
         total = base + rho * penalty
         lo = total.min()
         opt = total <= lo + _ATOL

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TOL = 1e-6  # COBYLA's final trust-region radius
+
 
 @dataclass
 class OptTrace:
@@ -34,8 +36,8 @@ class MultiStartReport:
     best_cost: float
 
 
-def minimize(objective, x0, max_iter: int = 1000, tol: float = 1e-6) -> OptTrace:
-    """Local descent from ``x0``; stops on a tol-sized trust region or after
+def minimize(objective, x0, max_iter: int = 1000) -> OptTrace:
+    """Local descent from ``x0``; stops on a ``_TOL``-sized trust region or after
     ``max_iter`` objective evaluations. Non-finite objective values abort."""
     # scipy.optimize costs about half a second to import; only training needs it
     from scipy.optimize import minimize as scipy_minimize
@@ -55,7 +57,7 @@ def minimize(objective, x0, max_iter: int = 1000, tol: float = 1e-6) -> OptTrace
         return value
 
     result = scipy_minimize(
-        recorded, x0, method="COBYLA", tol=tol, options={"maxiter": max_iter}
+        recorded, x0, method="COBYLA", tol=_TOL, options={"maxiter": max_iter}
     )
     last_x, last_f = iterates[-1]
     final_f = float(result.fun)
@@ -80,7 +82,6 @@ def multistart(
     num_starts: int = 50,
     seed: int = 0,
     max_iter: int = 1000,
-    tol: float = 1e-6,
 ) -> MultiStartReport:
     """Independent descents from seeded random starts; keeps every trace and
     the argmin. Start k draws from its own stream derived from (seed, k)."""
@@ -89,7 +90,7 @@ def multistart(
     traces = []
     for k in range(num_starts):
         rng = np.random.default_rng([seed, k])
-        traces.append(minimize(objective, sampler(rng), max_iter=max_iter, tol=tol))
+        traces.append(minimize(objective, sampler(rng), max_iter=max_iter))
     best = min(range(num_starts), key=lambda k: traces[k].final_cost)
     return MultiStartReport(
         traces=traces,

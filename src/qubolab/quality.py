@@ -21,6 +21,8 @@ from .model import (
 from .simulator import SampleSet, StateVector
 
 _NORM_ATOL = 1e-9
+# |C*| below this scores the absolute, not the relative, cost error
+_GUARD = 1e-12
 
 
 @dataclass
@@ -93,46 +95,38 @@ def _mean_cost(p: Distribution, qubo: QuboProblem) -> float:
     return sum(v * qubo_cost(qubo, s) for s, v in p.probs.items())
 
 
-def _guarded_error(mean: float, c_opt: float, guard: float) -> RelativeError:
-    if abs(c_opt) < guard:
+def _guarded_error(mean: float, c_opt: float) -> RelativeError:
+    if abs(c_opt) < _GUARD:
         return RelativeError(abs(mean - c_opt), True)
     return RelativeError(abs(mean - c_opt) / abs(c_opt), False)
 
 
-def relative_error(
-    p: Distribution, qubo: QuboProblem, c_opt: float, guard: float = 1e-12
-) -> RelativeError:
+def relative_error(p: Distribution, qubo: QuboProblem, c_opt: float) -> RelativeError:
     """|<cost>_p - C*| / |C*|; falls back to the absolute difference (flagged)
-    when C* sits inside the guard band around zero."""
-    return _guarded_error(_mean_cost(p, qubo), c_opt, guard)
+    when C* sits inside the ``_GUARD`` band around zero."""
+    return _guarded_error(_mean_cost(p, qubo), c_opt)
 
 
 def random_baseline(
-    n: int,
-    qubo: QuboProblem,
-    trials: int = 50,
-    seed: int = 0,
-    c_opt: float | None = None,
-    guard: float = 1e-12,
+    qubo: QuboProblem, trials: int = 50, seed: int = 0, c_opt: float | None = None
 ) -> RelativeError:
-    """Mean relative error of Haar-like random statevectors (normalized
-    complex-Gaussian amplitudes); the paper's untrained-circuit reference."""
+    """Mean relative error of Haar-like random statevectors on the QUBO's
+    ``num_vars`` qubits (normalized complex-Gaussian amplitudes); the paper's
+    untrained-circuit reference."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if qubo.num_vars != n:
-        raise ValueError("qubit count does not match QUBO size")
     if c_opt is None:
         c_opt = brute_force_solve(qubo).optimal_cost
     cost = qubo_cost_vector(qubo)
     rng = np.random.default_rng(seed)
-    dim = 1 << n
+    dim = 1 << qubo.num_vars
     values = np.empty(trials)
     for t in range(trials):
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         probs = np.abs(amps) ** 2
         probs /= probs.sum()
         values[t] = probs @ cost
-    errors = [_guarded_error(float(v), c_opt, guard) for v in values]
+    errors = [_guarded_error(float(v), c_opt) for v in values]
     return RelativeError(
         float(np.mean([e.value for e in errors])), errors[0].is_absolute
     )

@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import index_bits, parse_bits, render_bits, require_finite
-
-# dense simulation only; 2^26 complex doubles ~ 1 GiB
-MAX_QUBITS = 26
+from .model import BRUTE_FORCE_CAP, index_bits, parse_bits, render_bits
+from .model import require_dense, require_finite
 
 _ONE_QUBIT = ("H", "X", "SX", "RX", "RY", "RZ")
 _TWO_QUBIT = ("RZZ", "CX", "CZ", "SWAP")
@@ -149,8 +147,9 @@ class StateVector:
     num_qubits: int
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"need 1..{MAX_QUBITS} qubits, got {self.num_qubits}")
+        # dense simulation only; 2^26 complex doubles ~ 1 GiB
+        if not 1 <= self.num_qubits <= BRUTE_FORCE_CAP:
+            raise ValueError(f"need 1..{BRUTE_FORCE_CAP} qubits, got {self.num_qubits}")
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if self.amplitudes.size != 1 << self.num_qubits:
             raise ValueError(
@@ -289,6 +288,7 @@ def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
 def cx_chain_permutation(num_qubits: int) -> np.ndarray:
     """Index map of the chain CX(0,1) CX(1,2) ... CX(n-2,n-1): the chain
     takes amplitudes ``a`` to ``a[perm]``."""
+    require_dense(num_qubits)
     index = np.arange(1 << num_qubits)
     perm = index
     for q in range(num_qubits - 1):

@@ -17,7 +17,11 @@ from .simulator import phase_mixer_state, ry_cx_amplitudes
 # unused here; perfbench/spans.py traces these names in this module
 from .simulator import apply_gate, run_circuit  # noqa: F401
 
-_TWO_PI = 2.0 * np.pi
+
+def _require_layers(layers: int) -> None:
+    """The one refusal of an ansatz without layers, QAOA or VQE."""
+    if layers < 1:
+        raise ValueError("need at least one layer")
 
 
 @dataclass
@@ -27,6 +31,7 @@ class QaoaParams:
     layers: int
 
     def __post_init__(self):
+        _require_layers(self.layers)
         self.betas = np.asarray(self.betas, dtype=float).reshape(-1)
         self.gammas = np.asarray(self.gammas, dtype=float).reshape(-1)
         if len(self.betas) != self.layers or len(self.gammas) != self.layers:
@@ -125,8 +130,7 @@ def qaoa_circuit(ising: IsingModel, p: int) -> ParametricCircuit:
     """Gate-level QAOA ansatz: Hadamard wall, then p alternating phase/mixer
     layers. Parameters are ``concat(betas, gammas)``; phase angles carry the
     Ising coefficients (RZ_i(2 gamma h'_i), RZZ_ij(2 gamma h_ij))."""
-    if p < 1:
-        raise ValueError("need at least one layer")
+    _require_layers(p)
     n = ising.num_qubits
     circ = ParametricCircuit(n, 2 * p)
     for q in range(n):
@@ -161,8 +165,7 @@ def vqe_circuit(num_qubits: int, layers: int) -> ParametricCircuit:
     wall; n(L+1) parameters, layer-major."""
     if num_qubits < 2:
         raise ValueError("need at least two qubits")
-    if layers < 1:
-        raise ValueError("need at least one layer")
+    _require_layers(layers)
     circ = ParametricCircuit(num_qubits, num_qubits * (layers + 1))
     for layer in range(layers):
         for q in range(num_qubits):

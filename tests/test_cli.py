@@ -1,5 +1,6 @@
 """End-to-end command-line tests; every command is exercised through main()."""
 
+import copy
 import itertools
 import json
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qubolab
 
@@ -157,6 +160,15 @@ def test_train_vqe_param_count(lama_problem, tmp_path):
     )
     assert rc == 0
     assert len(json.loads(trained.read_text())["best_params"]) == 12
+
+
+@pytest.mark.parametrize("algorithm", ["qaoa", "vqe"])
+def test_train_refuses_zero_layers(lama_problem, tmp_path, capsys, algorithm):
+    out = tmp_path / "t.json"
+    argv = ["train", str(lama_problem), "--algorithm", algorithm, "--layers", "0"]
+    assert run_cli(*argv, "-o", str(out)) == 1
+    assert "need at least one layer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_anneal_sa_rates(trp_problem, tmp_path, capsys):
@@ -562,6 +574,62 @@ def test_run_captures_per_seed_failures(tmp_path):
     assert [rec["seed"] for rec in records] == [0, 1]
 
 
+def run_in_two_gib(script: str, timeout: float = 10.0) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter whose address space is capped at
+    2 GiB, so that a 2^32-entry array fails at once instead of thrashing,
+    and whose run past ``timeout`` seconds fails the test."""
+    cap = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    return subprocess.run(
+        [sys.executable, "-c", cap + script], env=dict(os.environ, PYTHONPATH=SOURCE_ROOT),
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "IsingModel({}, np.zeros(27), 0.0).cost_vector()",
+        "cx_chain_permutation(27)",
+        "random_baseline(QuboProblem(np.zeros((27, 27)), 0.0), c_opt=1.0)",
+    ],
+)
+def test_dense_arrays_refuse_more_than_26_qubits(call):
+    result = run_in_two_gib(f"""
+import numpy as np
+from qubolab.model import IsingModel, QuboProblem
+from qubolab.quality import random_baseline
+from qubolab.simulator import cx_chain_permutation
+try:
+    {call}
+except ValueError as exc:
+    print(exc)
+""")
+    assert result.returncode == 0, result.stderr
+    assert "27 qubits exceed the cap of 26" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["qaoa", "vqe", "landscape"])
+def test_oversize_register_fails_fast(tmp_path, command):
+    # Ex3p1 has 32 qubits: training and the landscape refuse before any 2^32 array
+    bundle = tmp_path / "ex3.json"
+    assert run_cli("build", "lama", "--instance", "Ex3p1", "--rho", "2", "-o", str(bundle)) == 0
+    out = tmp_path / "out.json"
+    if command == "landscape":
+        argv = ["landscape", str(bundle), "-o", str(out)]
+    else:
+        entry = {"name": "lama", "instance": "Ex3p1", "rho": 2}
+        argv = ["run", str(sa_config(tmp_path, use_case=entry, algorithm=command)), "-o", str(out)]
+    result = run_in_two_gib(f"import sys, qubolab.cli\nsys.exit(qubolab.cli.main({argv!r}))")
+    assert result.returncode == 1, result.stderr
+    message = "32 qubits exceed the cap of 26"
+    if command == "landscape":
+        assert message in result.stderr
+        assert not out.exists()
+    else:
+        records = json.loads(out.read_text())["records"]
+        assert [r["error"] for r in records] == [message + " for 2^n-entry arrays"] * 2
+
+
 def count_calls(monkeypatch, name):
     calls = []
     real = getattr(cli, name)
@@ -660,6 +728,21 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         ({"algorithm": "qa-trotter", "total_time": "25"}, "total_time"),
         ({"algorithm": "qa-trotter", "dt": True}, "dt"),
         ({"algorithm": "qa-trotter", "dt": "0.5"}, "dt"),
+        ({"algorithm": "qaoa", "layers": 0}, "layers"),
+        ({"algorithm": "qaoa", "starts": 0}, "starts"),
+        ({"algorithm": "qaoa", "max_iter": -1}, "max_iter"),
+        ({"algorithm": "qaoa", "shots": 0}, "shots"),
+        ({"reads": 0}, "reads"),
+        ({"sweeps": -5}, "sweeps"),
+        ({"seeds": [0, -1]}, "seeds"),
+        ({"algorithm": "qaoa", "routing_seeds": -3}, "routing_seeds"),
+        ({"algorithm": "qaoa", "routing_seeds": [0, -1]}, "routing_seeds"),
+        # refused even when no routing seed would read them
+        ({"algorithm": "qaoa", "topology": "star"}, "topology"),
+        ({"algorithm": "qaoa", "basis": "iSWAP"}, "basis"),
+        ({"algorithm": "qaoa", "error_map": 5}, "error_map"),
+        ({"algorithm": "qaoa", "error_map": ["e.json"]}, "error_map"),
+        ({"algorithm": "anneal"}, "algorithm"),
     ],
     ids=[
         "empty-seeds", "float-seed", "bool-seed", "string-seed", "float-reads",
@@ -670,7 +753,11 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         "inf-rho", "string-use_case", "list-use_case", "missing-name",
         "unknown-name", "list-name", "missing-cities", "misspelled-layout",
         "trp-instance", "lama-cities", "lama-seed", "unknown-field", "bool-total_time",
-        "string-total_time", "bool-dt", "string-dt",
+        "string-total_time", "bool-dt", "string-dt", "zero-layers", "zero-starts",
+        "negative-max_iter", "zero-shots", "zero-reads", "negative-sweeps",
+        "negative-seed", "negative-routing_seeds", "negative-routing-seed",
+        "unknown-topology", "unknown-basis", "int-error_map", "list-error_map",
+        "unknown-algorithm",
     ],
 )
 def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
@@ -678,6 +765,60 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
     out = tmp_path / "x.json"
     assert run_cli("run", str(sa_config(tmp_path, **overrides)), "-o", str(out)) == 1
     assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a small valid `run` config that sets every field; the fuzz corrupts one
+_FUZZ_BASE = {
+    "use_case": {"name": "lama", "instance": "Ex0p1"},
+    "algorithm": "qaoa", "seeds": [0], "layers": 1, "starts": 1, "max_iter": 5,
+    "shots": 50, "routing_seeds": 1, "topology": "line", "basis": "CX",
+    "error_map": None, "reads": 10, "sweeps": 10, "total_time": 1.0, "dt": 0.5,
+}
+_VALID_STRINGS = {value for choices in cli._CHOICES.values() for value in choices}
+_SCALARS = {
+    "bool": st.booleans(),
+    "float": st.floats(),
+    "string": st.text(max_size=8).filter(lambda s: s not in _VALID_STRINGS),
+    "negative": st.integers(max_value=-1),
+    "null": st.none(),
+}
+_KINDS = {**_SCALARS, "list": st.lists(st.one_of(*_SCALARS.values()), min_size=1, max_size=3)}
+# kinds a field takes: error_map is null or a path, and a time is any real
+# number at the boundary (its range is checked per seed)
+_VALID_KINDS = {"error_map": ("string", "null"), "total_time": ("float", "negative"),
+                "dt": ("float", "negative")}
+
+
+@st.composite
+def corrupt_run_configs(draw):
+    """``_FUZZ_BASE`` with one field set to a value it must refuse, or with
+    one unknown key, and the name of that field."""
+    config = copy.deepcopy(_FUZZ_BASE)
+    field = draw(st.sampled_from([*_FUZZ_BASE, None]))
+    if field is None:
+        field = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in _FUZZ_BASE))
+        config[field] = 1
+    else:
+        kind = draw(st.sampled_from([k for k in _KINDS if k not in _VALID_KINDS.get(field, ())]))
+        config[field] = draw(_KINDS[kind])
+    return config, field
+
+
+def test_fuzzed_run_config_sets_every_field_and_runs(tmp_path):
+    assert set(_FUZZ_BASE) == {*cli._RUN_FIELDS, "use_case", "algorithm", "seeds"}
+    assert run_cli("run", str(sa_config(tmp_path, **_FUZZ_BASE)), "-o", str(tmp_path / "r.json")) == 0
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corrupt_run_configs())
+def test_run_refuses_one_corrupt_field(tmp_path, capsys, case):
+    config, field = case
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "fuzz-result.json"
+    assert run_cli("run", str(path), "-o", str(out)) == 1
+    assert repr(field) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -361,9 +361,10 @@ def test_brute_force_optimal_set_equals_per_string_rendering(n):
 
 
 def test_brute_force_respects_cap():
-    qubo = QuboProblem(Q=np.zeros((5, 5)), constant=0.0)
-    with pytest.raises(ValueError):
-        brute_force_solve(qubo, cap=4)
+    # 2^27 costs would take a GiB; the cap refuses before enumerating any
+    qubo = QuboProblem(Q=np.zeros((27, 27)), constant=0.0)
+    with pytest.raises(ValueError, match="27 variables exceed the enumeration cap of 26"):
+        brute_force_solve(qubo)
 
 
 def two_pass_brute_force(qubo: QuboProblem) -> SolveReport:
@@ -453,9 +454,14 @@ def test_min_penalty_decodes_feasible_at_and_above_threshold():
 
 
 def test_min_penalty_reports_unreachable_ceiling():
-    qcio = toy_qcio([[0.0]], [1.0], 0.0, [[1.0]], [2.0])
-    with pytest.raises(ValueError):
-        min_penalty(qcio, BinaryEncoding.levels(1), ceiling=0.5)
+    # min c x s.t. x = 1 over x in {0, 1}: x = 0 costs rho, x = 1 costs c, so
+    # only a weight above c leaves the feasible point the one minimizer
+    enc = BinaryEncoding.levels(1, bits_per_var=1)
+    qcio = toy_qcio([[0.0]], [100.0], 0.0, [[1.0]], [1.0], upper=1)
+    with pytest.raises(ValueError, match="no valid penalty weight found up to ceiling 50.0"):
+        min_penalty(qcio, enc)
+    qcio = toy_qcio([[0.0]], [40.0], 0.0, [[1.0]], [1.0], upper=1)
+    assert abs(min_penalty(qcio, enc) - 40.1) < 1e-9
 
 
 def test_min_penalty_rejects_unsatisfiable_constraints():

@@ -154,8 +154,8 @@ def test_random_baseline_deterministic_and_positive():
     rng = np.random.default_rng(2)
     q = np.triu(rng.uniform(-1, 1, (4, 4)))
     qubo = QuboProblem(Q=q, constant=0.0)
-    a = random_baseline(4, qubo, trials=5, seed=9)
-    b = random_baseline(4, qubo, trials=5, seed=9)
+    a = random_baseline(qubo, trials=5, seed=9)
+    b = random_baseline(qubo, trials=5, seed=9)
     assert a == b
     assert a.value > 0.0
 
@@ -167,7 +167,7 @@ def test_random_baseline_converges_to_uniform_error():
     report = brute_force_solve(qubo)
     uniform_mean = qubo_cost_vector(qubo).mean()
     uniform_err = abs(uniform_mean - report.optimal_cost) / abs(report.optimal_cost)
-    base = random_baseline(6, qubo, trials=200, seed=4)
+    base = random_baseline(qubo, trials=200, seed=4)
     assert abs(base.value - uniform_err) / uniform_err < 0.05
 
 
@@ -180,7 +180,7 @@ def test_random_baseline_beats_trained_state_direction():
     exact = relative_error(
         Distribution({report.optimal_set[0]: 1.0}), qubo, report.optimal_cost
     )
-    base = random_baseline(4, qubo, trials=50, seed=6)
+    base = random_baseline(qubo, trials=50, seed=6)
     assert exact.value < base.value
 
 
