@@ -6,13 +6,12 @@ scale. Trotter times are abstract units, never hardware microseconds.
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IsingModel, QuboProblem, render_bits, require_finite
+from .model import IsingModel, QuboProblem, render_bits, require_finite, require_integer
 from .simulator import SampleSet, StateVector, phase_mixer_state
 from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py traces it here
 
@@ -53,11 +52,7 @@ class SaConfig:
 
     def __post_init__(self):
         for name in ("num_reads", "sweeps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            require_integer(name, getattr(self, name), least=1)
         for name, value in (("t_hot", self.t_hot), ("t_cold", self.t_cold)):
             if value is not None:
                 require_finite(name, value)

@@ -13,7 +13,6 @@ import functools
 import hashlib
 import itertools
 import json
-import numbers
 import os
 import sys
 from datetime import datetime, timezone
@@ -30,6 +29,9 @@ from .model import (
     build_quio,
     encode_binary,
     min_penalty,
+    require_finite,
+    require_integer,
+    require_real,
     to_ising,
 )
 from .optimizer import multistart, uniform_sampler
@@ -87,7 +89,7 @@ _PENALTY_SCAN_CAP = 16  # min_penalty enumerates 2^N points
 _TOUR_ORACLE_CAP = 9  # permutation enumeration for TRP optima
 # every optional `run` config field with its default, which the same-named
 # subcommand flags share; an int default makes the field an integer (never
-# truncated; routing_seeds may be a list of them), a float one a number
+# truncated; routing_seeds may list them), a float one a finite number > 0
 _RUN_FIELDS = {
     "layers": 1,
     "starts": 50,
@@ -102,7 +104,6 @@ _RUN_FIELDS = {
     "total_time": 50.0,
     "dt": 0.01,
 }
-_NUMBER_KINDS = {int: (numbers.Integral, "integers"), float: (numbers.Real, "a number")}
 # the integer fields that hold seeds (>= 0); every other one is a count (>= 1)
 _SEED_FIELDS = ("seeds", "routing_seeds")
 # the string fields of a `run` config and the values they take; the
@@ -125,8 +126,12 @@ def _out_path(name) -> Path:
     return path
 
 
-def _load_raw(path) -> dict:
-    return json.loads(Path(path).read_text())
+def _load_raw(path, kind=None) -> dict:
+    """The JSON document at ``path``; with ``kind``, one of that "type"."""
+    doc = json.loads(Path(path).read_text())
+    if kind and (not isinstance(doc, dict) or doc.get("type") != kind):
+        raise ValueError(f"{path} is not a {kind} document")
+    return doc
 
 
 def _save_raw(path, doc: dict):
@@ -158,16 +163,11 @@ def _check_use_case(use_case) -> None:
     if name == "trp" and "cities" not in use_case:
         raise ValueError("use_case field 'cities' is required for trp")
     for key in ("cities", "seed"):
-        value = use_case.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"use_case field {key!r} needs an integer, got {value!r}")
+        require_integer(f"use_case field {key!r}", use_case.get(key, 0))
     rho = use_case.get("rho", "auto")
-    if rho != "auto" and (
-        isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not np.isfinite(rho)
-    ):
-        raise ValueError(
-            f"use_case field 'rho' needs 'auto' or a finite number, got {rho!r}"
-        )
+    if rho != "auto":
+        require_real("use_case field 'rho'", rho)
+        require_finite("use_case field 'rho'", rho)
 
 
 def _flag_use_case(args) -> dict:
@@ -192,8 +192,6 @@ class _Problem:
     error."""
 
     def __init__(self, doc: dict):
-        if doc.get("type") != "ProblemBundle":
-            raise ValueError("not a problem bundle (run `qubolab build` first)")
         self.doc = doc
         self.use_case = doc["use_case"]
         self.qubo = from_dict(doc["qubo"])
@@ -270,8 +268,8 @@ class _Problem:
         if self.use_case == "lama":
 
             def decode(s):
-                schedule, ok = decode_lama(s, spec)
-                return ok, lama_objective(schedule)
+                levels, ok = decode_lama(s, spec)
+                return ok, lama_objective(levels)
 
         else:
 
@@ -310,7 +308,7 @@ class _Problem:
 
 
 def _load_problem(path) -> _Problem:
-    return _Problem(_load_raw(path))
+    return _Problem(_load_raw(path, "ProblemBundle"))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +396,7 @@ def _topology(name: str, n: int) -> CouplingMap:
 
 def _error_map(path, coupling: CouplingMap) -> ErrorMap:
     if path:
-        errmap = from_dict(_load_raw(path))
-        if not isinstance(errmap, ErrorMap):
-            raise ValueError("error-map file does not contain an ErrorMap")
-        return errmap
+        return from_dict(_load_raw(path, "ErrorMap"))
     return ErrorMap.uniform(coupling, single=0.001, two=0.01, measure=0.02)
 
 
@@ -466,9 +461,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     problem = _load_problem(args.problem)
-    result = _load_raw(args.train_result)
-    if result.get("type") != "TrainResult":
-        raise ValueError("second argument must be a train result file")
+    result = _load_raw(args.train_result, "TrainResult")
     _, samples = _sample(
         problem.ising, result["algorithm"], result["layers"],
         result["best_params"], args.shots, args.seed,
@@ -499,7 +492,7 @@ def _cmd_anneal(args) -> int:
 
 def _cmd_transpile(args) -> int:
     problem = _load_problem(args.problem)
-    params = _load_raw(args.params)["best_params"] if args.params else None
+    params = _load_raw(args.params, "TrainResult")["best_params"] if args.params else None
     [record] = _transpile(
         problem.ising, args.algorithm, args.layers, params, args.topology,
         args.basis, args.error_map, [args.seed],
@@ -522,10 +515,8 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    p = from_dict(_load_raw(args.p))
-    q = from_dict(_load_raw(args.q))
-    if not isinstance(p, Distribution) or not isinstance(q, Distribution):
-        raise ValueError("score expects two Distribution files")
+    p = from_dict(_load_raw(args.p, "Distribution"))
+    q = from_dict(_load_raw(args.q, "Distribution"))
     fidelity = hellinger_fidelity(p, q)
     print(f"fidelity {fidelity!r}")
     payload = {
@@ -582,10 +573,9 @@ def _cmd_sweep(args) -> int:
 
 def _settings(config: dict) -> dict:
     """``config`` over the ``_RUN_FIELDS`` defaults; raises ``ValueError``
-    naming the first field that is unknown or of the wrong type (a bool
-    never passes as a number, nor a float as a count), a count below 1, a
-    negative seed, a ``_CHOICES`` value outside its choices or an
-    ``error_map`` that is neither null nor a path."""
+    naming the first field that is unknown or of the wrong type, a count
+    below 1, a negative seed, a time that is not finite and > 0, a
+    ``_CHOICES`` value outside its choices or a non-path ``error_map``."""
     for name in config:
         if name not in _RUN_FIELDS and name not in ("use_case", "algorithm", "seeds"):
             raise ValueError(f"unknown config field {name!r}")
@@ -601,17 +591,15 @@ def _settings(config: dict) -> dict:
             f"config field 'error_map' needs null or a path, got {settings['error_map']!r}"
         )
     for name, default in [("seeds", 0), *_RUN_FIELDS.items()]:
-        if type(default) not in _NUMBER_KINDS:
-            continue
-        kind, noun = _NUMBER_KINDS[type(default)]
-        value = settings[name]
-        listed = name in _SEED_FIELDS and isinstance(value, list)
-        least = 0 if name in _SEED_FIELDS else 1
-        for item in value if listed else [value]:
-            if isinstance(item, bool) or not isinstance(item, kind):
-                raise ValueError(f"config field {name!r} needs {noun}, got {item!r}")
-            if kind is numbers.Integral and item < least:
-                raise ValueError(f"config field {name!r} needs {noun} >= {least}, got {item!r}")
+        value, field = settings[name], f"config field {name!r}"
+        if isinstance(default, float):
+            require_real(field, value)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{field} must be a finite number > 0, got {value!r}")
+        elif isinstance(default, int):
+            listed = name in _SEED_FIELDS and isinstance(value, list)
+            for item in value if listed else [value]:
+                require_integer(field, item, least=0 if name in _SEED_FIELDS else 1)
     return settings
 
 
@@ -640,7 +628,7 @@ def _variational_record(problem, settings, seed) -> dict:
     except ValueError as exc:
         record["oracle_note"] = str(exc)
     routing = settings["routing_seeds"]
-    if isinstance(routing, numbers.Integral):
+    if not isinstance(routing, list):
         routing = range(routing)
     if routing:
         record["transpile"] = _transpile(

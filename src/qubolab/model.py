@@ -41,6 +41,38 @@ def require_finite(name: str, *values) -> None:
             raise ValueError(f"non-finite {name}")
 
 
+def require_integer(name: str, value, least: int | None = None) -> None:
+    """The one integer rule: raise ``ValueError`` unless ``value`` is an
+    integer (never a bool or a float, so nothing is truncated) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """The one number rule: raise ``ValueError`` unless ``value`` is a real
+    number (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def require_each(rule, name: str, values) -> None:
+    """``rule(name, v)`` for every ``v`` in ``values``, a sequence or dict
+    view. The rules above depend on the type alone, so one value of each
+    type is checked: a C-level pass instead of a Python call per value."""
+    for value in dict(zip(map(type, values), values)).values():
+        rule(name, value)
+
+
+def number_array(name: str, value, dtype=np.float64) -> np.ndarray:
+    """``value`` as a float64 (or int64) array after ``require_real`` (or
+    ``require_integer``) on every entry, so a ragged list raises too."""
+    entries = np.asarray(value, dtype=object).ravel()
+    require_each(require_integer if dtype == np.int64 else require_real, name, entries)
+    return np.asarray(value, dtype=dtype)
+
+
 def require_dense(num_qubits: int) -> None:
     """Raise ``ValueError`` for a register past ``BRUTE_FORCE_CAP``: the check
     that goes before any array of 2^num_qubits entries is allocated."""
@@ -170,13 +202,15 @@ class QcioProblem:
 
     def __post_init__(self) -> None:
         n = self.dim_n
-        self.M = np.asarray(self.M, dtype=np.float64)
-        self.l = np.asarray(self.l, dtype=np.float64).ravel()
+        require_integer("dim_n", n)
+        self.M = number_array("M", self.M)
+        self.l = number_array("l", self.l).ravel()
+        require_real("c", self.c)
         self.c = float(self.c)
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.r = np.asarray(self.r, dtype=np.float64).ravel()
-        self.lower = np.asarray(self.lower, dtype=np.int64).ravel()
-        self.upper = np.asarray(self.upper, dtype=np.int64).ravel()
+        self.A = number_array("A", self.A)
+        self.r = number_array("r", self.r).ravel()
+        self.lower = number_array("lower", self.lower, np.int64).ravel()
+        self.upper = number_array("upper", self.upper, np.int64).ravel()
         if self.M.shape != (n, n):
             raise ValueError(f"M must be {n}x{n}, got {self.M.shape}")
         if self.A.shape != (n, n):
@@ -205,12 +239,6 @@ class QuioProblem:
     c_rho: float
     rho: float
 
-    def __post_init__(self) -> None:
-        self.M_rho = np.asarray(self.M_rho, dtype=np.float64)
-        self.l_rho = np.asarray(self.l_rho, dtype=np.float64).ravel()
-        self.c_rho = float(self.c_rho)
-        self.rho = float(self.rho)
-
     @property
     def dim_n(self) -> int:
         return self.M_rho.shape[0]
@@ -232,8 +260,11 @@ class BinaryEncoding:
     bits_per_var: list[int]
 
     def __post_init__(self) -> None:
-        self.B = np.asarray(self.B, dtype=np.float64)
-        self.bits_per_var = [int(k) for k in self.bits_per_var]
+        self.B = number_array("B", self.B)
+        bits = number_array("bits_per_var", self.bits_per_var, np.int64)
+        if bits.ndim != 1:
+            raise ValueError(f"bits_per_var must be a list, got {self.bits_per_var!r}")
+        self.bits_per_var = bits.tolist()
         n, N = self.B.shape
         if len(self.bits_per_var) != n:
             raise ValueError("bits_per_var must have one entry per integer variable")
@@ -279,7 +310,9 @@ class QuboProblem:
     num_vars: int = 0
 
     def __post_init__(self) -> None:
-        self.Q = np.asarray(self.Q, dtype=np.float64)
+        self.Q = number_array("Q", self.Q)
+        require_real("constant", self.constant)
+        require_integer("num_vars", self.num_vars)
         self.constant = float(self.constant)
         if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
             raise ValueError("Q must be square")
@@ -353,20 +386,14 @@ class SolveReport:
     evaluations: int = 0
 
     def __post_init__(self) -> None:
-        cost = self.optimal_cost
-        if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
-            raise ValueError(f"optimal_cost must be a number, got {cost!r}")
-        self.optimal_cost = float(cost)
+        require_real("optimal_cost", self.optimal_cost)
+        self.optimal_cost = float(self.optimal_cost)
         require_finite("optimal_cost", self.optimal_cost)
-        if not isinstance(self.optimal_set, (list, tuple)) or not all(
-            isinstance(s, str) for s in self.optimal_set
-        ):
+        if not isinstance(self.optimal_set, (list, tuple)):
             raise ValueError(f"optimal_set must be a list of bitstrings, got {self.optimal_set!r}")
         self.optimal_set = list(self.optimal_set)
-        parse_bits(self.optimal_set)
-        count = self.evaluations
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise ValueError(f"evaluations must be a count, got {count!r}")
+        parse_bits(self.optimal_set)  # refuses entries that are not bitstrings
+        require_integer("evaluations", self.evaluations, least=0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import require_integer
+
 _TOL = 1e-6  # COBYLA's final trust-region radius
 
 
@@ -43,8 +45,7 @@ def minimize(objective, x0, max_iter: int = 1000) -> OptTrace:
     from scipy.optimize import minimize as scipy_minimize
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    require_integer("max_iter", max_iter, least=1)
     iterates = []
 
     def recorded(x):
@@ -85,8 +86,7 @@ def multistart(
 ) -> MultiStartReport:
     """Independent descents from seeded random starts; keeps every trace and
     the argmin. Start k draws from its own stream derived from (seed, k)."""
-    if num_starts < 1:
-        raise ValueError("num_starts must be >= 1")
+    require_integer("num_starts", num_starts, least=1)
     traces = []
     for k in range(num_starts):
         rng = np.random.default_rng([seed, k])

@@ -16,7 +16,9 @@ from .model import (
     qubo_cost,
     qubo_cost_vector,
     render_bits,
+    require_each,
     require_finite,
+    require_real,
 )
 from .simulator import SampleSet, StateVector
 
@@ -32,6 +34,9 @@ class Distribution:
     probs: dict
 
     def __post_init__(self):
+        if not isinstance(self.probs, dict):
+            raise ValueError(f"probs must be an object, got {self.probs!r}")
+        require_each(require_real, "probability", self.probs.values())
         self.probs = {k: float(v) for k, v in self.probs.items()}
         parse_bits(self.probs)
         if any(v < 0.0 for v in self.probs.values()):

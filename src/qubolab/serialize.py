@@ -1,14 +1,14 @@
-"""JSON interchange for every workbench document, and the CLI's CSV exports.
+"""JSON interchange for the documents the CLI exchanges, and its CSV exports.
 
-One field-driven codec covers every JSON document type. A document carries
-the ``init`` fields of its dataclass under their own names, a "type" tag and
-a schema version: arrays become nested lists, tuples become lists, tuple
-dict keys become ``"i,j"`` strings and a nested dataclass becomes a plain
-dict. Decoding hands the fields straight to the constructor, whose
-``__post_init__`` coerces and validates them. A new document type is one
+One field-driven codec covers the nine document types that ``qubolab``
+writes or reads back. A document carries the ``init`` fields of its
+dataclass under their own names, a "type" tag and a schema version: arrays
+become nested lists, tuples become lists and tuple dict keys become
+``"i,j"`` strings. Decoding hands the fields straight to the constructor,
+whose ``__post_init__`` checks and coerces them. A new document type is one
 entry in ``DOCUMENT_TYPES``, plus a ``_DECODE_HOOKS`` entry only when a
-field holds tuple-keyed dicts or nested dataclasses. CSV exports start with
-a ``# schema_version=N`` comment line so plot files stay self-describing.
+field holds tuple-keyed dicts. CSV exports start with a
+``# schema_version=N`` comment line so plot files stay self-describing.
 """
 
 from __future__ import annotations
@@ -16,32 +16,24 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .annealer import SweepRow
-from .model import (
-    BinaryEncoding,
-    IsingModel,
-    QcioProblem,
-    QuboProblem,
-    QuioProblem,
-    SolveReport,
-)
+from .model import BinaryEncoding, QcioProblem, QuboProblem, SolveReport
 from .quality import Distribution
-from .simulator import Circuit, Gate, SampleSet
-from .transpiler import CouplingMap, ErrorMap, Layout
-from .usecases import LamaSpec, Route, Schedule, TrpSpec
+from .simulator import SampleSet
+from .transpiler import ErrorMap
+from .usecases import LamaSpec, TrpSpec
 from .variational import Landscape
 
 SCHEMA_VERSION = 1
 
 DOCUMENT_TYPES = {cls.__name__: cls for cls in (
-    QcioProblem, QuioProblem, BinaryEncoding, QuboProblem, IsingModel, SolveReport,
-    LamaSpec, TrpSpec, Schedule, Route, Circuit, SampleSet, CouplingMap, ErrorMap,
-    Layout, Distribution, Landscape,
+    QcioProblem, BinaryEncoding, QuboProblem, SolveReport, LamaSpec, TrpSpec,
+    SampleSet, Distribution, ErrorMap,
 )}
 _signature = functools.cache(inspect.signature)  # checks a document's field names
 
@@ -50,8 +42,6 @@ def _plain(value):
     """JSON-ready form of a field value."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.init}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -67,7 +57,8 @@ def to_dict(obj) -> dict:
     name = type(obj).__name__
     if DOCUMENT_TYPES.get(name) is not type(obj):
         raise TypeError(f"cannot serialize {name}")
-    return {"schema_version": SCHEMA_VERSION, "type": name, **_plain(obj)}
+    body = {f.name: _plain(getattr(obj, f.name)) for f in fields(obj) if f.init}
+    return {"schema_version": SCHEMA_VERSION, "type": name, **body}
 
 
 def _build(cls, body: dict):
@@ -80,15 +71,14 @@ def _build(cls, body: dict):
     return cls(**{k: hooks[k](v) if k in hooks else v for k, v in body.items()})
 
 
-def _pair_keys(doc: dict) -> dict:
-    return {tuple(int(t) for t in key.split(",")): v for key, v in doc.items()}
+def _pair_keys(doc):
+    """``"i,j"`` keys as ``(i, j)``; a non-object is left to the constructor."""
+    if isinstance(doc, dict):
+        return {tuple(int(t) for t in key.split(",")): v for key, v in doc.items()}
+    return doc
 
 
-_DECODE_HOOKS = {
-    IsingModel: {"h_quad": _pair_keys},
-    ErrorMap: {"two": _pair_keys},
-    Circuit: {"gates": lambda gates: [_build(Gate, g) for g in gates]},
-}
+_DECODE_HOOKS = {ErrorMap: {"two": _pair_keys}}
 
 
 def from_dict(data: dict):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import BRUTE_FORCE_CAP, index_bits, parse_bits, render_bits
-from .model import require_dense, require_finite
+from .model import require_dense, require_each, require_finite, require_integer
 
 _ONE_QUBIT = ("H", "X", "SX", "RX", "RY", "RZ")
 _TWO_QUBIT = ("RZZ", "CX", "CZ", "SWAP")
@@ -181,6 +181,10 @@ class SampleSet:
     shots: int
 
     def __post_init__(self):
+        if not isinstance(self.counts, dict):
+            raise ValueError(f"counts must be an object, got {self.counts!r}")
+        require_each(require_integer, "count", self.counts.values())
+        require_integer("shots", self.shots)
         self.counts = {k: int(v) for k, v in self.counts.items()}
         parse_bits(self.counts)
         if any(v < 0 for v in self.counts.values()):
@@ -323,8 +327,7 @@ def ry_cx_amplitudes(angles, perm: np.ndarray) -> np.ndarray:
 
 def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
     """Multinomial shot sampling; deterministic for a fixed seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    require_integer("shots", shots, least=1)
     probs = state.probabilities()
     probs = probs / probs.sum()
     draws = np.random.default_rng(seed).multinomial(shots, probs)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import require_each, require_real
 from .simulator import Circuit, Gate, gate_matrix, run_circuit, StateVector
 
 UNITARY_QUBIT_CAP = 6
@@ -104,6 +105,11 @@ class ErrorMap:
     measure: dict
 
     def __post_init__(self):
+        for name in ("single", "two", "measure"):
+            rates = getattr(self, name)
+            if not isinstance(rates, dict):
+                raise ValueError(f"{name} error rates must be an object, got {rates!r}")
+            require_each(require_real, f"{name} error rate", rates.values())
         self.single = {int(q): float(e) for q, e in self.single.items()}
         self.two = {
             (min(int(a), int(b)), max(int(a), int(b))): float(e)

@@ -9,8 +9,7 @@ the cyclic tour assignment b_{city,time} with one-hot row/column penalties.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,11 @@ from .model import (
     as_bits,
     build_quio,
     encode_binary,
+    number_array,
+    require_each,
     require_finite,
+    require_integer,
+    require_real,
 )
 
 NUM_LEVELS = 4  # charging levels 0..3, two bits per variable
@@ -42,15 +45,22 @@ class LamaSpec:
     num_levels: int = NUM_LEVELS
 
     def __post_init__(self) -> None:
+        for name in ("num_timeslots", "num_cars", "num_levels"):
+            require_integer(name, getattr(self, name), least=1)
         if self.num_levels != NUM_LEVELS:  # the 2-bit encoding holds levels 0..3 only
             raise ValueError(f"num_levels must be {NUM_LEVELS}, got {self.num_levels!r}")
         T, C = self.num_timeslots, self.num_cars
-        if T < 1 or C < 1:
-            raise ValueError("need at least one slot and one car")
+        windows, energy = self.availability, self.required_energy
+        seq = (list, tuple)
+        if not isinstance(windows, seq) or not all(isinstance(v, seq) for v in [energy, *windows]):
+            raise ValueError("availability must be a list of slot lists, required_energy a list")
+        require_each(require_integer, "required_energy", energy)
+        for window in windows:
+            require_each(require_integer, "availability", window)
+        self.availability = [sorted(int(t) for t in w) for w in windows]
+        self.required_energy = [int(e) for e in energy]
         if len(self.availability) != C or len(self.required_energy) != C:
             raise ValueError("availability and required_energy must have one entry per car")
-        self.availability = [sorted(int(t) for t in w) for w in self.availability]
-        self.required_energy = [int(e) for e in self.required_energy]
         max_level = self.num_levels - 1
         for c, window in enumerate(self.availability):
             if not window:
@@ -68,19 +78,6 @@ class LamaSpec:
     @property
     def num_qubits(self) -> int:
         return 2 * self.num_cars * self.num_timeslots
-
-
-@dataclass
-class Schedule:
-    """Charging levels per (car, slot)."""
-
-    levels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.levels = np.asarray(self.levels, dtype=np.int64)
-
-    def slot_loads(self) -> np.ndarray:
-        return self.levels.sum(axis=0)
 
 
 def build_lama(spec: LamaSpec) -> tuple[QcioProblem, BinaryEncoding]:
@@ -126,8 +123,8 @@ def build_lama(spec: LamaSpec) -> tuple[QcioProblem, BinaryEncoding]:
     return qcio, BinaryEncoding.levels(n)
 
 
-def decode_lama(bits: np.ndarray | str, spec: LamaSpec) -> tuple[Schedule, bool]:
-    """Schedule encoded by ``bits`` and whether it satisfies every constraint."""
+def decode_lama(bits: np.ndarray | str, spec: LamaSpec) -> tuple[np.ndarray, bool]:
+    """(car, slot) charging levels encoded by ``bits``, and whether they meet every constraint."""
     bits = np.asarray(as_bits(bits), dtype=np.int64).ravel()
     T, C = spec.num_timeslots, spec.num_cars
     if bits.size != 2 * C * T:
@@ -139,12 +136,12 @@ def decode_lama(bits: np.ndarray | str, spec: LamaSpec) -> tuple[Schedule, bool]
         outside = levels[c].sum() - inside
         if inside != spec.required_energy[c] or outside != 0:
             feasible = False
-    return Schedule(levels=levels), feasible
+    return levels, feasible
 
 
-def lama_objective(schedule: Schedule) -> int:
-    """Sum of squared slot loads, the unpenalized cost of a schedule."""
-    loads = schedule.slot_loads()
+def lama_objective(levels: np.ndarray) -> int:
+    """Sum of squared slot loads of (car, slot) ``levels``, the unpenalized cost."""
+    loads = levels.sum(axis=0)
     return int((loads * loads).sum())
 
 
@@ -189,9 +186,10 @@ class TrpSpec:
 
     def __post_init__(self) -> None:
         m = self.num_cities
+        require_integer("num_cities", m)
         if m < 3:
             raise ValueError("need at least three cities")
-        self.distances = np.asarray(self.distances, dtype=np.float64)
+        self.distances = number_array("distances", self.distances)
         if self.distances.shape != (m, m):
             raise ValueError(f"distance matrix must be {m}x{m}")
         if self.layout not in ("symmetric", "asymmetric"):
@@ -200,8 +198,7 @@ class TrpSpec:
             raise ValueError("distance matrix must have zero diagonal")
         if not np.allclose(self.distances, self.distances.T):
             raise ValueError("distance matrix must be symmetric")
-        if isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real):
-            raise ValueError(f"penalty weight must be a real number, got {self.rho!r}")
+        require_real("penalty weight", self.rho)
         require_finite("penalty weight", self.rho)
         if self.rho < 0:
             raise ValueError("penalty weight must be nonnegative")
@@ -214,22 +211,6 @@ class TrpSpec:
         """Raw cyclic length of visiting the cities in ``order``."""
         m = self.num_cities
         return float(sum(self.distances[order[t], order[(t + 1) % m]] for t in range(m)))
-
-
-@dataclass
-class Route:
-    """order[t] is the city visited at time t; the tour closes cyclically."""
-
-    order: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not isinstance(self.order, (list, tuple)) or not all(
-            isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in self.order
-        ):
-            raise ValueError(f"route order must be a list of city indices, got {self.order!r}")
-        self.order = [int(c) for c in self.order]
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"route order {self.order} visits cities 0..m-1 not once each")
 
 
 def gen_cities(m: int, layout: str = "symmetric", seed: int = 0, rho: float = 1.0) -> TrpSpec:
@@ -291,12 +272,10 @@ def build_trp(spec: TrpSpec) -> QuboProblem:
     return encode_binary(build_quio(qcio, spec.rho), enc)
 
 
-def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[Route | None, bool, float]:
-    """Route encoded by ``bits``, feasibility, and raw cyclic tour length.
-
-    Infeasible bitstrings (not a permutation matrix) decode to
-    (None, False, inf).
-    """
+def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[list[int] | None, bool, float]:
+    """Tour encoded by ``bits`` (``order[t]`` is the city visited at time t),
+    feasibility, and raw cyclic tour length; infeasible bitstrings (not a
+    permutation matrix) decode to (None, False, inf)."""
     bits = np.asarray(as_bits(bits), dtype=np.int64).ravel()
     m = spec.num_cities
     if bits.size != m * m:
@@ -305,5 +284,5 @@ def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[Route | None, boo
     if not (np.all(mat.sum(axis=0) == 1) and np.all(mat.sum(axis=1) == 1)):
         return None, False, math.inf
     order = [int(np.argmax(mat[:, t])) for t in range(m)]
-    return Route(order=order), True, spec.tour_length(order)
+    return order, True, spec.tour_length(order)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import IsingModel, require_finite
+from .model import IsingModel, require_finite, require_integer
 from .simulator import Circuit, Gate, StateVector, cx_chain_permutation
 from .simulator import phase_mixer_state, ry_cx_amplitudes
 # unused here; perfbench/spans.py traces these names in this module
@@ -215,8 +215,9 @@ def cost_landscape(
     seed: int | None = None,
 ) -> Landscape:
     """p=1 QAOA energy over the [0, pi]^2 grid; grid[i][j] = E(beta_i, gamma_j)."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    require_integer("resolution", resolution, least=2)
+    if shots is not None:
+        require_integer("shots", shots, least=1)
     axis = np.linspace(0.0, np.pi, resolution)
     rng = np.random.default_rng(seed)
     grid = np.empty((resolution, resolution))
@@ -229,6 +230,8 @@ def cost_landscape(
 
 def qaoa_objective(ising: IsingModel, shots: int | None = None, seed: int | None = None):
     """Objective over ``concat(betas, gammas)`` vectors, for the optimizer."""
+    if shots is not None:  # checked here, not once per evaluation
+        require_integer("shots", shots, least=1)
     rng = np.random.default_rng(seed)
 
     def objective(vector) -> float:
@@ -250,6 +253,8 @@ def vqe_objective(
     permutation); the gate-level ``vqe_circuit`` is its oracle."""
     n = ising.num_qubits
     vqe_circuit(n, layers)  # rejects n < 2 and layers < 1
+    if shots is not None:
+        require_integer("shots", shots, least=1)
     perm = cx_chain_permutation(n)
     cost = ising.cost_vector()
     rng = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import qubolab
 
 from qubolab import cli
+from qubolab.annealer import TROTTER_QUBIT_CAP
 from qubolab.model import to_ising
 from qubolab.serialize import from_dict, to_dict
 from qubolab.usecases import decode_trp
@@ -160,6 +161,25 @@ def test_train_vqe_param_count(lama_problem, tmp_path):
     )
     assert rc == 0
     assert len(json.loads(trained.read_text())["best_params"]) == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--shots", "0", "--starts", "1", "--max-iter", "5"],
+        ["train", "--shots", "-5", "--starts", "1", "--max-iter", "5"],
+        ["train", "--algorithm", "vqe", "--shots", "0", "--starts", "1", "--max-iter", "5"],
+        ["landscape", "--grid", "3", "--shots", "0"],
+    ],
+    ids=["train-zero", "train-negative", "vqe-zero", "landscape-zero"],
+)
+def test_objective_shots_below_one_are_refused(lama_problem, tmp_path, capsys, argv):
+    # were "float division by zero" and numpy's "n < 0"
+    out = tmp_path / "out"
+    command, *flags = argv
+    assert run_cli(command, str(lama_problem), *flags, "-o", str(out)) == 1
+    assert "shots must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algorithm", ["qaoa", "vqe"])
@@ -313,7 +333,7 @@ def test_transpile_rejects_non_finite_params(lama_problem, tmp_path, capsys, alg
     trained = tmp_path / "train.json"
     params = [0.5] * size
     params[1] = float("nan")
-    trained.write_text(json.dumps({"best_params": params}))
+    trained.write_text(json.dumps({"type": "TrainResult", "best_params": params}))
     out = tmp_path / "tr.json"
     rc = run_cli(
         "transpile", str(lama_problem), "--algorithm", algorithm,
@@ -321,6 +341,21 @@ def test_transpile_rejects_non_finite_params(lama_problem, tmp_path, capsys, alg
     )
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "transpile"])
+def test_sample_and_transpile_refuse_a_file_that_is_not_a_train_result(
+    lama_problem, tmp_path, capsys, command
+):
+    # a problem bundle holds no best_params: refused by type, not a KeyError
+    out = tmp_path / "o.json"
+    if command == "sample":
+        argv = ["sample", str(lama_problem), str(lama_problem)]
+    else:
+        argv = ["transpile", str(lama_problem), "--params", str(lama_problem)]
+    assert run_cli(*argv, "-o", str(out)) == 1
+    assert "is not a TrainResult document" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -674,13 +709,13 @@ def test_run_variational_builds_ising_once_per_batch(tmp_path, monkeypatch):
 
 def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
     trotter = count_calls(monkeypatch, "qa_trotter")
-    cfg = sa_config(
-        tmp_path, algorithm="qa-trotter", seeds=[0, 1, 2], total_time=1.0, dt=float("inf")
-    )
+    wide = {"name": "lama", "instance": "Ex2p1", "rho": 2.0}  # 16 qubits
+    cfg = sa_config(tmp_path, use_case=wide, algorithm="qa-trotter", seeds=[0, 1, 2])
     out = tmp_path / "r.json"
     assert run_cli("run", str(cfg), "-o", str(out)) == 1
     records = json.loads(out.read_text())["records"]
-    assert [r["error"] for r in records] == ["non-finite dt"] * 3
+    message = f"dense Trotter evolution capped at {TROTTER_QUBIT_CAP} qubits"
+    assert [r["error"] for r in records] == [message] * 3
     assert len(trotter) == 3  # a raise is not cached
 
 
@@ -728,6 +763,11 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         ({"algorithm": "qa-trotter", "total_time": "25"}, "total_time"),
         ({"algorithm": "qa-trotter", "dt": True}, "dt"),
         ({"algorithm": "qa-trotter", "dt": "0.5"}, "dt"),
+        # a time is checked once, not by every seed's record
+        ({"algorithm": "qa-trotter", "total_time": 0}, "total_time"),
+        ({"algorithm": "qa-trotter", "dt": -0.5}, "dt"),
+        ({"algorithm": "qa-trotter", "total_time": float("inf")}, "total_time"),
+        ({"algorithm": "qa-trotter", "dt": float("inf")}, "dt"),
         ({"algorithm": "qaoa", "layers": 0}, "layers"),
         ({"algorithm": "qaoa", "starts": 0}, "starts"),
         ({"algorithm": "qaoa", "max_iter": -1}, "max_iter"),
@@ -753,7 +793,8 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         "inf-rho", "string-use_case", "list-use_case", "missing-name",
         "unknown-name", "list-name", "missing-cities", "misspelled-layout",
         "trp-instance", "lama-cities", "lama-seed", "unknown-field", "bool-total_time",
-        "string-total_time", "bool-dt", "string-dt", "zero-layers", "zero-starts",
+        "string-total_time", "bool-dt", "string-dt", "zero-total_time", "negative-dt",
+        "inf-total_time", "inf-dt", "zero-layers", "zero-starts",
         "negative-max_iter", "zero-shots", "zero-reads", "negative-sweeps",
         "negative-seed", "negative-routing_seeds", "negative-routing-seed",
         "unknown-topology", "unknown-basis", "int-error_map", "list-error_map",
@@ -784,10 +825,9 @@ _SCALARS = {
     "null": st.none(),
 }
 _KINDS = {**_SCALARS, "list": st.lists(st.one_of(*_SCALARS.values()), min_size=1, max_size=3)}
-# kinds a field takes: error_map is null or a path, and a time is any real
-# number at the boundary (its range is checked per seed)
-_VALID_KINDS = {"error_map": ("string", "null"), "total_time": ("float", "negative"),
-                "dt": ("float", "negative")}
+# kinds a field takes: error_map is null or a path, and a time is a finite
+# number > 0, which st.floats() draws too
+_VALID_KINDS = {"error_map": ("string", "null"), "total_time": ("float",), "dt": ("float",)}
 
 
 @st.composite
@@ -899,10 +939,8 @@ def reference_tour_optimum(spec):
     m = spec.num_cities
     best = np.inf
     for order in itertools.permutations(range(m)):
-        route, _, _ = decode_trp(route_to_bits(list(order), m), spec)
-        length = sum(
-            spec.distances[route.order[t], route.order[(t + 1) % m]] for t in range(m)
-        )
+        tour, _, _ = decode_trp(route_to_bits(list(order), m), spec)
+        length = sum(spec.distances[tour[t], tour[(t + 1) % m]] for t in range(m))
         best = min(best, length)
     return float(best)
 

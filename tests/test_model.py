@@ -26,6 +26,8 @@ from qubolab.model import (
     qubo_cost,
     qubo_cost_vector,
     render_bits,
+    require_integer,
+    require_real,
     str_to_bits,
     to_ising,
     upper_triangularize,
@@ -40,6 +42,41 @@ def toy_qcio(M, l, c, A, r, upper=3):
         dim_n=n, M=M, l=l, c=c, A=A, r=r,
         lower=np.zeros(n, dtype=int), upper=np.full(n, upper),
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer rule and the number rule
+
+_SCALARS = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.complex_numbers(max_magnitude=10),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@given(_SCALARS, st.one_of(st.none(), st.integers(-5, 5)))
+def test_integer_and_number_rules(value, least):
+    """A bool of either kind is neither an integer nor a number, a float is
+    not an integer, and ``least`` bounds integers alone."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+    real = integer or isinstance(value, (float, np.floating))
+    if integer and (least is None or value >= least):
+        require_integer("count", value, least)
+    else:
+        with pytest.raises(ValueError, match="count must be an integer"):
+            require_integer("count", value, least)
+    if real:
+        require_real("weight", value)
+    else:
+        with pytest.raises(ValueError, match="weight must be a real number"):
+            require_real("weight", value)
 
 
 # ---------------------------------------------------------------------------

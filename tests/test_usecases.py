@@ -77,8 +77,8 @@ def test_lama_rejects_empty_window():
 
 def test_decode_lama_zero_bits():
     spec0 = LamaSpec(3, 1, [[0, 1]], [0])
-    schedule, feasible = decode_lama("000000", spec0)
-    assert feasible and np.all(schedule.levels == 0)
+    levels, feasible = decode_lama("000000", spec0)
+    assert feasible and np.all(levels == 0)
     spec1 = LamaSpec(3, 1, [[0, 1]], [1])
     _, feasible = decode_lama("000000", spec1)
     assert not feasible
@@ -89,9 +89,9 @@ def test_decode_lama_full_level_in_single_slot():
     bits = np.zeros(6, dtype=int)
     bits[2] = 1  # slot 1 low bit
     bits[3] = 1  # slot 1 high bit -> level 3
-    schedule, feasible = decode_lama(bits, spec)
+    levels, feasible = decode_lama(bits, spec)
     assert feasible
-    assert schedule.levels[0].tolist() == [0, 3, 0]
+    assert levels.tolist() == [[0, 3, 0]]
 
 
 def test_decode_lama_rejects_wrong_length():
@@ -124,9 +124,9 @@ def test_lama_feasible_schedules_cost_the_unpenalized_objective():
     qubo, qcio, enc = lama_qubo(spec, rho)
     for v in range(1 << enc.num_bits):
         bits = int_to_bits(v, enc.num_bits)
-        schedule, feasible = decode_lama(bits, spec)
+        levels, feasible = decode_lama(bits, spec)
         if feasible:
-            assert abs(qubo_cost(qubo, bits) - lama_objective(schedule)) < 1e-9
+            assert abs(qubo_cost(qubo, bits) - lama_objective(levels)) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ def test_example_series_optimal_schedule_counts(name, count):
     report = brute_force_solve(qubo)
     assert len(report.optimal_set) == count
     for s in report.optimal_set:
-        schedule, feasible = decode_lama(s, spec)
+        _, feasible = decode_lama(s, spec)
         assert feasible
 
 
@@ -307,9 +307,9 @@ def test_trp_penalty_block_at_least_rho_off_permutations():
 def test_decode_trp_identity_tour():
     spec = gen_cities(4, "symmetric")
     bits = route_to_bits([0, 1, 2, 3], 4)
-    route, feasible, length = decode_trp(bits, spec)
+    order, feasible, length = decode_trp(bits, spec)
     assert feasible
-    assert route.order == [0, 1, 2, 3]
+    assert order == [0, 1, 2, 3]
     expected = sum(spec.distances[i, (i + 1) % 4] for i in range(4))
     assert abs(length - expected) < 1e-12
 

@@ -329,3 +329,17 @@ def test_vqe_objective_validation():
         vqe_objective(ising, layers=0)
     with pytest.raises(ValueError):
         vqe_objective(ising, layers=1)(np.zeros(5))
+
+
+@pytest.mark.parametrize("shots", [0, -5, 2.5, True, "10"])
+def test_objectives_and_landscape_refuse_bad_shots_when_built(shots):
+    # checked where the count enters, before any evaluation
+    ising, _ = random_ising(3, 3)
+    builders = [
+        lambda: qaoa_objective(ising, shots=shots),
+        lambda: vqe_objective(ising, 1, shots=shots),
+        lambda: cost_landscape(ising, resolution=2, shots=shots),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            build()
