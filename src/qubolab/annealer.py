@@ -16,6 +16,9 @@ from .simulator import SampleSet, StateVector, phase_mixer_state
 from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py traces it here
 
 TROTTER_QUBIT_CAP = 12
+# 200x the default 5 000 steps: the step lists take ~150 bytes a step, so about
+# 150 MB, and 12 qubits take ~0.3 ms a step; unbounded, a tiny dt is a MemoryError
+TROTTER_STEP_CAP = 1_000_000
 
 
 @dataclass
@@ -144,7 +147,11 @@ def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateV
     require_finite("dt", dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    steps = int(round(schedule.total_time / dt))
+    ratio = schedule.total_time / dt
+    # past cap + 1/2 it rounds above the cap; inf is refused before round() overflows
+    if ratio > TROTTER_STEP_CAP + 0.5:
+        raise ValueError(f"total_time / dt = {ratio!r} exceeds {TROTTER_STEP_CAP} Trotter steps")
+    steps = int(round(ratio))
     if steps == 0:
         return StateVector.plus_state(n)
     dt_eff = schedule.total_time / steps

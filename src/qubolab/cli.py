@@ -196,6 +196,13 @@ class _Problem:
         self.use_case = doc["use_case"]
         self.qubo = from_dict(doc["qubo"])
         self.spec = from_dict(doc["spec"])
+        kind = type(self.spec).__name__
+        if (self.use_case, kind) not in (("lama", "LamaSpec"), ("trp", "TrpSpec")):
+            raise ValueError(f"bundle use_case {self.use_case!r} does not match its {kind} spec")
+        if self.spec.num_qubits != self.num_qubits:
+            raise ValueError(
+                f"bundle {kind} spec needs {self.spec.num_qubits} bits, its qubo {self.num_qubits}"
+            )
         self._trotter_states = {}
 
     @classmethod
@@ -480,8 +487,8 @@ def _cmd_anneal(args) -> int:
         try:
             feas, opt = problem.rates(samples)
             print(f"sa: {args.reads} reads, feasible {feas}% optimal {opt}%")
-        except ValueError:
-            print(f"sa: {args.reads} reads (no oracle at this size)")
+        except ValueError as exc:  # the reason `run` records as oracle_note
+            print(f"sa: {args.reads} reads ({exc})")
         return 0
     dist = Distribution.from_state(problem.trotter_state(args.total_time, args.dt))
     save_json(_out_path(args.output), dist)

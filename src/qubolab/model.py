@@ -222,13 +222,6 @@ class QcioProblem:
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 
-    def cost(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return float(x @ self.M @ x + self.l @ x + self.c)
-
-    def constraint_residual(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ np.asarray(x, dtype=np.float64) - self.r
-
 
 @dataclass
 class QuioProblem:
@@ -242,10 +235,6 @@ class QuioProblem:
     @property
     def dim_n(self) -> int:
         return self.M_rho.shape[0]
-
-    def cost(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return float(x @ self.M_rho @ x + self.l_rho @ x + self.c_rho)
 
 
 @dataclass
@@ -308,6 +297,7 @@ class QuboProblem:
     Q: np.ndarray
     constant: float
     num_vars: int = 0
+    _cost: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.Q = number_array("Q", self.Q)
@@ -323,6 +313,14 @@ class QuboProblem:
         if np.any(np.tril(self.Q, k=-1) != 0.0):
             raise ValueError("Q must be upper-triangular")
         require_finite("Q or constant", self.Q, self.constant)
+
+    def cost_vector(self) -> np.ndarray:
+        """``qubo_cost_vector`` of every bitstring, the rows brute force enumerates;
+        memoised and read-only, as ``IsingModel.cost_vector`` is."""
+        if self._cost is None:
+            self._cost = qubo_cost_vector(self)
+            self._cost.flags.writeable = False
+        return self._cost
 
 
 @dataclass
@@ -351,13 +349,6 @@ class IsingModel:
             if not 0 <= i < j < self.num_qubits:
                 raise ValueError(f"coupling ({i},{j}) must satisfy 0 <= i < j < n")
 
-    def diag_cost(self, bits: np.ndarray) -> float:
-        z = 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
-        cost = self.h_const + float(self.h_lin @ z)
-        for (i, j), w in self.h_quad.items():
-            cost += w * z[i] * z[j]
-        return cost
-
     def _block_costs(self, bits: np.ndarray) -> np.ndarray:
         z = 1.0 - 2.0 * bits
         cost = self.h_const + z @ self.h_lin
@@ -366,14 +357,13 @@ class IsingModel:
         return cost
 
     def cost_vector(self) -> np.ndarray:
-        """diag_cost of every bitstring, indexed by integer value.
+        """The diagonal cost of every bitstring, indexed by integer value.
 
         Computed on the first call; every call returns that same read-only
         array, so the coefficients must not be changed after it."""
         if self._cost is None:
-            cost = _by_row_blocks(self._block_costs, self.num_qubits)
-            cost.flags.writeable = False
-            self._cost = cost
+            self._cost = _by_row_blocks(self._block_costs, self.num_qubits)
+            self._cost.flags.writeable = False
         return self._cost
 
 
@@ -432,14 +422,6 @@ def encode_binary(quio: QuioProblem, enc: BinaryEncoding) -> QuboProblem:
     B = enc.B
     Q = upper_triangularize(B.T @ quio.M_rho @ B + np.diag(quio.l_rho @ B))
     return QuboProblem(Q=Q, constant=quio.c_rho)
-
-
-def qubo_cost(qubo: QuboProblem, bits: np.ndarray | str) -> float:
-    """b'Qb + constant for a single bitstring."""
-    b = np.asarray(as_bits(bits), dtype=np.float64).ravel()
-    if b.size != qubo.num_vars:
-        raise ValueError(f"expected {qubo.num_vars} bits, got {b.size}")
-    return float(b @ qubo.Q @ b + qubo.constant)
 
 
 def qubo_cost_vector(qubo: QuboProblem, start: int = 0, stop: int | None = None) -> np.ndarray:

@@ -13,8 +13,6 @@ from .model import (
     brute_force_solve,
     index_bits,
     parse_bits,
-    qubo_cost,
-    qubo_cost_vector,
     render_bits,
     require_each,
     require_finite,
@@ -84,20 +82,20 @@ def hellinger_fidelity(p: Distribution, q: Distribution) -> float:
     return float(overlap) ** 2
 
 
+def _support_index(p: Distribution, num_qubits: int) -> np.ndarray:
+    """``p``'s keys as 2^n-table indices, in ``p``'s order; refuses another width."""
+    if p.num_bits != num_qubits:
+        raise ValueError(f"bit widths differ: {p.num_bits} vs {num_qubits} qubits")
+    return parse_bits(p.probs) @ (1 << np.arange(num_qubits))
+
+
 def state_fidelity(p: Distribution, state: StateVector) -> float:
     """``hellinger_fidelity(p, Distribution.from_state(state))``, bit for bit,
     reading the exact probabilities only on the support of ``p``."""
-    n = state.num_qubits
-    if p.num_bits != n:
-        raise ValueError(f"bit widths differ: {p.num_bits} vs {n} qubits")
-    index = parse_bits(p.probs) @ (1 << np.arange(n))
+    index = _support_index(p, state.num_qubits)
     terms = np.sqrt(np.fromiter(p.probs.values(), float) * state.probabilities()[index])
     # the same left-to-right sum over p's order as hellinger_fidelity
     return float(sum(terms)) ** 2
-
-
-def _mean_cost(p: Distribution, qubo: QuboProblem) -> float:
-    return sum(v * qubo_cost(qubo, s) for s, v in p.probs.items())
 
 
 def _guarded_error(mean: float, c_opt: float) -> RelativeError:
@@ -108,8 +106,13 @@ def _guarded_error(mean: float, c_opt: float) -> RelativeError:
 
 def relative_error(p: Distribution, qubo: QuboProblem, c_opt: float) -> RelativeError:
     """|<cost>_p - C*| / |C*|; falls back to the absolute difference (flagged)
-    when C* sits inside the ``_GUARD`` band around zero."""
-    return _guarded_error(_mean_cost(p, qubo), c_opt)
+    when C* sits inside the ``_GUARD`` band around zero. Each cost is read
+    from ``qubo.cost_vector()``, the table brute force takes C* from, so a
+    ``p`` on minimizers scores exactly 0."""
+    index = _support_index(p, qubo.num_vars)
+    terms = np.fromiter(p.probs.values(), float) * qubo.cost_vector()[index]
+    # a left-to-right sum over p's order
+    return _guarded_error(sum(terms.tolist()), c_opt)
 
 
 def random_baseline(
@@ -122,12 +125,11 @@ def random_baseline(
         raise ValueError("trials must be >= 1")
     if c_opt is None:
         c_opt = brute_force_solve(qubo).optimal_cost
-    cost = qubo_cost_vector(qubo)
+    cost = qubo.cost_vector()
     rng = np.random.default_rng(seed)
-    dim = 1 << qubo.num_vars
     values = np.empty(trials)
     for t in range(trials):
-        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amps = rng.normal(size=cost.size) + 1j * rng.normal(size=cost.size)
         probs = np.abs(amps) ** 2
         probs /= probs.sum()
         values[t] = probs @ cost

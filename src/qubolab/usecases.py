@@ -204,7 +204,7 @@ class TrpSpec:
             raise ValueError("penalty weight must be nonnegative")
 
     @property
-    def num_vars(self) -> int:
+    def num_qubits(self) -> int:
         return self.num_cities**2
 
     def tour_length(self, order) -> float:

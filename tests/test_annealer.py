@@ -284,6 +284,10 @@ def test_trotter_rejects_oversize_and_bad_dt():
     for dt in (np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite"):
             qa_trotter(ising, AnnealSchedule.linear(1.0), dt=dt)
+    # past the step cap, and an infinite total_time / dt, before any step list
+    for total_time in (1.0, 1e300):
+        with pytest.raises(ValueError, match="Trotter steps"):
+            qa_trotter(ising, AnnealSchedule.linear(total_time), dt=1e-300)
 
 
 def gate_by_gate_trotter(ising, schedule, dt):

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 import qubolab
 
-from qubolab import cli
-from qubolab.annealer import TROTTER_QUBIT_CAP
+from qubolab import cli, model
+from qubolab.annealer import TROTTER_QUBIT_CAP, TROTTER_STEP_CAP
 from qubolab.model import to_ising
 from qubolab.serialize import from_dict, to_dict
-from qubolab.usecases import decode_trp
+from qubolab.usecases import decode_trp, example_series
 
 from util import route_to_bits
 
@@ -202,6 +202,35 @@ def test_anneal_sa_rates(trp_problem, tmp_path, capsys):
     assert "feasible" in line and "optimal" in line
     sampleset = from_dict(json.loads(out.read_text()))
     assert sum(sampleset.counts.values()) == 200
+
+
+def test_anneal_sa_prints_the_oracle_reason(tmp_path, capsys):
+    bundle = tmp_path / "rho0.json"
+    assert run_cli("build", "lama", "--instance", "Ex0p1", "--rho", "0", "-o", str(bundle)) == 0
+    out = tmp_path / "sa.json"
+    assert run_cli("anneal", str(bundle), "--reads", "20", "--sweeps", "20", "-o", str(out)) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == "sa: 20 reads (no feasible minimizer at this penalty; increase --rho)"
+
+
+@pytest.mark.parametrize("command", ["anneal", "solve-brute"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"spec": to_dict(example_series()["Ex1p1"])}, "LamaSpec spec needs 8 bits, its qubo 6"),
+        ({"use_case": "trp"}, "use_case 'trp' does not match its LamaSpec spec"),
+        ({"use_case": "tsp"}, "use_case 'tsp' does not match its LamaSpec spec"),
+    ],
+    ids=["spec-width", "other-use-case", "unknown-use-case"],
+)
+def test_bundle_whose_parts_disagree_is_refused(lama_problem, tmp_path, capsys, command, change, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(lama_problem.read_text()), **change)))
+    out = tmp_path / "sa.json"
+    flags = ["--reads", "20", "--sweeps", "20", "-o", str(out)] if command == "anneal" else []
+    assert run_cli(command, str(bad), *flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_anneal_trotter_distribution(lama_problem, tmp_path, capsys):
@@ -643,6 +672,19 @@ except ValueError as exc:
     assert "27 qubits exceed the cap of 26" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "flags", [["--dt", "1e-6"], ["--total-time", str(TROTTER_STEP_CAP + 1), "--dt", "1"]]
+)
+def test_trotter_refuses_a_step_count_past_the_cap(lama_problem, tmp_path, flags):
+    # 5e7 steps of Python lists would take ~7 GB; the cap refuses before any
+    out = tmp_path / "dist.json"
+    argv = ["anneal", str(lama_problem), "--backend", "trotter", *flags, "-o", str(out)]
+    result = run_in_two_gib(f"import sys, qubolab.cli\nsys.exit(qubolab.cli.main({argv!r}))")
+    assert result.returncode == 1, result.stderr
+    assert f"exceeds {TROTTER_STEP_CAP} Trotter steps" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["qaoa", "vqe", "landscape"])
 def test_oversize_register_fails_fast(tmp_path, command):
     # Ex3p1 has 32 qubits: training and the landscape refuse before any 2^32 array
@@ -705,6 +747,23 @@ def test_run_variational_builds_ising_once_per_batch(tmp_path, monkeypatch):
     cfg = sa_config(tmp_path, algorithm="vqe", seeds=[0, 1, 2], layers=1, starts=1, max_iter=14, shots=100)
     assert run_cli("run", str(cfg), "-o", str(tmp_path / "r.json")) == 0
     assert len(ising) == 1
+
+
+def test_run_builds_the_qubo_cost_table_once_per_batch(tmp_path, monkeypatch):
+    tables = []
+    real = model.qubo_cost_vector
+
+    def counted(qubo, *span):
+        if not span:  # brute force enumerates its own (start, stop) chunks
+            tables.append(qubo)
+        return real(qubo, *span)
+
+    monkeypatch.setattr(model, "qubo_cost_vector", counted)
+    cfg = sa_config(tmp_path, algorithm="qaoa", seeds=[0, 1, 2], starts=1, max_iter=5, shots=100)
+    out = tmp_path / "r.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 0
+    assert all("relative_error" in r for r in json.loads(out.read_text())["records"])
+    assert len(tables) == 1
 
 
 def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):

@@ -23,7 +23,6 @@ from qubolab.model import (
     index_bits,
     min_penalty,
     parse_bits,
-    qubo_cost,
     qubo_cost_vector,
     render_bits,
     require_integer,
@@ -33,7 +32,18 @@ from qubolab.model import (
     upper_triangularize,
 )
 
-from util import bits_to_int, bits_to_str, int_to_bits, random_qcio, random_qubo
+from util import (
+    bits_to_int,
+    bits_to_str,
+    constraint_residual,
+    diag_cost,
+    int_to_bits,
+    qcio_cost,
+    qubo_cost,
+    quio_cost,
+    random_qcio,
+    random_qubo,
+)
 
 
 def toy_qcio(M, l, c, A, r, upper=3):
@@ -290,7 +300,7 @@ def test_qubo_cost_vector_across_row_blocks():
         assert abs(vec[v - 1000] - qubo_cost(qubo, int_to_bits(v, 14))) < 1e-9
     ising = to_ising(qubo)
     for v in [0, 4095, 4096, 16383]:
-        assert abs(ising.cost_vector()[v] - ising.diag_cost(int_to_bits(v, 14))) < 1e-9
+        assert abs(ising.cost_vector()[v] - diag_cost(ising, int_to_bits(v, 14))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +338,13 @@ def test_ising_diagonal_identity(seed, n):
 
 
 def test_cost_vector_is_memoised_and_read_only():
-    ising = to_ising(random_qubo(np.random.default_rng(6), 5))
-    vec = ising.cost_vector()
-    assert ising.cost_vector() is vec
-    with pytest.raises(ValueError):
-        vec[0] = 1.0
+    qubo = random_qubo(np.random.default_rng(6), 5)
+    for model in (qubo, to_ising(qubo)):
+        vec = model.cost_vector()
+        assert model.cost_vector() is vec
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+    np.testing.assert_array_equal(qubo.cost_vector(), qubo_cost_vector(qubo))
 
 
 def test_ising_diag_cost_scalar_matches_vector():
@@ -340,7 +352,7 @@ def test_ising_diag_cost_scalar_matches_vector():
     ising = to_ising(qubo)
     vec = ising.cost_vector()
     for v in range(16):
-        assert abs(ising.diag_cost(int_to_bits(v, 4)) - vec[v]) < 1e-12
+        assert abs(diag_cost(ising, int_to_bits(v, 4)) - vec[v]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +367,10 @@ def test_transform_chain_consistency(seed, n, rho):
     qubo = encode_binary(quio, enc)
     for bits in all_bitstrings(enc.num_bits):
         x = enc.decode(bits)
-        expected = qcio.cost(x) + rho * float(
-            qcio.constraint_residual(x) @ qcio.constraint_residual(x)
+        expected = qcio_cost(qcio, x) + rho * float(
+            constraint_residual(qcio, x) @ constraint_residual(qcio, x)
         )
-        assert abs(qubo_cost(qubo, bits) - quio.cost(x)) < 1e-9
+        assert abs(qubo_cost(qubo, bits) - quio_cost(quio, x)) < 1e-9
         assert abs(qubo_cost(qubo, bits) - expected) < 1e-9
 
 
@@ -477,7 +489,7 @@ def test_min_penalty_grid_neighbors_stay_feasible():
         qubo = encode_binary(build_quio(qcio, rho + 0.1 * k), enc)
         for s in brute_force_solve(qubo).optimal_set:
             x = enc.decode(str_to_bits(s))
-            assert np.allclose(qcio.constraint_residual(x), 0.0, atol=1e-9)
+            assert np.allclose(constraint_residual(qcio, x), 0.0, atol=1e-9)
 
 
 def test_min_penalty_decodes_feasible_at_and_above_threshold():
@@ -487,7 +499,7 @@ def test_min_penalty_decodes_feasible_at_and_above_threshold():
     qubo = encode_binary(build_quio(qcio, rho), enc)
     for s in brute_force_solve(qubo).optimal_set:
         x = enc.decode(str_to_bits(s))
-        assert np.allclose(qcio.constraint_residual(x), 0.0, atol=1e-9)
+        assert np.allclose(constraint_residual(qcio, x), 0.0, atol=1e-9)
 
 
 def test_min_penalty_reports_unreachable_ceiling():

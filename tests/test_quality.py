@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from qubolab.model import (
     QuboProblem,
     brute_force_solve,
+    build_quio,
+    encode_binary,
+    index_bits,
+    min_penalty,
     qubo_cost_vector,
+    render_bits,
 )
 from qubolab.quality import (
     Distribution,
@@ -22,8 +27,9 @@ from qubolab.quality import (
     state_fidelity,
 )
 from qubolab.simulator import SampleSet, StateVector, sample
+from qubolab.usecases import build_lama, build_trp, example_series, gen_cities
 
-from util import bits_to_str, int_to_bits
+from util import bits_to_str, int_to_bits, qubo_cost, random_qubo
 
 
 def test_fidelity_identical_distributions():
@@ -148,6 +154,55 @@ def test_relative_error_fallback_at_zero_optimum():
     err = relative_error(Distribution({"0": 0.5, "1": 0.5}), qubo, c_opt=0.0)
     assert err.is_absolute
     assert abs(err.value - 1.0) < 1e-12  # mean cost 1, absolute difference
+
+
+def bundled_qubos():
+    """The QUBO of every bundled charging instance up to 16 qubits at its
+    automatic penalty, and of 3- and 4-city tours in both layouts."""
+    for name, spec in example_series().items():
+        if spec.num_qubits <= 16:
+            qcio, enc = build_lama(spec)
+            yield name, encode_binary(build_quio(qcio, min_penalty(qcio, enc)), enc)
+    for cities in (3, 4):
+        for layout in ("symmetric", "asymmetric"):
+            yield f"{cities}-{layout}", build_trp(gen_cities(cities, layout))
+
+
+@pytest.mark.parametrize("name, qubo", list(bundled_qubos()))
+def test_relative_error_is_exactly_zero_on_every_minimizer(name, qubo):
+    report = brute_force_solve(qubo)
+    minimizers = np.flatnonzero(qubo.cost_vector() == report.optimal_cost)
+    assert minimizers.size >= 1
+    for s in render_bits(index_bits(minimizers, qubo.num_vars)):
+        err = relative_error(Distribution({s: 1.0}), qubo, report.optimal_cost)
+        assert err.value == 0.0, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 1023), st.floats(0.01, 1.0)), min_size=1, max_size=40),
+)
+def test_relative_error_equals_the_per_string_mean(n, seed, entries):
+    qubo = random_qubo(np.random.default_rng(seed), n)
+    weights = {}
+    for index, weight in entries:
+        key = bits_to_str(int_to_bits(index % (1 << n), n))
+        weights[key] = weights.get(key, 0.0) + weight
+    total = sum(weights.values())
+    p = Distribution({k: w / total for k, w in weights.items()})
+    mean = sum(v * qubo_cost(qubo, k) for k, v in p.probs.items())
+    err = relative_error(p, qubo, c_opt=1.0)
+    scale = np.abs(qubo_cost_vector(qubo)).max()
+    assert abs(err.value - abs(mean - 1.0)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("key", ["0", "010", "0101"])
+def test_relative_error_refuses_another_width(key):
+    qubo = QuboProblem(Q=np.triu(np.ones((2, 2))), constant=0.0)
+    with pytest.raises(ValueError, match="bit widths differ"):
+        relative_error(Distribution({key: 1.0}), qubo, c_opt=1.0)
 
 
 def test_random_baseline_deterministic_and_positive():

@@ -48,6 +48,7 @@ def test_qubo_ising_solve_report_roundtrip():
     spec = example_series()["Ex0p1"]
     qcio, enc = build_lama(spec)
     qubo = encode_binary(build_quio(qcio, 2.0), enc)
+    qubo.cost_vector()  # the memoised table is no field: the round trip refuses unknown fields
     back = roundtrip(qubo)
     np.testing.assert_array_equal(back.Q, qubo.Q)
     assert back.constant == qubo.constant

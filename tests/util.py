@@ -7,8 +7,11 @@ import numpy as np
 
 from qubolab.model import (
     BinaryEncoding,
+    IsingModel,
     QcioProblem,
     QuboProblem,
+    QuioProblem,
+    as_bits,
     upper_triangularize,
 )
 from qubolab.simulator import Circuit, Gate, StateVector
@@ -44,6 +47,42 @@ def random_qcio(rng: np.random.Generator, n: int) -> tuple[QcioProblem, BinaryEn
 
 def symmetrized(Q: np.ndarray) -> np.ndarray:
     return upper_triangularize(Q)
+
+
+def qcio_cost(qcio: QcioProblem, x: np.ndarray) -> float:
+    """x'Mx + lx + c of one integer point."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(x @ qcio.M @ x + qcio.l @ x + qcio.c)
+
+
+def constraint_residual(qcio: QcioProblem, x: np.ndarray) -> np.ndarray:
+    """Ax - r of one integer point."""
+    return qcio.A @ np.asarray(x, dtype=np.float64) - qcio.r
+
+
+def quio_cost(quio: QuioProblem, x: np.ndarray) -> float:
+    """The penalized cost of one integer point."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(x @ quio.M_rho @ x + quio.l_rho @ x + quio.c_rho)
+
+
+def qubo_cost(qubo: QuboProblem, bits: np.ndarray | str) -> float:
+    """b'Qb + constant for a single bitstring; the per-string reference that
+    ``QuboProblem.cost_vector`` and the quality metrics are tested against."""
+    b = np.asarray(as_bits(bits), dtype=np.float64).ravel()
+    if b.size != qubo.num_vars:
+        raise ValueError(f"expected {qubo.num_vars} bits, got {b.size}")
+    return float(b @ qubo.Q @ b + qubo.constant)
+
+
+def diag_cost(ising: IsingModel, bits: np.ndarray) -> float:
+    """The Ising diagonal of one bitstring; the per-string reference that
+    ``IsingModel.cost_vector`` is tested against."""
+    z = 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+    cost = ising.h_const + float(ising.h_lin @ z)
+    for (i, j), w in ising.h_quad.items():
+        cost += w * z[i] * z[j]
+    return cost
 
 
 def int_to_bits(value: int, num_bits: int) -> np.ndarray:
