@@ -74,9 +74,9 @@ from .usecases import (
     trp_model,
 )
 from .variational import (
-    QaoaParams,
-    VqeParams,
+    ansatz_params,
     cost_landscape,
+    num_params,
     qaoa_circuit,
     qaoa_objective,
     qaoa_state_fast,
@@ -192,6 +192,9 @@ class _Problem:
     error."""
 
     def __init__(self, doc: dict):
+        for key in ("use_case", "qubo", "spec"):
+            if key not in doc:
+                raise ValueError(f"problem bundle has no {key!r} field")
         self.doc = doc
         self.use_case = doc["use_case"]
         self.qubo = from_dict(doc["qubo"])
@@ -326,10 +329,11 @@ def _train(ising: IsingModel, algorithm, layers, starts, max_iter, seed, shots=N
     """Seeded COBYLA multistart on the ansatz energy; exact for ``shots=None``."""
     if algorithm == "qaoa":
         objective = qaoa_objective(ising, shots=shots, seed=seed)
-        sampler = uniform_sampler(2 * layers, 0.0, np.pi)
+        high = np.pi
     else:
         objective = vqe_objective(ising, layers, shots=shots, seed=seed)
-        sampler = uniform_sampler(ising.num_qubits * (layers + 1), 0.0, 2.0 * np.pi)
+        high = 2.0 * np.pi
+    sampler = uniform_sampler(num_params(algorithm, layers, ising.num_qubits), 0.0, high)
     return multistart(
         objective, sampler, num_starts=starts, seed=seed, max_iter=max_iter
     )
@@ -337,10 +341,11 @@ def _train(ising: IsingModel, algorithm, layers, starts, max_iter, seed, shots=N
 
 def _sample(ising: IsingModel, algorithm: str, layers, params, shots, seed):
     """The ansatz state at ``params`` and ``shots`` seeded samples of it."""
+    params = ansatz_params(algorithm, layers, ising.num_qubits, params)
     if algorithm == "qaoa":
-        state = qaoa_state_fast(ising, QaoaParams.from_vector(params))
+        state = qaoa_state_fast(ising, params)
     else:
-        state = vqe_state(VqeParams(params, layers, ising.num_qubits))
+        state = vqe_state(params)
     return state, sample_state(state, shots, seed)
 
 
@@ -359,16 +364,16 @@ def _cost_scores(problem: _Problem, dist: Distribution, seed) -> tuple:
 
 
 def _transpile(ising, algorithm, layers, params, topology, basis, error_map, seeds):
-    """Bind the ansatz at ``params`` (0.5 everywhere when None), then route,
+    """Build the ansatz at ``params`` (0.5 everywhere when None), then route,
     lower and score it once per routing seed: one row per seed."""
     n = ising.num_qubits
-    if algorithm == "qaoa":
-        template = qaoa_circuit(ising, layers)
-    else:
-        template = vqe_circuit(n, layers)
     if params is None:
-        params = np.full(template.num_params, 0.5)
-    circ = template.bind(np.asarray(params, dtype=float))
+        params = np.full(num_params(algorithm, layers, n), 0.5)
+    params = ansatz_params(algorithm, layers, n, params)
+    if algorithm == "qaoa":
+        circ = qaoa_circuit(ising, params)
+    else:
+        circ = vqe_circuit(params)
     circ.measure(*range(n))
     coupling = _topology(topology, n)
     errmap = _error_map(error_map, coupling)

@@ -1,13 +1,13 @@
 """QAOA and two-local VQE ansatz construction plus the p=1 cost landscape.
 
-Parameter vector conventions:
+Parameter vector conventions (``num_params`` holds both counts):
   * QAOA: ``concat(betas, gammas)`` — 2p entries for p layers.
   * VQE: one RY angle per (layer, qubit), n(L+1) entries; layer-major order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,19 @@ from .simulator import phase_mixer_state, ry_cx_amplitudes
 from .simulator import apply_gate, run_circuit  # noqa: F401
 
 
-def _require_layers(layers: int) -> None:
-    """The one refusal of an ansatz without layers, QAOA or VQE."""
+def num_params(algorithm: str, layers: int, num_qubits: int) -> int:
+    """Length of the named ansatz's parameter vector: 2p for QAOA, n(L+1)
+    for the two-local VQE. Refuses an unknown ansatz, one without layers and
+    a VQE on fewer than two qubits."""
+    if algorithm not in ("qaoa", "vqe"):
+        raise ValueError(f"no ansatz named {algorithm!r}; need qaoa or vqe")
     if layers < 1:
         raise ValueError("need at least one layer")
+    if algorithm == "qaoa":
+        return 2 * layers
+    if num_qubits < 2:
+        raise ValueError("the two-local ansatz needs two qubits")
+    return num_qubits * (layers + 1)
 
 
 @dataclass
@@ -31,7 +40,7 @@ class QaoaParams:
     layers: int
 
     def __post_init__(self):
-        _require_layers(self.layers)
+        num_params("qaoa", self.layers, 0)  # rejects layers < 1
         self.betas = np.asarray(self.betas, dtype=float).reshape(-1)
         self.gammas = np.asarray(self.gammas, dtype=float).reshape(-1)
         if len(self.betas) != self.layers or len(self.gammas) != self.layers:
@@ -41,10 +50,6 @@ class QaoaParams:
             )
         require_finite("QAOA angle", self.betas, self.gammas)
 
-    @property
-    def num_params(self) -> int:
-        return 2 * self.layers
-
     @classmethod
     def from_vector(cls, vector) -> "QaoaParams":
         vector = np.asarray(vector, dtype=float).reshape(-1)
@@ -52,9 +57,6 @@ class QaoaParams:
             raise ValueError("QAOA parameter vector must have even length")
         p = len(vector) // 2
         return cls(vector[:p], vector[p:], p)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.betas, self.gammas])
 
 
 @dataclass
@@ -65,16 +67,26 @@ class VqeParams:
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
-        if self.num_qubits < 2 or self.layers < 1:
-            raise ValueError("the two-local ansatz needs two qubits and one layer")
-        want = self.num_qubits * (self.layers + 1)
+        want = num_params("vqe", self.layers, self.num_qubits)
         if len(self.thetas) != want:
             raise ValueError(f"need {want} angles, got {len(self.thetas)}")
         require_finite("VQE angle", self.thetas)
 
-    @property
-    def num_params(self) -> int:
-        return len(self.thetas)
+
+def ansatz_params(algorithm: str, layers: int, num_qubits: int, vector):
+    """``vector`` as the named ansatz's ``QaoaParams`` or ``VqeParams``;
+    ``ValueError`` unless ``layers`` is an integer (a train result's field
+    is read as written) and ``vector`` holds ``num_params`` finite angles."""
+    require_integer("layers", layers)
+    vector = np.asarray(vector, dtype=float).reshape(-1)
+    want = num_params(algorithm, layers, num_qubits)
+    if len(vector) != want:
+        raise ValueError(
+            f"{algorithm} with {layers} layers needs {want} parameters, got {len(vector)}"
+        )
+    if algorithm == "qaoa":
+        return QaoaParams(vector[:layers], vector[layers:], layers)
+    return VqeParams(vector, layers, num_qubits)
 
 
 @dataclass
@@ -91,61 +103,25 @@ class Landscape:
             raise ValueError("grid shape does not match axes")
 
 
-@dataclass
-class ParametricCircuit:
-    """Circuit template whose rotation angles may reference a parameter.
-
-    Each op's angle is either None (fixed gate), a float (fixed rotation), or
-    a ``(param_index, coefficient)`` pair meaning angle = coefficient * param.
-    """
-
-    num_qubits: int
-    num_params: int
-    ops: list = field(default_factory=list)
-
-    def add(self, kind, qubits, angle=None):
-        if isinstance(angle, tuple):
-            idx, coef = angle
-            if not 0 <= idx < self.num_params:
-                raise ValueError(f"parameter index {idx} out of range")
-            angle = (int(idx), float(coef))
-        self.ops.append((kind, tuple(qubits), angle))
-        return self
-
-    def bind(self, vector) -> Circuit:
-        vector = np.asarray(vector, dtype=float).reshape(-1)
-        if len(vector) != self.num_params:
-            raise ValueError(
-                f"expected {self.num_params} parameters, got {len(vector)}"
-            )
-        circ = Circuit(self.num_qubits)
-        for kind, qubits, angle in self.ops:
-            if isinstance(angle, tuple):
-                angle = angle[1] * vector[angle[0]]
-            circ.append(Gate(kind, qubits, angle))
-        return circ
-
-
-def qaoa_circuit(ising: IsingModel, p: int) -> ParametricCircuit:
-    """Gate-level QAOA ansatz: Hadamard wall, then p alternating phase/mixer
-    layers. Parameters are ``concat(betas, gammas)``; phase angles carry the
-    Ising coefficients (RZ_i(2 gamma h'_i), RZZ_ij(2 gamma h_ij))."""
-    _require_layers(p)
+def qaoa_circuit(ising: IsingModel, params: QaoaParams) -> Circuit:
+    """Gate-level QAOA ansatz at ``params``: Hadamard wall, then per layer
+    the phase gates RZ_i(2 gamma h'_i), RZZ_ij(2 gamma h_ij) and the mixer
+    RX(2 beta) on every qubit."""
     n = ising.num_qubits
-    circ = ParametricCircuit(n, 2 * p)
+    circ = Circuit(n)
     for q in range(n):
-        circ.add("H", (q,))
+        circ.h(q)
     couplings = sorted(ising.h_quad.items())
-    for layer in range(p):
-        beta_idx, gamma_idx = layer, p + layer
+    # 2h is rounded before the product, so reported gate angles stay as they were
+    for beta, gamma in zip(params.betas, params.gammas):
         for i, h in enumerate(ising.h_lin):
             if h != 0.0:
-                circ.add("RZ", (i,), (gamma_idx, 2.0 * h))
+                circ.rz(i, (2.0 * h) * gamma)
         for (i, j), h in couplings:
             if h != 0.0:
-                circ.add("RZZ", (i, j), (gamma_idx, 2.0 * h))
+                circ.rzz(i, j, (2.0 * h) * gamma)
         for q in range(n):
-            circ.add("RX", (q,), (beta_idx, 2.0))
+            circ.rx(q, 2.0 * beta)
     return circ
 
 
@@ -160,20 +136,19 @@ def qaoa_state_fast(ising: IsingModel, params: QaoaParams) -> StateVector:
     )
 
 
-def vqe_circuit(num_qubits: int, layers: int) -> ParametricCircuit:
-    """Two-local ansatz: L blocks of [RY wall, CX chain], then a closing RY
-    wall; n(L+1) parameters, layer-major."""
-    if num_qubits < 2:
-        raise ValueError("need at least two qubits")
-    _require_layers(layers)
-    circ = ParametricCircuit(num_qubits, num_qubits * (layers + 1))
-    for layer in range(layers):
-        for q in range(num_qubits):
-            circ.add("RY", (q,), (layer * num_qubits + q, 1.0))
-        for q in range(num_qubits - 1):
-            circ.add("CX", (q, q + 1))
-    for q in range(num_qubits):
-        circ.add("RY", (q,), (layers * num_qubits + q, 1.0))
+def vqe_circuit(params: VqeParams) -> Circuit:
+    """Two-local ansatz at ``params``: L blocks of [RY wall, CX chain], then a
+    closing RY wall."""
+    n = params.num_qubits
+    circ = Circuit(n)
+    *blocks, closing = params.thetas.reshape(params.layers + 1, n)
+    for wall in blocks:
+        for q, theta in enumerate(wall):
+            circ.append(Gate("RY", (q,), theta))
+        for q in range(n - 1):
+            circ.cx(q, q + 1)
+    for q, theta in enumerate(closing):
+        circ.append(Gate("RY", (q,), theta))
     return circ
 
 
@@ -252,7 +227,7 @@ def vqe_objective(
     real-valued ``ry_cx_amplitudes`` kernel (each CX chain one precomputed
     permutation); the gate-level ``vqe_circuit`` is its oracle."""
     n = ising.num_qubits
-    vqe_circuit(n, layers)  # rejects n < 2 and layers < 1
+    num_params("vqe", layers, n)  # rejects n < 2 and layers < 1
     if shots is not None:
         require_integer("shots", shots, least=1)
     perm = cx_chain_permutation(n)

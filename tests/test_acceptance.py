@@ -70,7 +70,10 @@ from qubolab.usecases import (
 )
 from qubolab.variational import (
     QaoaParams,
+    VqeParams,
+    ansatz_params,
     cost_landscape,
+    num_params,
     qaoa_circuit,
     qaoa_state_fast,
     vqe_circuit,
@@ -125,13 +128,23 @@ def test_01_problem_sizes():
 
 
 def test_02_parameter_counts():
+    # a vector of the count builds the ansatz; one entry fewer or more is refused
     ising = to_ising(random_qubo(np.random.default_rng(0), 4))
-    for p in (1, 2, 3):
-        assert qaoa_circuit(ising, p).num_params == 2 * p
-    assert vqe_circuit(4, 2).num_params == 12
-    assert vqe_circuit(8, 1).num_params == 16
-    for n, layers in [(2, 1), (5, 3), (6, 2)]:
-        assert vqe_circuit(n, layers).num_params == n * (layers + 1)
+    cases = [("qaoa", p, 4, 2 * p) for p in (1, 2, 3)]
+    cases += [("vqe", 2, 4, 12), ("vqe", 1, 8, 16)]
+    cases += [("vqe", layers, n, n * (layers + 1)) for n, layers in [(2, 1), (5, 3), (6, 2)]]
+    for algorithm, layers, n, count in cases:
+        assert num_params(algorithm, layers, n) == count
+        params = ansatz_params(algorithm, layers, n, np.full(count, 0.5))
+        if algorithm == "qaoa":
+            kinds = [g.kind for g in qaoa_circuit(ising, params).gates]
+            assert kinds.count("RX") == n * layers
+        else:
+            kinds = [g.kind for g in vqe_circuit(params).gates]
+            assert kinds.count("RY") == count
+        for wrong in (count - 1, count + 1):
+            with pytest.raises(ValueError, match=f"needs {count} parameters, got {wrong}"):
+                ansatz_params(algorithm, layers, n, np.full(wrong, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +212,7 @@ def test_04_qaoa_fast_vs_gate_path():
         ising = to_ising(random_qubo(rng, n))
         params = QaoaParams.from_vector(rng.uniform(0.0, np.pi, 2 * p))
         fast = qaoa_state_fast(ising, params)
-        gate = run_circuit(qaoa_circuit(ising, p).bind(params.to_vector()))
+        gate = run_circuit(qaoa_circuit(ising, params))
         assert_equal_up_to_phase(gate.amplitudes, fast.amplitudes, atol=1e-10)
 
     qubo = random_qubo(np.random.default_rng(17), 6)
@@ -241,7 +254,7 @@ def test_06_vqe_training_concentrates_on_optima():
         seed=0,
         max_iter=1000,
     )
-    state = run_circuit(vqe_circuit(ising.num_qubits, 2).bind(report.best_params))
+    state = run_circuit(vqe_circuit(VqeParams(report.best_params, 2, ising.num_qubits)))
     probs = np.abs(state.amplitudes) ** 2
     optimal_set = brute_force_solve(qubo).optimal_set
     mass = sum(probs[bits_to_int(str_to_bits(s))] for s in optimal_set)

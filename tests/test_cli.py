@@ -153,6 +153,50 @@ def test_sample_rejects_non_finite_params(lama_problem, tmp_path, capsys, algori
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "transpile"])
+@pytest.mark.parametrize("algorithm, size, want", [("qaoa", 2, 4), ("vqe", 12, 18)])
+def test_params_of_another_depth_are_refused(
+    lama_problem, tmp_path, capsys, command, algorithm, size, want
+):
+    # a one-layer train result read as two layers; sample drew a p=1 state from it
+    trained = tmp_path / "train.json"
+    rc = run_cli(
+        "train", str(lama_problem), "--algorithm", algorithm,
+        "--starts", "1", "--max-iter", "20", "-o", str(trained),
+    )
+    assert rc == 0
+    doc = json.loads(trained.read_text())
+    assert len(doc["best_params"]) == size
+    trained.write_text(json.dumps(dict(doc, layers=2)))
+    capsys.readouterr()
+    out = tmp_path / "o.json"
+    if command == "sample":
+        argv = ["sample", str(lama_problem), str(trained)]
+    else:
+        argv = [
+            "transpile", str(lama_problem), "--algorithm", algorithm,
+            "--layers", "2", "--params", str(trained),
+        ]
+    assert run_cli(*argv, "-o", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"{algorithm} with 2 layers needs {want} parameters, got {size}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", ["1", True, 1.0])
+def test_sample_refuses_layers_that_are_not_an_integer(lama_problem, tmp_path, capsys, layers):
+    # "1" failed on a str/int comparison; true was read as one layer
+    trained = tmp_path / "train.json"
+    trained.write_text(json.dumps({
+        "type": "TrainResult", "algorithm": "qaoa", "layers": layers,
+        "best_params": [0.5, 0.5],
+    }))
+    out = tmp_path / "samples.json"
+    assert run_cli("sample", str(lama_problem), str(trained), "-o", str(out)) == 1
+    assert f"layers must be an integer, got {layers!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_vqe_param_count(lama_problem, tmp_path):
     trained = tmp_path / "vqe.json"
     rc = run_cli(
@@ -231,6 +275,17 @@ def test_bundle_whose_parts_disagree_is_refused(lama_problem, tmp_path, capsys, 
     assert run_cli(command, str(bad), *flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["use_case", "qubo", "spec"])
+def test_bundle_missing_a_field_is_refused_by_name(lama_problem, tmp_path, capsys, key):
+    # was a bare KeyError: "error: 'spec'"
+    doc = json.loads(lama_problem.read_text())
+    del doc[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("solve-brute", str(bad)) == 1
+    assert f"error: problem bundle has no {key!r} field" in capsys.readouterr().err
 
 
 def test_anneal_trotter_distribution(lama_problem, tmp_path, capsys):

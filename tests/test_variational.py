@@ -20,7 +20,9 @@ from qubolab.variational import (
     Landscape,
     QaoaParams,
     VqeParams,
+    ansatz_params,
     cost_landscape,
+    num_params,
     qaoa_circuit,
     qaoa_expectation,
     qaoa_objective,
@@ -47,24 +49,32 @@ def random_ising(seed: int, n: int):
 
 
 def test_qaoa_parameter_count_is_twice_depth():
-    params = QaoaParams([0.1, 0.2], [0.3, 0.4], layers=2)
-    assert params.num_params == 4
-    assert qaoa_circuit(random_ising(0, 3)[0], 2).num_params == 4
+    assert num_params("qaoa", 2, 3) == 4
+    params = ansatz_params("qaoa", 2, 3, [0.1, 0.2, 0.3, 0.4])
+    np.testing.assert_array_equal(params.betas, [0.1, 0.2])
+    np.testing.assert_array_equal(params.gammas, [0.3, 0.4])
+    circ = qaoa_circuit(random_ising(0, 3)[0], params)
+    assert [g.angle for g in circ.gates if g.kind == "RX"] == [0.2] * 3 + [0.4] * 3
 
 
 def test_qaoa_vector_roundtrip():
     params = QaoaParams.from_vector([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(params.betas, [1.0, 2.0])
     np.testing.assert_array_equal(params.gammas, [3.0, 4.0])
-    np.testing.assert_array_equal(params.to_vector(), [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(
+        np.concatenate([params.betas, params.gammas]), [1.0, 2.0, 3.0, 4.0]
+    )
     with pytest.raises(ValueError):
         QaoaParams.from_vector([1.0, 2.0, 3.0])
 
 
 def test_vqe_parameter_counts():
-    assert VqeParams(np.zeros(12), layers=2, num_qubits=4).num_params == 12
-    assert vqe_circuit(4, 2).num_params == 12
-    assert vqe_circuit(8, 1).num_params == 16
+    assert num_params("vqe", 2, 4) == 12
+    assert num_params("vqe", 1, 8) == 16
+    for n, layers in [(4, 2), (8, 1)]:
+        circ = vqe_circuit(VqeParams(np.arange(n * (layers + 1)), layers, n))
+        angles = [g.angle for g in circ.gates if g.kind == "RY"]
+        assert angles == list(range(n * (layers + 1)))
     with pytest.raises(ValueError):
         VqeParams(np.zeros(11), layers=2, num_qubits=4)
     with pytest.raises(ValueError, match="two qubits"):
@@ -73,9 +83,18 @@ def test_vqe_parameter_counts():
         VqeParams(np.zeros(3), layers=0, num_qubits=3)
 
 
-def test_bind_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        qaoa_circuit(random_ising(1, 3)[0], 1).bind([0.1])
+def test_num_params_refuses_an_unknown_ansatz():
+    with pytest.raises(ValueError, match="no ansatz named 'sa'"):
+        num_params("sa", 1, 4)
+    with pytest.raises(ValueError, match="no ansatz named 'sa'"):
+        ansatz_params("sa", 1, 4, np.zeros(8))
+
+
+def test_builders_reject_wrong_length():
+    with pytest.raises(ValueError, match="needs 2 parameters, got 1"):
+        qaoa_circuit(random_ising(1, 3)[0], ansatz_params("qaoa", 1, 3, [0.1]))
+    with pytest.raises(ValueError, match="needs 6 parameters, got 5"):
+        vqe_circuit(ansatz_params("vqe", 1, 3, np.zeros(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +108,7 @@ def test_qaoa_zero_angles_gives_uniform_state():
     np.testing.assert_allclose(
         fast.amplitudes, StateVector.plus_state(4).amplitudes, atol=1e-12
     )
-    gate = run_circuit(qaoa_circuit(ising, 1).bind([0.0, 0.0]))
+    gate = run_circuit(qaoa_circuit(ising, params))
     np.testing.assert_allclose(gate.amplitudes, fast.amplitudes, atol=1e-12)
 
 
@@ -108,7 +127,7 @@ def test_fast_path_matches_gate_path_up_to_global_phase(draw):
     ising, _ = random_ising(int(rng.integers(1000)), n)
     vec = rng.uniform(0, np.pi, size=2 * p)
     fast = qaoa_state_fast(ising, QaoaParams.from_vector(vec))
-    gate = run_circuit(qaoa_circuit(ising, p).bind(vec))
+    gate = run_circuit(qaoa_circuit(ising, QaoaParams.from_vector(vec)))
     np.testing.assert_allclose(
         align_phase(gate.amplitudes, fast.amplitudes), fast.amplitudes, atol=1e-10
     )
@@ -149,8 +168,8 @@ def test_qaoa_state_normalized_for_random_params():
 
 def test_rzz_count_per_layer_matches_couplings():
     ising, qubo = random_ising(5, 6)
-    circ = qaoa_circuit(ising, 3)
-    rzz = sum(1 for kind, _, _ in circ.ops if kind == "RZZ")
+    circ = qaoa_circuit(ising, QaoaParams.from_vector(np.full(6, 0.5)))
+    rzz = sum(1 for g in circ.gates if g.kind == "RZZ")
     nonzero_upper = int(np.count_nonzero(np.triu(qubo.Q, k=1)))
     assert rzz == 3 * nonzero_upper
 
@@ -159,8 +178,8 @@ def test_single_coupling_gives_one_rzz_per_layer():
     from qubolab.model import IsingModel
 
     ising = IsingModel(h_quad={(0, 1): 0.5}, h_lin=np.zeros(2), h_const=0.0, num_qubits=2)
-    circ = qaoa_circuit(ising, 2)
-    assert sum(1 for kind, _, _ in circ.ops if kind == "RZZ") == 2
+    circ = qaoa_circuit(ising, QaoaParams.from_vector(np.full(4, 0.5)))
+    assert sum(1 for g in circ.gates if g.kind == "RZZ") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +187,23 @@ def test_single_coupling_gives_one_rzz_per_layer():
 
 
 def test_vqe_zero_angles_gives_zero_state():
-    state = run_circuit(vqe_circuit(5, 2).bind(np.zeros(15)))
+    state = run_circuit(vqe_circuit(VqeParams(np.zeros(15), 2, 5)))
     np.testing.assert_allclose(
         state.amplitudes, StateVector.zero_state(5).amplitudes, atol=1e-12
     )
 
 
 def test_vqe_gate_sequence_layout():
-    circ = vqe_circuit(3, 1)
-    kinds = [kind for kind, _, _ in circ.ops]
+    circ = vqe_circuit(VqeParams(np.zeros(6), 1, 3))
+    kinds = [g.kind for g in circ.gates]
     assert kinds == ["RY", "RY", "RY", "CX", "CX", "RY", "RY", "RY"]
-    assert circ.ops[3][1] == (0, 1) and circ.ops[4][1] == (1, 2)
+    assert circ.gates[3].qubits == (0, 1) and circ.gates[4].qubits == (1, 2)
 
 
 def test_vqe_state_normalized():
     rng = np.random.default_rng(9)
-    circ = vqe_circuit(4, 2)
-    state = run_circuit(circ.bind(rng.uniform(0, 2 * np.pi, circ.num_params)))
+    vector = rng.uniform(0, 2 * np.pi, num_params("vqe", 2, 4))
+    state = run_circuit(vqe_circuit(VqeParams(vector, 2, 4)))
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-9
 
 
@@ -273,9 +292,8 @@ def test_vqe_kernel_matches_gate_path(n):
     ising, _ = random_ising(300 + n, n)
     perm = cx_chain_permutation(n)
     for layers in range(1, 4):
-        circ = vqe_circuit(n, layers)
-        vector = rng.uniform(0.0, 2.0 * np.pi, circ.num_params)
-        gate = run_circuit(circ.bind(vector))
+        vector = rng.uniform(0.0, 2.0 * np.pi, num_params("vqe", layers, n))
+        gate = run_circuit(vqe_circuit(VqeParams(vector, layers, n)))
         amps = ry_cx_amplitudes(vector.reshape(layers + 1, n), perm)
         assert np.array_equal(amps, gate.amplitudes)
         state = vqe_state(VqeParams(vector, layers, n))
@@ -295,9 +313,8 @@ def test_vqe_kernel_equals_gates_for_odd_and_even_n(n):
     rng = np.random.default_rng(900 + n)
     perm = cx_chain_permutation(n)
     for layers in range(1, 4):
-        circ = vqe_circuit(n, layers)
-        vector = rng.uniform(0.0, 2.0 * np.pi, circ.num_params)
-        gate = run_circuit(circ.bind(vector)).amplitudes
+        vector = rng.uniform(0.0, 2.0 * np.pi, num_params("vqe", layers, n))
+        gate = run_circuit(vqe_circuit(VqeParams(vector, layers, n))).amplitudes
         assert np.array_equal(ry_cx_amplitudes(vector.reshape(layers + 1, n), perm), gate)
 
 
