@@ -126,12 +126,27 @@ def _out_path(name) -> Path:
     return path
 
 
-def _load_raw(path, kind=None) -> dict:
-    """The JSON document at ``path``; with ``kind``, one of that "type"."""
+def _load_raw(path, kind=None, *fields) -> dict:
+    """The JSON document at ``path``; with ``kind``, one of that "type" that
+    has each of ``fields``."""
     doc = json.loads(Path(path).read_text())
     if kind and (not isinstance(doc, dict) or doc.get("type") != kind):
         raise ValueError(f"{path} is not a {kind} document")
+    for key in fields:
+        if key not in doc:
+            raise ValueError(f"{kind} {path} has no {key!r} field")
     return doc
+
+
+def _load_distribution(path) -> Distribution:
+    """The Distribution document at ``path``, or the empirical distribution
+    of a SampleSet one (as ``sample`` and ``anneal --backend sa`` write)."""
+    doc = _load_raw(path)
+    kind = doc.get("type") if isinstance(doc, dict) else None
+    if kind not in ("Distribution", "SampleSet"):
+        raise ValueError(f"{path} is not a Distribution or SampleSet document")
+    dist = from_dict(doc)
+    return Distribution.from_sampleset(dist) if kind == "SampleSet" else dist
 
 
 def _save_raw(path, doc: dict):
@@ -326,13 +341,12 @@ def _load_problem(path) -> _Problem:
 
 
 def _train(ising: IsingModel, algorithm, layers, starts, max_iter, seed, shots=None):
-    """Seeded COBYLA multistart on the ansatz energy; exact for ``shots=None``."""
-    if algorithm == "qaoa":
-        objective = qaoa_objective(ising, shots=shots, seed=seed)
-        high = np.pi
-    else:
-        objective = vqe_objective(ising, layers, shots=shots, seed=seed)
-        high = 2.0 * np.pi
+    """Seeded COBYLA multistart on the ansatz energy; exact for ``shots=None``.
+    The factories are looked up by name per call, so a wrapper set on this
+    module's names (perfbench/spans.py) sees every objective."""
+    factory = {"qaoa": qaoa_objective, "vqe": vqe_objective}[algorithm]
+    objective = factory(ising, layers, shots, seed)
+    high = np.pi if algorithm == "qaoa" else 2.0 * np.pi
     sampler = uniform_sampler(num_params(algorithm, layers, ising.num_qubits), 0.0, high)
     return multistart(
         objective, sampler, num_starts=starts, seed=seed, max_iter=max_iter
@@ -473,7 +487,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     problem = _load_problem(args.problem)
-    result = _load_raw(args.train_result, "TrainResult")
+    result = _load_raw(args.train_result, "TrainResult", "algorithm", "layers", "best_params")
     _, samples = _sample(
         problem.ising, result["algorithm"], result["layers"],
         result["best_params"], args.shots, args.seed,
@@ -504,9 +518,9 @@ def _cmd_anneal(args) -> int:
 
 def _cmd_transpile(args) -> int:
     problem = _load_problem(args.problem)
-    params = _load_raw(args.params, "TrainResult")["best_params"] if args.params else None
+    trained = _load_raw(args.params, "TrainResult", "best_params") if args.params else {}
     [record] = _transpile(
-        problem.ising, args.algorithm, args.layers, params, args.topology,
+        problem.ising, args.algorithm, args.layers, trained.get("best_params"), args.topology,
         args.basis, args.error_map, [args.seed],
     )
     record.update(
@@ -527,8 +541,7 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    p = from_dict(_load_raw(args.p, "Distribution"))
-    q = from_dict(_load_raw(args.q, "Distribution"))
+    p, q = _load_distribution(args.p), _load_distribution(args.q)
     fidelity = hellinger_fidelity(p, q)
     print(f"fidelity {fidelity!r}")
     payload = {
@@ -669,6 +682,8 @@ def _anneal_record(problem, settings, seed) -> dict:
 def run(config: dict) -> dict:
     """Execute one experiment batch; every record is seeded, failures are
     captured per seed without aborting the batch."""
+    if not isinstance(config, dict):
+        raise ValueError(f"a run config needs a JSON object, got {config!r}")
     seeds = config.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ValueError("config needs a nonempty 'seeds' list")
@@ -803,8 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transpile)
 
     p = sub.add_parser("score", help="quality metrics from two distribution files")
-    p.add_argument("p", help="empirical Distribution JSON")
-    p.add_argument("q", help="reference Distribution JSON")
+    p.add_argument("p", help="empirical Distribution or SampleSet JSON")
+    p.add_argument("q", help="reference Distribution or SampleSet JSON")
     p.add_argument("--problem", help="bundle JSON enabling cost-error metrics")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")

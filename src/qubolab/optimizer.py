@@ -40,12 +40,14 @@ class MultiStartReport:
 
 def minimize(objective, x0, max_iter: int = 1000) -> OptTrace:
     """Local descent from ``x0``; stops on a ``_TOL``-sized trust region or after
-    ``max_iter`` objective evaluations. Non-finite objective values abort."""
+    ``max_iter`` objective evaluations. Non-finite objective values abort, and
+    a ``max_iter`` below COBYLA's minimum of ``len(x0) + 2`` is refused (scipy
+    would raise it with only a warning)."""
     # scipy.optimize costs about half a second to import; only training needs it
     from scipy.optimize import minimize as scipy_minimize
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    require_integer("max_iter", max_iter, least=1)
+    require_integer("max_iter", max_iter, least=len(x0) + 2)
     iterates = []
 
     def recorded(x):

@@ -50,14 +50,6 @@ class QaoaParams:
             )
         require_finite("QAOA angle", self.betas, self.gammas)
 
-    @classmethod
-    def from_vector(cls, vector) -> "QaoaParams":
-        vector = np.asarray(vector, dtype=float).reshape(-1)
-        if len(vector) % 2:
-            raise ValueError("QAOA parameter vector must have even length")
-        p = len(vector) // 2
-        return cls(vector[:p], vector[p:], p)
-
 
 @dataclass
 class VqeParams:
@@ -170,73 +162,63 @@ def _energy(probs: np.ndarray, cost: np.ndarray, shots: int | None, rng) -> floa
     return float(draws @ cost) / shots
 
 
-def qaoa_expectation(
-    ising: IsingModel,
-    params: QaoaParams,
-    shots: int | None = None,
-    rng=None,
-) -> float:
-    """<H_C> in the QAOA state; exact by default, empirical when shots given."""
-    state = qaoa_state_fast(ising, params)
-    if shots is not None:
-        rng = np.random.default_rng(rng)
-    return _energy(state.probabilities(), ising.cost_vector(), shots, rng)
-
-
-def cost_landscape(
-    ising: IsingModel,
-    resolution: int = 50,
-    shots: int | None = None,
-    seed: int | None = None,
-) -> Landscape:
-    """p=1 QAOA energy over the [0, pi]^2 grid; grid[i][j] = E(beta_i, gamma_j)."""
-    require_integer("resolution", resolution, least=2)
-    if shots is not None:
-        require_integer("shots", shots, least=1)
-    axis = np.linspace(0.0, np.pi, resolution)
-    rng = np.random.default_rng(seed)
-    grid = np.empty((resolution, resolution))
-    for j, gamma in enumerate(axis):
-        for i, beta in enumerate(axis):
-            params = QaoaParams([beta], [gamma], 1)
-            grid[i, j] = qaoa_expectation(ising, params, shots, rng)
-    return Landscape(grid, axis.copy(), axis.copy())
-
-
-def qaoa_objective(ising: IsingModel, shots: int | None = None, seed: int | None = None):
-    """Objective over ``concat(betas, gammas)`` vectors, for the optimizer."""
-    if shots is not None:  # checked here, not once per evaluation
-        require_integer("shots", shots, least=1)
-    rng = np.random.default_rng(seed)
-
-    def objective(vector) -> float:
-        return qaoa_expectation(
-            ising, QaoaParams.from_vector(vector), shots=shots, rng=rng
-        )
-
-    return objective
-
-
-def vqe_objective(
-    ising: IsingModel,
-    layers: int,
-    shots: int | None = None,
-    seed: int | None = None,
-):
-    """Objective over two-local RY angle vectors, for the optimizer, on the
-    real-valued ``ry_cx_amplitudes`` kernel (each CX chain one precomputed
-    permutation); the gate-level ``vqe_circuit`` is its oracle."""
+def _objective(ising: IsingModel, algorithm: str, layers, shots, seed, probabilities):
+    """The energy over parameter vectors that both ansätze share: ``layers``,
+    ``shots`` and the cost diagonal are read once; each vector is parsed by
+    ``ansatz_params`` and scored by ``_energy`` of ``probabilities(params)``,
+    with shots drawn from one generator seeded by ``seed``."""
     n = ising.num_qubits
-    num_params("vqe", layers, n)  # rejects n < 2 and layers < 1
+    num_params(algorithm, layers, n)  # rejects layers < 1 and a one-qubit VQE
     if shots is not None:
         require_integer("shots", shots, least=1)
-    perm = cx_chain_permutation(n)
     cost = ising.cost_vector()
     rng = np.random.default_rng(seed)
 
     def objective(vector) -> float:
-        thetas = VqeParams(vector, layers, n).thetas
-        amps = ry_cx_amplitudes(thetas.reshape(layers + 1, n), perm)
-        return _energy(amps * amps, cost, shots, rng)
+        params = ansatz_params(algorithm, layers, n, vector)
+        return _energy(probabilities(params), cost, shots, rng)
 
     return objective
+
+
+def qaoa_objective(
+    ising: IsingModel, layers: int, shots: int | None = None, seed: int | None = None
+):
+    """Objective over ``concat(betas, gammas)`` vectors, on ``qaoa_state_fast``."""
+
+    def probabilities(params: QaoaParams) -> np.ndarray:
+        return qaoa_state_fast(ising, params).probabilities()
+
+    return _objective(ising, "qaoa", layers, shots, seed, probabilities)
+
+
+def vqe_objective(
+    ising: IsingModel, layers: int, shots: int | None = None, seed: int | None = None
+):
+    """Objective over two-local RY angle vectors on the real-valued
+    ``ry_cx_amplitudes`` kernel (each CX chain one precomputed permutation);
+    the gate-level ``vqe_circuit`` is its oracle."""
+    n = ising.num_qubits
+
+    def probabilities(params: VqeParams) -> np.ndarray:
+        amps = ry_cx_amplitudes(params.thetas.reshape(layers + 1, n), perm)
+        return amps * amps
+
+    objective = _objective(ising, "vqe", layers, shots, seed, probabilities)
+    perm = cx_chain_permutation(n)  # after the body's checks, before any call
+    return objective
+
+
+def cost_landscape(
+    ising: IsingModel, resolution: int = 50, shots: int | None = None, seed: int | None = None
+) -> Landscape:
+    """p=1 QAOA energy over the [0, pi]^2 grid; grid[i][j] = E(beta_i, gamma_j),
+    evaluated column by column with one ``qaoa_objective``."""
+    require_integer("resolution", resolution, least=2)
+    energy = qaoa_objective(ising, 1, shots, seed)
+    axis = np.linspace(0.0, np.pi, resolution)
+    grid = np.empty((resolution, resolution))
+    for j, gamma in enumerate(axis):
+        for i, beta in enumerate(axis):
+            grid[i, j] = energy([beta, gamma])
+    return Landscape(grid, axis.copy(), axis.copy())

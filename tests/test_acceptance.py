@@ -210,14 +210,14 @@ def test_04_qaoa_fast_vs_gate_path():
         n = int(rng.integers(2, 11))
         p = int(rng.integers(1, 4))
         ising = to_ising(random_qubo(rng, n))
-        params = QaoaParams.from_vector(rng.uniform(0.0, np.pi, 2 * p))
+        params = ansatz_params("qaoa", p, n, rng.uniform(0.0, np.pi, 2 * p))
         fast = qaoa_state_fast(ising, params)
         gate = run_circuit(qaoa_circuit(ising, params))
         assert_equal_up_to_phase(gate.amplitudes, fast.amplitudes, atol=1e-10)
 
     qubo = random_qubo(np.random.default_rng(17), 6)
     ising = to_ising(qubo)
-    state = qaoa_state_fast(ising, QaoaParams.from_vector(np.zeros(2)))
+    state = qaoa_state_fast(ising, QaoaParams([0.0], [0.0], 1))
     energy = expectation_diagonal(state, ising.cost_vector())
     assert abs(energy - qubo_cost_vector(qubo).mean()) < 1e-9
 
@@ -445,7 +445,7 @@ def test_11_quality_metrics():
     # empirical sampling closes in on the exact distribution
     qubo6, _ = lama_qubo("Ex0p1")
     ising = to_ising(qubo6)
-    state = qaoa_state_fast(ising, QaoaParams.from_vector([0.7, 0.4]))
+    state = qaoa_state_fast(ising, QaoaParams([0.7], [0.4], 1))
     empirical = Distribution.from_sampleset(sample(state, 100_000, seed=2))
     assert hellinger_fidelity(empirical, Distribution.from_state(state)) >= 0.99
 

@@ -19,6 +19,7 @@ import qubolab
 from qubolab import cli, model
 from qubolab.annealer import TROTTER_QUBIT_CAP, TROTTER_STEP_CAP
 from qubolab.model import to_ising
+from qubolab.quality import Distribution, hellinger_fidelity
 from qubolab.serialize import from_dict, to_dict
 from qubolab.usecases import decode_trp, example_series
 
@@ -197,6 +198,29 @@ def test_sample_refuses_layers_that_are_not_an_integer(lama_problem, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [("sample", "algorithm"), ("sample", "layers"), ("sample", "best_params"),
+     ("transpile", "best_params")],
+)
+def test_train_result_missing_a_field_is_refused_by_name(
+    lama_problem, tmp_path, capsys, command, key
+):
+    # was a bare KeyError: "error: 'layers'"
+    doc = {"type": "TrainResult", "algorithm": "qaoa", "layers": 1, "best_params": [0.5, 0.5]}
+    del doc[key]
+    trained = tmp_path / "train.json"
+    trained.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    if command == "sample":
+        argv = ["sample", str(lama_problem), str(trained)]
+    else:
+        argv = ["transpile", str(lama_problem), "--params", str(trained)]
+    assert run_cli(*argv, "-o", str(out)) == 1
+    assert f"error: TrainResult {trained} has no {key!r} field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_vqe_param_count(lama_problem, tmp_path):
     trained = tmp_path / "vqe.json"
     rc = run_cli(
@@ -232,6 +256,70 @@ def test_train_refuses_zero_layers(lama_problem, tmp_path, capsys, algorithm):
     argv = ["train", str(lama_problem), "--algorithm", algorithm, "--layers", "0"]
     assert run_cli(*argv, "-o", str(out)) == 1
     assert "need at least one layer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_records_the_budget_refusal_on_every_seed(tmp_path):
+    # 12 VQE angles need 14 COBYLA evaluations; scipy ran 14 after a UserWarning
+    cfg = sa_config(tmp_path, algorithm="vqe", seeds=[0, 1, 2], starts=1, max_iter=13)
+    out = tmp_path / "r.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 1
+    records = json.loads(out.read_text())["records"]
+    assert records == [
+        {"seed": seed, "error": "max_iter must be an integer >= 14, got 13"}
+        for seed in (0, 1, 2)
+    ]
+
+
+# one numeric flag at 0, below 0 or NaN, per subcommand, with a fragment of
+# its refusal: "{problem}" is an Ex0p1 bundle, "{train}" a p=1 QAOA train
+# result and "{dist}" a Distribution
+_BAD_FLAGS = {
+    "train-starts-0": (["train", "{problem}", "--starts", "0"], "num_starts"),
+    "train-layers-0": (["train", "{problem}", "--layers", "0"], "one layer"),
+    "train-shots-0": (["train", "{problem}", "--shots", "0"], "shots"),
+    "train-max-iter-below-cobyla": (
+        ["train", "{problem}", "--algorithm", "vqe", "--starts", "1", "--max-iter", "5"],
+        "max_iter",
+    ),
+    "sample-shots-0": (["sample", "{problem}", "{train}", "--shots", "0"], "shots"),
+    "anneal-reads-0": (["anneal", "{problem}", "--reads", "0"], "num_reads"),
+    "anneal-sweeps-0": (["anneal", "{problem}", "--sweeps", "0"], "sweeps"),
+    "trotter-total-time-0": (
+        ["anneal", "{problem}", "--backend", "trotter", "--total-time", "0"], "total_time"
+    ),
+    "trotter-dt-nan": (["anneal", "{problem}", "--backend", "trotter", "--dt", "nan"], "dt"),
+    "trotter-dt-negative": (
+        ["anneal", "{problem}", "--backend", "trotter", "--dt", "-0.1"], "dt"
+    ),
+    "landscape-grid-1": (["landscape", "{problem}", "--grid", "1"], "resolution"),
+    "landscape-shots-0": (["landscape", "{problem}", "--grid", "3", "--shots", "0"], "shots"),
+    "transpile-layers-0": (["transpile", "{problem}", "--layers", "0"], "one layer"),
+    "transpile-seed-negative": (["transpile", "{problem}", "--seed", "-1"], "non-negative"),
+    "score-seed-negative": (
+        ["score", "{dist}", "{dist}", "--problem", "{problem}", "--seed", "-1"], "non-negative"
+    ),
+    "sweep-values-nan": (["sweep", "lama", "--values", "nan"], "rho"),
+    "sweep-time-0": (["sweep", "lama", "--axis", "time", "--values", "0"], "sweeps"),
+    "sweep-reads-0": (["sweep", "lama", "--values", "1", "--reads", "0"], "num_reads"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", _BAD_FLAGS.values(), ids=_BAD_FLAGS.keys())
+def test_bad_numeric_flag_exits_1_and_writes_nothing(
+    lama_problem, tmp_path, capsys, argv, fragment
+):
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps(
+        {"type": "TrainResult", "algorithm": "qaoa", "layers": 1, "best_params": [0.5, 0.5]}
+    ))
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"type": "Distribution", "probs": {"101000": 1.0}}))
+    paths = {"problem": lama_problem, "train": train, "dist": dist}
+    out = tmp_path / "out"
+    assert run_cli(*[arg.format(**paths) for arg in argv], "-o", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
     assert not out.exists()
 
 
@@ -468,6 +556,26 @@ def test_score_identical_distributions(lama_problem, tmp_path, capsys):
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-12)
     assert doc["relative_error"] >= 0.0
     assert doc["random_baseline"] > 0.0
+
+
+@pytest.mark.parametrize("order", ["sampleset-first", "sampleset-second"])
+def test_score_reads_the_sample_sets_the_samplers_write(lama_problem, tmp_path, capsys, order):
+    samples, dist = tmp_path / "samples.json", tmp_path / "trotter.json"
+    argv = ["anneal", str(lama_problem), "--reads", "60", "--sweeps", "50", "-o", str(samples)]
+    assert run_cli(*argv) == 0
+    argv = ["anneal", str(lama_problem), "--backend", "trotter", "--total-time", "5",
+            "--dt", "0.1", "-o", str(dist)]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    p, q = (samples, dist) if order == "sampleset-first" else (dist, samples)
+    out = tmp_path / "score.json"
+    assert run_cli("score", str(p), str(q), "--problem", str(lama_problem), "-o", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    empirical = Distribution.from_sampleset(from_dict(json.loads(samples.read_text())))
+    reference = from_dict(json.loads(dist.read_text()))
+    fidelity = hellinger_fidelity(empirical, reference)
+    assert lines[0] == f"fidelity {fidelity!r}"
+    assert json.loads(out.read_text())["fidelity"] == fidelity
 
 
 def test_score_rejects_non_distribution(lama_problem, tmp_path, capsys):
@@ -920,6 +1028,16 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
     out = tmp_path / "x.json"
     assert run_cli("run", str(sa_config(tmp_path, **overrides)), "-o", str(out)) == 1
     assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
+def test_run_refuses_a_config_that_is_not_an_object(tmp_path, capsys, text):
+    # an array was "'list' object has no attribute 'get'"
+    config, out = tmp_path / "config.json", tmp_path / "x.json"
+    config.write_text(text)
+    assert run_cli("run", str(config), "-o", str(out)) == 1
+    assert "error: a run config needs a JSON object, got" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -38,6 +38,24 @@ def test_budget_respected_with_warmup_slack():
     assert len(trace.iterates) <= 5 + 1 + 2  # budget + dim warm-up + terminal
 
 
+@pytest.mark.parametrize("dim", [1, 3, 12])
+def test_budget_below_cobyla_minimum_is_refused(dim):
+    # COBYLA needs len(x0) + 2 evaluations; scipy would raise a smaller budget
+    # with only a warning, so the harness refuses it before any evaluation
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return float(x @ x)
+
+    message = f"max_iter must be an integer >= {dim + 2}, got {dim + 1}"
+    with pytest.raises(ValueError, match=message):
+        minimize(spy, np.ones(dim), max_iter=dim + 1)
+    assert calls == []
+    trace = minimize(spy, np.ones(dim), max_iter=dim + 2)
+    assert trace.termination == "max_iter"
+
+
 def test_constant_objective_terminates_by_tolerance():
     trace = minimize(lambda x: 7.5, np.zeros(3))
     assert trace.termination == "tolerance"

@@ -7,7 +7,7 @@ import pytest
 
 from util import random_qubo
 
-from qubolab.model import qubo_cost_vector, to_ising
+from qubolab.model import IsingModel, qubo_cost_vector, to_ising
 from qubolab.simulator import (
     Gate,
     StateVector,
@@ -24,7 +24,6 @@ from qubolab.variational import (
     cost_landscape,
     num_params,
     qaoa_circuit,
-    qaoa_expectation,
     qaoa_objective,
     qaoa_state_fast,
     vqe_circuit,
@@ -58,14 +57,14 @@ def test_qaoa_parameter_count_is_twice_depth():
 
 
 def test_qaoa_vector_roundtrip():
-    params = QaoaParams.from_vector([1.0, 2.0, 3.0, 4.0])
+    params = ansatz_params("qaoa", 2, 3, [1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(params.betas, [1.0, 2.0])
     np.testing.assert_array_equal(params.gammas, [3.0, 4.0])
     np.testing.assert_array_equal(
         np.concatenate([params.betas, params.gammas]), [1.0, 2.0, 3.0, 4.0]
     )
     with pytest.raises(ValueError):
-        QaoaParams.from_vector([1.0, 2.0, 3.0])
+        ansatz_params("qaoa", 2, 3, [1.0, 2.0, 3.0])
 
 
 def test_vqe_parameter_counts():
@@ -114,7 +113,7 @@ def test_qaoa_zero_angles_gives_uniform_state():
 
 def test_qaoa_expectation_at_zero_is_mean_cost():
     ising, qubo = random_ising(3, 5)
-    value = qaoa_expectation(ising, QaoaParams([0.0], [0.0], 1))
+    value = qaoa_objective(ising, 1)([0.0, 0.0])
     mean = qubo_cost_vector(qubo).mean()
     assert abs(value - mean) < 1e-9
 
@@ -126,8 +125,8 @@ def test_fast_path_matches_gate_path_up_to_global_phase(draw):
     p = int(rng.integers(1, 4))
     ising, _ = random_ising(int(rng.integers(1000)), n)
     vec = rng.uniform(0, np.pi, size=2 * p)
-    fast = qaoa_state_fast(ising, QaoaParams.from_vector(vec))
-    gate = run_circuit(qaoa_circuit(ising, QaoaParams.from_vector(vec)))
+    fast = qaoa_state_fast(ising, ansatz_params("qaoa", p, n, vec))
+    gate = run_circuit(qaoa_circuit(ising, ansatz_params("qaoa", p, n, vec)))
     np.testing.assert_allclose(
         align_phase(gate.amplitudes, fast.amplitudes), fast.amplitudes, atol=1e-10
     )
@@ -151,7 +150,7 @@ def test_qaoa_kernel_equals_phase_then_rx_gates(n):
     rng = np.random.default_rng(400 + n)
     ising, _ = random_ising(500 + n, n)
     for p in range(1, 4):
-        params = QaoaParams.from_vector(rng.uniform(-np.pi, np.pi, 2 * p))
+        params = ansatz_params("qaoa", p, n, rng.uniform(-np.pi, np.pi, 2 * p))
         fast = qaoa_state_fast(ising, params).amplitudes
         assert np.array_equal(fast, phase_then_rx_gates(ising, params).amplitudes)
 
@@ -161,24 +160,22 @@ def test_qaoa_state_normalized_for_random_params():
     rng = np.random.default_rng(8)
     for _ in range(5):
         state = qaoa_state_fast(
-            ising, QaoaParams.from_vector(rng.uniform(0, np.pi, 4))
+            ising, ansatz_params("qaoa", 2, 6, rng.uniform(0, np.pi, 4))
         )
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-9
 
 
 def test_rzz_count_per_layer_matches_couplings():
     ising, qubo = random_ising(5, 6)
-    circ = qaoa_circuit(ising, QaoaParams.from_vector(np.full(6, 0.5)))
+    circ = qaoa_circuit(ising, ansatz_params("qaoa", 3, 6, np.full(6, 0.5)))
     rzz = sum(1 for g in circ.gates if g.kind == "RZZ")
     nonzero_upper = int(np.count_nonzero(np.triu(qubo.Q, k=1)))
     assert rzz == 3 * nonzero_upper
 
 
 def test_single_coupling_gives_one_rzz_per_layer():
-    from qubolab.model import IsingModel
-
     ising = IsingModel(h_quad={(0, 1): 0.5}, h_lin=np.zeros(2), h_const=0.0, num_qubits=2)
-    circ = qaoa_circuit(ising, QaoaParams.from_vector(np.full(4, 0.5)))
+    circ = qaoa_circuit(ising, ansatz_params("qaoa", 2, 2, np.full(4, 0.5)))
     assert sum(1 for g in circ.gates if g.kind == "RZZ") == 2
 
 
@@ -239,18 +236,28 @@ def test_landscape_matches_pointwise_expectation():
     for i in [0, 2, 4]:
         for j in [1, 3]:
             params = QaoaParams([scape.beta_axis[i]], [scape.gamma_axis[j]], 1)
-            assert abs(scape.grid[i, j] - qaoa_expectation(ising, params)) < 1e-9
+            gate = run_circuit(qaoa_circuit(ising, params)).probabilities()
+            assert abs(scape.grid[i, j] - gate @ ising.cost_vector()) < 1e-9
 
 
 @pytest.mark.parametrize("shots, seed", [(None, None), (300, 5)], ids=["exact", "seeded"])
 def test_landscape_is_the_qaoa_expectation_grid(shots, seed):
     ising, _ = random_ising(14, 4)
     scape = cost_landscape(ising, resolution=6, shots=shots, seed=seed)
+    cost = ising.cost_vector()
     rng = np.random.default_rng(seed)
     grid = np.empty((6, 6))
     for j, gamma in enumerate(scape.gamma_axis):
         for i, beta in enumerate(scape.beta_axis):
-            grid[i, j] = qaoa_expectation(ising, QaoaParams([beta], [gamma], 1), shots, rng)
+            params = QaoaParams([beta], [gamma], 1)
+            probs = qaoa_state_fast(ising, params).probabilities()
+            if shots is None:
+                grid[i, j] = float(probs @ cost)
+                gate = run_circuit(qaoa_circuit(ising, params)).probabilities()
+                assert abs(grid[i, j] - gate @ cost) < 1e-9
+            else:
+                draws = rng.multinomial(shots, probs / probs.sum())
+                grid[i, j] = float(draws @ cost) / shots
     assert np.array_equal(scape.grid, grid)
 
 
@@ -276,9 +283,9 @@ def test_landscape_validation():
 def test_qaoa_objective_shot_mode_noise_and_determinism():
     ising, _ = random_ising(12, 4)
     vec = np.array([0.7, 1.1])
-    noisy = qaoa_objective(ising, shots=500, seed=3)
-    again = qaoa_objective(ising, shots=500, seed=3)
-    exact = qaoa_objective(ising)
+    noisy = qaoa_objective(ising, 1, shots=500, seed=3)
+    again = qaoa_objective(ising, 1, shots=500, seed=3)
+    exact = qaoa_objective(ising, 1)
     first = noisy(vec)
     assert first != exact(vec)
     assert first == again(vec)
@@ -323,7 +330,7 @@ def test_params_reject_non_finite_angles(bad):
     with pytest.raises(ValueError, match="non-finite"):
         QaoaParams([0.1, bad], [0.3, 0.4], layers=2)
     with pytest.raises(ValueError, match="non-finite"):
-        QaoaParams.from_vector([0.1, bad])
+        ansatz_params("qaoa", 1, 0, [0.1, bad])
     with pytest.raises(ValueError, match="non-finite"):
         VqeParams(np.r_[np.zeros(5), bad], layers=1, num_qubits=3)
 
@@ -334,7 +341,7 @@ def test_objectives_raise_on_non_finite_angles(bad):
     with pytest.raises(ValueError, match="non-finite"):
         vqe_objective(ising, 1)(np.full(6, bad))
     with pytest.raises(ValueError, match="non-finite"):
-        qaoa_objective(ising)([bad, 0.2])
+        qaoa_objective(ising, 1)([bad, 0.2])
     # raises at the parameter type, before cos(inf) can warn
     with pytest.raises(ValueError, match="non-finite"):
         qaoa_state_fast(ising, QaoaParams([0.1], [bad], layers=1))
@@ -348,12 +355,47 @@ def test_vqe_objective_validation():
         vqe_objective(ising, layers=1)(np.zeros(5))
 
 
+_ONE_QUBIT = IsingModel(h_quad={}, h_lin=np.zeros(1), h_const=0.0, num_qubits=1)
+_WIDE = IsingModel(h_quad={}, h_lin=np.zeros(27), h_const=0.0, num_qubits=27)
+
+
+# every refusal comes when the objective is built, before any evaluation or
+# 2^n array: layers first, then a one-qubit VQE, the shot count and the cap
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: qaoa_objective(_WIDE, 0, shots=0), "need at least one layer"),
+        (lambda: vqe_objective(_ONE_QUBIT, 0, shots=0), "need at least one layer"),
+        (lambda: vqe_objective(_ONE_QUBIT, 1, shots=0), "needs two qubits"),
+        (lambda: qaoa_objective(_WIDE, 1, shots=0), "shots must be an integer >= 1"),
+        (lambda: vqe_objective(_WIDE, 1, shots=0), "shots must be an integer >= 1"),
+        (lambda: qaoa_objective(_WIDE, 1), "27 qubits exceed the cap of 26"),
+        (lambda: vqe_objective(_WIDE, 1), "27 qubits exceed the cap of 26"),
+        (lambda: cost_landscape(_WIDE, 2, shots=0), "shots must be an integer >= 1"),
+        (lambda: cost_landscape(_WIDE, 2), "27 qubits exceed the cap of 26"),
+    ],
+    ids=[
+        "qaoa-layers", "vqe-layers", "vqe-one-qubit", "qaoa-shots", "vqe-shots",
+        "qaoa-cap", "vqe-cap", "landscape-shots", "landscape-cap",
+    ],
+)
+def test_objective_factories_refuse_in_order(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_qaoa_objective_parses_vectors_for_its_layers():
+    ising, _ = random_ising(3, 3)
+    with pytest.raises(ValueError, match="qaoa with 2 layers needs 4 parameters, got 2"):
+        qaoa_objective(ising, 2)([0.1, 0.2])
+
+
 @pytest.mark.parametrize("shots", [0, -5, 2.5, True, "10"])
 def test_objectives_and_landscape_refuse_bad_shots_when_built(shots):
     # checked where the count enters, before any evaluation
     ising, _ = random_ising(3, 3)
     builders = [
-        lambda: qaoa_objective(ising, shots=shots),
+        lambda: qaoa_objective(ising, 1, shots=shots),
         lambda: vqe_objective(ising, 1, shots=shots),
         lambda: cost_landscape(ising, resolution=2, shots=shots),
     ]
