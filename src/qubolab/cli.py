@@ -517,6 +517,7 @@ def _cmd_anneal(args) -> int:
 
 
 def _cmd_transpile(args) -> int:
+    require_integer("--seed", args.seed, least=0)
     problem = _load_problem(args.problem)
     trained = _load_raw(args.params, "TrainResult", "best_params") if args.params else {}
     [record] = _transpile(
@@ -541,6 +542,7 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    require_integer("--seed", args.seed, least=0)
     p, q = _load_distribution(args.p), _load_distribution(args.q)
     fidelity = hellinger_fidelity(p, q)
     print(f"fidelity {fidelity!r}")

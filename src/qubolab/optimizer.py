@@ -1,8 +1,9 @@
 """Derivative-free parameter optimization with multi-start protocol.
 
-Wraps COBYLA (linear-approximation trust region) behind a recording harness:
-every objective call lands in the trace, and the solver's returned optimum is
-appended as the terminal iterate so ``final_cost`` is the run's answer.
+Wraps COBYLA (linear-approximation trust region, ``qubolab.cobyla``) behind a
+recording harness: every objective call lands in the trace, and the solver's
+returned optimum is appended as the terminal iterate so ``final_cost`` is the
+run's answer.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ class MultiStartReport:
 def minimize(objective, x0, max_iter: int = 1000) -> OptTrace:
     """Local descent from ``x0``; stops on a ``_TOL``-sized trust region or after
     ``max_iter`` objective evaluations. Non-finite objective values abort, and
-    a ``max_iter`` below COBYLA's minimum of ``len(x0) + 2`` is refused (scipy
-    would raise it with only a warning)."""
-    # scipy.optimize costs about half a second to import; only training needs it
-    from scipy.optimize import minimize as scipy_minimize
+    a ``max_iter`` below COBYLA's minimum of ``len(x0) + 2`` is refused."""
+    # only training needs the solver, so the other commands never import it
+    from .cobyla import cobyla
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     require_integer("max_iter", max_iter, least=len(x0) + 2)
@@ -59,14 +59,12 @@ def minimize(objective, x0, max_iter: int = 1000) -> OptTrace:
         iterates.append((np.array(x, dtype=float), value))
         return value
 
-    result = scipy_minimize(
-        recorded, x0, method="COBYLA", tol=_TOL, options={"maxiter": max_iter}
-    )
+    best_x, best_f, nfev = cobyla(recorded, x0, rhoend=_TOL, maxfun=max_iter)
     last_x, last_f = iterates[-1]
-    final_f = float(result.fun)
-    if not (np.array_equal(result.x, last_x) and final_f == last_f):
-        iterates.append((np.array(result.x, dtype=float), final_f))
-    termination = "max_iter" if result.nfev >= max_iter else "tolerance"
+    final_f = float(best_f)
+    if not (np.array_equal(best_x, last_x) and final_f == last_f):
+        iterates.append((np.array(best_x, dtype=float), final_f))
+    termination = "max_iter" if nfev >= max_iter else "tolerance"
     return OptTrace(iterates, iterates[-1][1], termination)
 
 

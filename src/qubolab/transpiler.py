@@ -57,13 +57,11 @@ class CouplingMap:
             self._adjacency[b].append(a)
         for q in self._adjacency:
             self._adjacency[q].sort()
+        # all-pairs hop counts, one BFS per source: hops[a][b], -1 if unreachable
+        self.hops = [self._bfs(q) for q in range(self.num_qubits)]
 
-    def neighbors(self, q: int) -> list:
-        return list(self._adjacency[q])
-
-    def distances(self, source: int) -> np.ndarray:
-        """BFS hop counts from ``source``; unreachable qubits get -1."""
-        dist = np.full(self.num_qubits, -1, dtype=int)
+    def _bfs(self, source: int) -> list:
+        dist = [-1] * self.num_qubits
         dist[source] = 0
         frontier = [source]
         while frontier:
@@ -75,6 +73,9 @@ class CouplingMap:
                         nxt.append(r)
             frontier = nxt
         return dist
+
+    def neighbors(self, q: int) -> list:
+        return list(self._adjacency[q])
 
     @classmethod
     def line(cls, n: int) -> "CouplingMap":
@@ -217,7 +218,7 @@ def route(
             continue
         a, b = gate.qubits
         pa, pb = where[start[a]], where[start[b]]
-        dist = coupling.distances(pb)
+        dist = coupling.hops[pb]
         if dist[pa] < 0:
             raise ValueError(f"qubits {pa} and {pb} are disconnected")
         while dist[pa] > 1:

@@ -295,9 +295,12 @@ _BAD_FLAGS = {
     "landscape-grid-1": (["landscape", "{problem}", "--grid", "1"], "resolution"),
     "landscape-shots-0": (["landscape", "{problem}", "--grid", "3", "--shots", "0"], "shots"),
     "transpile-layers-0": (["transpile", "{problem}", "--layers", "0"], "one layer"),
-    "transpile-seed-negative": (["transpile", "{problem}", "--seed", "-1"], "non-negative"),
+    "transpile-seed-negative": (
+        ["transpile", "{problem}", "--seed", "-1"], "--seed must be an integer >= 0"
+    ),
     "score-seed-negative": (
-        ["score", "{dist}", "{dist}", "--problem", "{problem}", "--seed", "-1"], "non-negative"
+        ["score", "{dist}", "{dist}", "--problem", "{problem}", "--seed", "-1"],
+        "--seed must be an integer >= 0",
     ),
     "sweep-values-nan": (["sweep", "lama", "--values", "nan"], "rho"),
     "sweep-time-0": (["sweep", "lama", "--axis", "time", "--values", "0"], "sweeps"),
@@ -318,8 +321,9 @@ def test_bad_numeric_flag_exits_1_and_writes_nothing(
     paths = {"problem": lama_problem, "train": train, "dist": dist}
     out = tmp_path / "out"
     assert run_cli(*[arg.format(**paths) for arg in argv], "-o", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and fragment in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and fragment in captured.err
+    assert captured.out == ""  # refused before any result line
     assert not out.exists()
 
 
@@ -420,6 +424,40 @@ assert cli.main(["anneal", problem, "--reads", "8", "--sweeps", "5",
 assert cli.main(["anneal", problem, "--backend", "trotter", "--total-time", "1",
                  "--dt", "0.1", "-o", {str(tmp_path / "dist.json")!r}]) == 0
 assert "scipy.optimize" not in sys.modules, "imported by build or anneal"
+"""
+    source_root = str(Path(qubolab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": source_root},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_training_loads_no_scipy_module(tmp_path):
+    """COBYLA is qubolab's own, so `train` and variational `run` batches
+    start and finish without any scipy module."""
+    configs = {
+        algorithm: str(tmp_path / f"{algorithm}.json") for algorithm in ("qaoa", "vqe")
+    }
+    for algorithm, path in configs.items():
+        Path(path).write_text(json.dumps({
+            "use_case": {"name": "lama", "instance": "Ex0p1"}, "algorithm": algorithm,
+            "starts": 1, "max_iter": 20, "shots": 100, "routing_seeds": 1, "seeds": [0],
+        }))
+    script = f"""
+import sys
+import qubolab.cli as cli
+problem = {str(tmp_path / "ex0p1.json")!r}
+assert cli.main(["build", "lama", "--instance", "Ex0p1", "-o", problem]) == 0
+assert cli.main(["train", problem, "--starts", "2", "--max-iter", "20",
+                 "-o", {str(tmp_path / "train.json")!r}]) == 0
+for config in {list(configs.values())!r}:
+    assert cli.main(["run", config, "-o", config + ".out"]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
 """
     source_root = str(Path(qubolab.__file__).resolve().parents[1])
     result = subprocess.run(

@@ -61,7 +61,7 @@ def test_presets():
     hh = CouplingMap.heavy_hex_27()
     assert hh.num_qubits == 27
     assert len(hh.edges) == 28
-    assert np.all(hh.distances(0) >= 0)
+    assert min(hh.hops[0]) >= 0
     assert max(len(hh.neighbors(q)) for q in range(27)) == 3
 
 
@@ -76,10 +76,40 @@ def test_coupling_validation_and_normalization():
 
 def test_bfs_distances():
     line = CouplingMap.line(5)
-    np.testing.assert_array_equal(line.distances(0), [0, 1, 2, 3, 4])
+    assert line.hops[0] == [0, 1, 2, 3, 4]
     split = CouplingMap(4, [(0, 1), (2, 3)])
-    assert split.distances(0)[2] == -1
-    assert not np.all(split.distances(0) >= 0)
+    assert split.hops[0] == [0, 1, -1, -1]
+
+
+def bfs_distances(coupling, source):
+    """One BFS from ``source`` over ``coupling.neighbors``, as ``route`` ran
+    for every two-qubit gate before the hop table: the table's oracle."""
+    dist = np.full(coupling.num_qubits, -1, dtype=int)
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for r in coupling.neighbors(q):
+                if dist[r] < 0:
+                    dist[r] = dist[q] + 1
+                    nxt.append(r)
+        frontier = nxt
+    return dist
+
+
+def test_hop_table_equals_bfs_from_every_source():
+    rng = np.random.default_rng(7)
+    maps = [CouplingMap.line(7), CouplingMap.ring(7), CouplingMap.full(7),
+            CouplingMap.heavy_hex_27(), CouplingMap(4, [(0, 1), (2, 3)])]
+    for _ in range(20):  # sparse random graphs, often disconnected
+        n = int(rng.integers(2, 12))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        keep = rng.random(len(pairs)) < 0.25
+        maps.append(CouplingMap(n, [p for p, k in zip(pairs, keep) if k]))
+    for coupling in maps:
+        for source in range(coupling.num_qubits):
+            assert coupling.hops[source] == bfs_distances(coupling, source).tolist()
 
 
 def test_layout_validation():
@@ -170,9 +200,10 @@ def test_route_maps_measure_operands():
 
 
 def reference_route(circuit, coupling, layout, seed=0):
-    """The routing loop ``route`` replaced, kept as its oracle: a logical ->
-    physical list, a physical -> logical dict and a wire -> position list,
-    the last rescanned over every wire on each SWAP."""
+    """The routing loop ``route`` replaced, kept as its oracle: a fresh BFS
+    per two-qubit gate, a logical -> physical list, a physical -> logical
+    dict and a wire -> position list, the last rescanned over every wire on
+    each SWAP."""
     n_phys = coupling.num_qubits
     rng = np.random.default_rng(seed)
     position = list(layout.assignment)
@@ -200,7 +231,7 @@ def reference_route(circuit, coupling, layout, seed=0):
             continue
         a, b = gate.qubits
         pa, pb = position[a], position[b]
-        dist = coupling.distances(pb)
+        dist = bfs_distances(coupling, pb)
         while dist[pa] > 1:
             options = [r for r in coupling.neighbors(pa) if dist[r] == dist[pa] - 1]
             step = int(options[rng.integers(len(options))])
