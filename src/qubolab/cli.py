@@ -74,15 +74,14 @@ from .usecases import (
     trp_model,
 )
 from .variational import (
-    ansatz_params,
+    ANSATZE,
+    START_RANGE,
+    ansatz_circuit,
+    ansatz_state,
     cost_landscape,
     num_params,
-    qaoa_circuit,
     qaoa_objective,
-    qaoa_state_fast,
-    vqe_circuit,
     vqe_objective,
-    vqe_state,
 )
 
 _PENALTY_SCAN_CAP = 16  # min_penalty enumerates 2^N points
@@ -109,7 +108,7 @@ _SEED_FIELDS = ("seeds", "routing_seeds")
 # the string fields of a `run` config and the values they take; the
 # `transpile` flags take the same topologies and bases
 _CHOICES = {
-    "algorithm": ("qaoa", "vqe", "sa", "qa-trotter", "brute"),
+    "algorithm": (*ANSATZE, "sa", "qa-trotter", "brute"),
     "topology": ("line", "ring", "full", "heavy_hex_27"),
     "basis": ("CX", "CZ", "ECR"),
 }
@@ -346,8 +345,9 @@ def _train(ising: IsingModel, algorithm, layers, starts, max_iter, seed, shots=N
     module's names (perfbench/spans.py) sees every objective."""
     factory = {"qaoa": qaoa_objective, "vqe": vqe_objective}[algorithm]
     objective = factory(ising, layers, shots, seed)
-    high = np.pi if algorithm == "qaoa" else 2.0 * np.pi
-    sampler = uniform_sampler(num_params(algorithm, layers, ising.num_qubits), 0.0, high)
+    sampler = uniform_sampler(
+        num_params(algorithm, layers, ising.num_qubits), 0.0, START_RANGE[algorithm]
+    )
     return multistart(
         objective, sampler, num_starts=starts, seed=seed, max_iter=max_iter
     )
@@ -355,11 +355,7 @@ def _train(ising: IsingModel, algorithm, layers, starts, max_iter, seed, shots=N
 
 def _sample(ising: IsingModel, algorithm: str, layers, params, shots, seed):
     """The ansatz state at ``params`` and ``shots`` seeded samples of it."""
-    params = ansatz_params(algorithm, layers, ising.num_qubits, params)
-    if algorithm == "qaoa":
-        state = qaoa_state_fast(ising, params)
-    else:
-        state = vqe_state(params)
+    state = ansatz_state(ising, algorithm, layers, params)
     return state, sample_state(state, shots, seed)
 
 
@@ -383,11 +379,7 @@ def _transpile(ising, algorithm, layers, params, topology, basis, error_map, see
     n = ising.num_qubits
     if params is None:
         params = np.full(num_params(algorithm, layers, n), 0.5)
-    params = ansatz_params(algorithm, layers, n, params)
-    if algorithm == "qaoa":
-        circ = qaoa_circuit(ising, params)
-    else:
-        circ = vqe_circuit(params)
+    circ = ansatz_circuit(ising, algorithm, layers, params)
     circ.measure(*range(n))
     coupling = _topology(topology, n)
     errmap = _error_map(error_map, coupling)
@@ -703,7 +695,7 @@ def run(config: dict) -> dict:
                     "optimal_set": list(report.optimal_set),
                     "evaluations": report.evaluations,
                 }
-            elif algorithm in ("qaoa", "vqe"):
+            elif algorithm in ANSATZE:
                 record = _variational_record(problem, settings, seed)
             else:
                 record = _anneal_record(problem, settings, seed)
@@ -778,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="multi-start variational optimization")
     _add_common_problem_arg(p)
-    p.add_argument("--algorithm", choices=["qaoa", "vqe"], default="qaoa")
+    p.add_argument("--algorithm", choices=ANSATZE, default=ANSATZE[0])
     p.add_argument("--layers", type=int, default=_RUN_FIELDS["layers"])
     p.add_argument("--starts", type=int, default=_RUN_FIELDS["starts"])
     p.add_argument("--max-iter", type=int, default=_RUN_FIELDS["max_iter"])
@@ -809,8 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transpile", help="route + decompose + count + score")
     _add_common_problem_arg(p)
-    p.add_argument("--algorithm", choices=["qaoa", "vqe"], default="qaoa")
-    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--algorithm", choices=ANSATZE, default=ANSATZE[0])
+    p.add_argument("--layers", type=int, default=_RUN_FIELDS["layers"])
     p.add_argument("--topology", choices=_CHOICES["topology"], default="heavy_hex_27")
     p.add_argument("--basis", choices=_CHOICES["basis"], default="CX")
     p.add_argument("--error-map", help="ErrorMap JSON; uniform defaults otherwise")

@@ -1,8 +1,12 @@
 """QAOA and two-local VQE ansatz construction plus the p=1 cost landscape.
 
-Parameter vector conventions (``num_params`` holds both counts):
-  * QAOA: ``concat(betas, gammas)`` — 2p entries for p layers.
-  * VQE: one RY angle per (layer, qubit), n(L+1) entries; layer-major order.
+The one module that tells the ansätze apart. A parameter vector is parsed
+once, by ``ansatz_params``, into its ansatz's angle table:
+  * QAOA: ``concat(betas, gammas)``, 2p entries for p layers, as the (2, p)
+    table of betas then gammas.
+  * VQE: one RY angle per (layer, qubit), n(L+1) entries in layer-major
+    order, as the (L+1, n) table of RY walls.
+The kernels and the gate builders take that table.
 """
 
 from __future__ import annotations
@@ -17,68 +21,50 @@ from .simulator import phase_mixer_state, ry_cx_amplitudes
 # unused here; perfbench/spans.py traces these names in this module
 from .simulator import apply_gate, run_circuit  # noqa: F401
 
+# each ansatz by name, with the range [0, high) its training starts draw
+# every angle from
+START_RANGE = {"qaoa": np.pi, "vqe": 2.0 * np.pi}
+ANSATZE = tuple(START_RANGE)
 
-def num_params(algorithm: str, layers: int, num_qubits: int) -> int:
-    """Length of the named ansatz's parameter vector: 2p for QAOA, n(L+1)
-    for the two-local VQE. Refuses an unknown ansatz, one without layers and
-    a VQE on fewer than two qubits."""
-    if algorithm not in ("qaoa", "vqe"):
-        raise ValueError(f"no ansatz named {algorithm!r}; need qaoa or vqe")
+
+def _table_shape(algorithm: str, layers: int, num_qubits: int) -> tuple[int, int]:
+    """Shape of the named ansatz's angle table: (2, p) for QAOA, (L+1, n) for
+    the two-local VQE. Refuses an unknown ansatz, ``layers`` that is not an
+    integer (a train result's field is read as written) or is below 1, and a
+    VQE on fewer than two qubits."""
+    if algorithm not in START_RANGE:
+        raise ValueError(f"no ansatz named {algorithm!r}; need {' or '.join(ANSATZE)}")
+    require_integer("layers", layers)
     if layers < 1:
         raise ValueError("need at least one layer")
     if algorithm == "qaoa":
-        return 2 * layers
+        return 2, layers
     if num_qubits < 2:
         raise ValueError("the two-local ansatz needs two qubits")
-    return num_qubits * (layers + 1)
+    return layers + 1, num_qubits
 
 
-@dataclass
-class QaoaParams:
-    betas: np.ndarray
-    gammas: np.ndarray
-    layers: int
-
-    def __post_init__(self):
-        num_params("qaoa", self.layers, 0)  # rejects layers < 1
-        self.betas = np.asarray(self.betas, dtype=float).reshape(-1)
-        self.gammas = np.asarray(self.gammas, dtype=float).reshape(-1)
-        if len(self.betas) != self.layers or len(self.gammas) != self.layers:
-            raise ValueError(
-                f"need {self.layers} betas and gammas, got "
-                f"{len(self.betas)} and {len(self.gammas)}"
-            )
-        require_finite("QAOA angle", self.betas, self.gammas)
+def num_params(algorithm: str, layers: int, num_qubits: int) -> int:
+    """Length of the named ansatz's parameter vector: 2p for QAOA, n(L+1)
+    for the two-local VQE; refuses what ``_table_shape`` refuses."""
+    rows, columns = _table_shape(algorithm, layers, num_qubits)
+    return rows * columns
 
 
-@dataclass
-class VqeParams:
-    thetas: np.ndarray
-    layers: int
-    num_qubits: int
-
-    def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
-        want = num_params("vqe", self.layers, self.num_qubits)
-        if len(self.thetas) != want:
-            raise ValueError(f"need {want} angles, got {len(self.thetas)}")
-        require_finite("VQE angle", self.thetas)
-
-
-def ansatz_params(algorithm: str, layers: int, num_qubits: int, vector):
-    """``vector`` as the named ansatz's ``QaoaParams`` or ``VqeParams``;
-    ``ValueError`` unless ``layers`` is an integer (a train result's field
-    is read as written) and ``vector`` holds ``num_params`` finite angles."""
-    require_integer("layers", layers)
+def ansatz_params(algorithm: str, layers: int, num_qubits: int, vector) -> np.ndarray:
+    """The one parse of a parameter vector: ``vector`` as the named ansatz's
+    angle table, whose ``ravel()`` is ``vector``; ``ValueError`` unless
+    ``layers`` is an integer >= 1 and ``vector`` holds ``num_params``
+    finite angles."""
+    shape = _table_shape(algorithm, layers, num_qubits)
     vector = np.asarray(vector, dtype=float).reshape(-1)
-    want = num_params(algorithm, layers, num_qubits)
-    if len(vector) != want:
+    if len(vector) != shape[0] * shape[1]:
         raise ValueError(
-            f"{algorithm} with {layers} layers needs {want} parameters, got {len(vector)}"
+            f"{algorithm} with {layers} layers needs {shape[0] * shape[1]} parameters, "
+            f"got {len(vector)}"
         )
-    if algorithm == "qaoa":
-        return QaoaParams(vector[:layers], vector[layers:], layers)
-    return VqeParams(vector, layers, num_qubits)
+    require_finite(f"{algorithm} angle", vector)
+    return vector.reshape(shape)
 
 
 @dataclass
@@ -95,17 +81,17 @@ class Landscape:
             raise ValueError("grid shape does not match axes")
 
 
-def qaoa_circuit(ising: IsingModel, params: QaoaParams) -> Circuit:
-    """Gate-level QAOA ansatz at ``params``: Hadamard wall, then per layer
-    the phase gates RZ_i(2 gamma h'_i), RZZ_ij(2 gamma h_ij) and the mixer
-    RX(2 beta) on every qubit."""
+def qaoa_circuit(ising: IsingModel, table: np.ndarray) -> Circuit:
+    """Gate-level QAOA ansatz at the (2, p) angle ``table``: Hadamard wall,
+    then per layer the phase gates RZ_i(2 gamma h'_i), RZZ_ij(2 gamma h_ij)
+    and the mixer RX(2 beta) on every qubit."""
     n = ising.num_qubits
     circ = Circuit(n)
     for q in range(n):
         circ.h(q)
     couplings = sorted(ising.h_quad.items())
     # 2h is rounded before the product, so reported gate angles stay as they were
-    for beta, gamma in zip(params.betas, params.gammas):
+    for beta, gamma in zip(*table):
         for i, h in enumerate(ising.h_lin):
             if h != 0.0:
                 circ.rz(i, (2.0 * h) * gamma)
@@ -117,23 +103,23 @@ def qaoa_circuit(ising: IsingModel, params: QaoaParams) -> Circuit:
     return circ
 
 
-def qaoa_state_fast(ising: IsingModel, params: QaoaParams) -> StateVector:
-    """Diagonal-phase QAOA evolution on ``phase_mixer_state``: per layer,
-    multiply amplitudes by exp(-i gamma * cost(b)), then mix with RX(2 beta).
+def qaoa_state_fast(ising: IsingModel, table: np.ndarray) -> StateVector:
+    """Diagonal-phase QAOA evolution on ``phase_mixer_state`` at the (2, p)
+    angle ``table``: per layer, multiply amplitudes by exp(-i gamma * cost(b)),
+    then mix with RX(2 beta).
 
     The gate-level ``qaoa_circuit`` is its oracle and differs only by a global
     phase (the constant term h'' enters here but not there)."""
-    return phase_mixer_state(
-        ising.cost_vector(), list(zip(params.gammas, 2.0 * params.betas))
-    )
+    betas, gammas = table
+    return phase_mixer_state(ising.cost_vector(), list(zip(gammas, 2.0 * betas)))
 
 
-def vqe_circuit(params: VqeParams) -> Circuit:
-    """Two-local ansatz at ``params``: L blocks of [RY wall, CX chain], then a
-    closing RY wall."""
-    n = params.num_qubits
+def vqe_circuit(table: np.ndarray) -> Circuit:
+    """Two-local ansatz at the (L+1, n) angle ``table``: L blocks of [RY wall,
+    CX chain], then a closing RY wall."""
+    n = table.shape[1]
     circ = Circuit(n)
-    *blocks, closing = params.thetas.reshape(params.layers + 1, n)
+    *blocks, closing = table
     for wall in blocks:
         for q, theta in enumerate(wall):
             circ.append(Gate("RY", (q,), theta))
@@ -144,13 +130,29 @@ def vqe_circuit(params: VqeParams) -> Circuit:
     return circ
 
 
-def vqe_state(params: VqeParams) -> StateVector:
-    """The two-local ansatz state at ``params`` on the real-valued
-    ``ry_cx_amplitudes`` kernel; ``vqe_circuit`` through ``run_circuit`` is
-    its oracle."""
-    n = params.num_qubits
-    thetas = params.thetas.reshape(params.layers + 1, n)
-    return StateVector(ry_cx_amplitudes(thetas, cx_chain_permutation(n)), n)
+def _amplitudes(ising: IsingModel, algorithm: str):
+    """The named ansatz's amplitudes as a function of its angle table:
+    complex from ``qaoa_state_fast``, real from the ``ry_cx_amplitudes``
+    kernel (each CX chain one permutation, built here once). The gate-level
+    ``qaoa_circuit`` and ``vqe_circuit`` are their oracles."""
+    if algorithm == "qaoa":
+        return lambda table: qaoa_state_fast(ising, table).amplitudes
+    perm = cx_chain_permutation(ising.num_qubits)
+    return lambda table: ry_cx_amplitudes(table, perm)
+
+
+def ansatz_state(ising: IsingModel, algorithm: str, layers: int, vector) -> StateVector:
+    """The named ansatz's state at the parameter ``vector``, on its kernel."""
+    table = ansatz_params(algorithm, layers, ising.num_qubits, vector)
+    return StateVector(_amplitudes(ising, algorithm)(table), ising.num_qubits)
+
+
+def ansatz_circuit(ising: IsingModel, algorithm: str, layers: int, vector) -> Circuit:
+    """The named ansatz's gate-level circuit at the parameter ``vector``."""
+    table = ansatz_params(algorithm, layers, ising.num_qubits, vector)
+    if algorithm == "qaoa":
+        return qaoa_circuit(ising, table)
+    return vqe_circuit(table)
 
 
 def _energy(probs: np.ndarray, cost: np.ndarray, shots: int | None, rng) -> float:
@@ -162,21 +164,22 @@ def _energy(probs: np.ndarray, cost: np.ndarray, shots: int | None, rng) -> floa
     return float(draws @ cost) / shots
 
 
-def _objective(ising: IsingModel, algorithm: str, layers, shots, seed, probabilities):
+def _objective(ising: IsingModel, algorithm: str, layers, shots, seed):
     """The energy over parameter vectors that both ansätze share: ``layers``,
     ``shots`` and the cost diagonal are read once; each vector is parsed by
-    ``ansatz_params`` and scored by ``_energy`` of ``probabilities(params)``,
+    ``ansatz_params`` and scored by ``_energy`` of its squared amplitudes,
     with shots drawn from one generator seeded by ``seed``."""
     n = ising.num_qubits
-    num_params(algorithm, layers, n)  # rejects layers < 1 and a one-qubit VQE
+    num_params(algorithm, layers, n)  # refuses bad layers and a one-qubit VQE
     if shots is not None:
         require_integer("shots", shots, least=1)
     cost = ising.cost_vector()
+    amplitudes = _amplitudes(ising, algorithm)
     rng = np.random.default_rng(seed)
 
     def objective(vector) -> float:
-        params = ansatz_params(algorithm, layers, n, vector)
-        return _energy(probabilities(params), cost, shots, rng)
+        amps = amplitudes(ansatz_params(algorithm, layers, n, vector))
+        return _energy(np.abs(amps) ** 2, cost, shots, rng)
 
     return objective
 
@@ -185,28 +188,14 @@ def qaoa_objective(
     ising: IsingModel, layers: int, shots: int | None = None, seed: int | None = None
 ):
     """Objective over ``concat(betas, gammas)`` vectors, on ``qaoa_state_fast``."""
-
-    def probabilities(params: QaoaParams) -> np.ndarray:
-        return qaoa_state_fast(ising, params).probabilities()
-
-    return _objective(ising, "qaoa", layers, shots, seed, probabilities)
+    return _objective(ising, "qaoa", layers, shots, seed)
 
 
 def vqe_objective(
     ising: IsingModel, layers: int, shots: int | None = None, seed: int | None = None
 ):
-    """Objective over two-local RY angle vectors on the real-valued
-    ``ry_cx_amplitudes`` kernel (each CX chain one precomputed permutation);
-    the gate-level ``vqe_circuit`` is its oracle."""
-    n = ising.num_qubits
-
-    def probabilities(params: VqeParams) -> np.ndarray:
-        amps = ry_cx_amplitudes(params.thetas.reshape(layers + 1, n), perm)
-        return amps * amps
-
-    objective = _objective(ising, "vqe", layers, shots, seed, probabilities)
-    perm = cx_chain_permutation(n)  # after the body's checks, before any call
-    return objective
+    """Objective over two-local RY angle vectors, on ``ry_cx_amplitudes``."""
+    return _objective(ising, "vqe", layers, shots, seed)
 
 
 def cost_landscape(

@@ -69,8 +69,6 @@ from qubolab.usecases import (
     lama_objective,
 )
 from qubolab.variational import (
-    QaoaParams,
-    VqeParams,
     ansatz_params,
     cost_landscape,
     num_params,
@@ -217,7 +215,7 @@ def test_04_qaoa_fast_vs_gate_path():
 
     qubo = random_qubo(np.random.default_rng(17), 6)
     ising = to_ising(qubo)
-    state = qaoa_state_fast(ising, QaoaParams([0.0], [0.0], 1))
+    state = qaoa_state_fast(ising, ansatz_params("qaoa", 1, 6, [0.0, 0.0]))
     energy = expectation_diagonal(state, ising.cost_vector())
     assert abs(energy - qubo_cost_vector(qubo).mean()) < 1e-9
 
@@ -254,7 +252,7 @@ def test_06_vqe_training_concentrates_on_optima():
         seed=0,
         max_iter=1000,
     )
-    state = run_circuit(vqe_circuit(VqeParams(report.best_params, 2, ising.num_qubits)))
+    state = run_circuit(vqe_circuit(ansatz_params("vqe", 2, ising.num_qubits, report.best_params)))
     probs = np.abs(state.amplitudes) ** 2
     optimal_set = brute_force_solve(qubo).optimal_set
     mass = sum(probs[bits_to_int(str_to_bits(s))] for s in optimal_set)
@@ -445,7 +443,7 @@ def test_11_quality_metrics():
     # empirical sampling closes in on the exact distribution
     qubo6, _ = lama_qubo("Ex0p1")
     ising = to_ising(qubo6)
-    state = qaoa_state_fast(ising, QaoaParams([0.7], [0.4], 1))
+    state = qaoa_state_fast(ising, ansatz_params("qaoa", 1, 6, [0.7, 0.4]))
     empirical = Distribution.from_sampleset(sample(state, 100_000, seed=2))
     assert hellinger_fidelity(empirical, Distribution.from_state(state)) >= 0.99
 

@@ -18,7 +18,7 @@ from scipy.optimize import minimize as scipy_minimize
 from qubolab import cli
 from qubolab.cobyla import cobyla
 from qubolab.optimizer import _TOL, uniform_sampler
-from qubolab.variational import num_params, qaoa_objective, vqe_objective
+from qubolab.variational import START_RANGE, num_params, qaoa_objective, vqe_objective
 
 EX0P1 = {"name": "lama", "instance": "Ex0p1"}
 
@@ -106,8 +106,9 @@ def assert_same_multistart(algorithm, layers, starts, max_iter, shots, seed, isi
     """``cli._train``'s starts, each solver on its own copy of the objective,
     so a shot-noise generator advances alike on both sides."""
     factory = {"qaoa": qaoa_objective, "vqe": vqe_objective}[algorithm]
-    high = np.pi if algorithm == "qaoa" else 2.0 * np.pi
-    sampler = uniform_sampler(num_params(algorithm, layers, ising.num_qubits), 0.0, high)
+    sampler = uniform_sampler(
+        num_params(algorithm, layers, ising.num_qubits), 0.0, START_RANGE[algorithm]
+    )
     theirs = factory(ising, layers, shots, seed)
     ours = factory(ising, layers, shots, seed)
     for k in range(starts):

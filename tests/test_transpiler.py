@@ -371,21 +371,21 @@ def test_count_two_qubit():
 
 def test_qaoa_count_on_full_topology_is_twice_couplings():
     from qubolab.model import to_ising, QuboProblem
-    from qubolab.variational import QaoaParams, qaoa_circuit
+    from qubolab.variational import ansatz_params, qaoa_circuit
 
     q = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [0.0, 0.0, 0.5]])
     ising = to_ising(QuboProblem(Q=q, constant=0.0))
-    bound = qaoa_circuit(ising, QaoaParams([0.3], [0.7], 1))
+    bound = qaoa_circuit(ising, ansatz_params("qaoa", 1, 3, [0.3, 0.7]))
     routed = route(bound, CouplingMap.full(3), Layout.trivial(3))
     counted = count_two_qubit(decompose(routed.circuit))
     assert counted == 2 * 2  # two nonzero couplings, 2 CX each
 
 
 def test_vqe_count_on_line_topology():
-    from qubolab.variational import VqeParams, vqe_circuit
+    from qubolab.variational import ansatz_params, vqe_circuit
 
     n, layers = 5, 3
-    bound = vqe_circuit(VqeParams(np.zeros(n * (layers + 1)), layers, n))
+    bound = vqe_circuit(ansatz_params("vqe", layers, n, np.zeros(n * (layers + 1))))
     routed = route(bound, CouplingMap.line(n), Layout.trivial(n))
     assert count_two_qubit(decompose(routed.circuit)) == layers * (n - 1)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from util import random_qubo
 
@@ -17,10 +19,11 @@ from qubolab.simulator import (
     run_circuit,
 )
 from qubolab.variational import (
+    ANSATZE,
     Landscape,
-    QaoaParams,
-    VqeParams,
+    ansatz_circuit,
     ansatz_params,
+    ansatz_state,
     cost_landscape,
     num_params,
     qaoa_circuit,
@@ -28,7 +31,6 @@ from qubolab.variational import (
     qaoa_state_fast,
     vqe_circuit,
     vqe_objective,
-    vqe_state,
 )
 
 
@@ -49,20 +51,18 @@ def random_ising(seed: int, n: int):
 
 def test_qaoa_parameter_count_is_twice_depth():
     assert num_params("qaoa", 2, 3) == 4
-    params = ansatz_params("qaoa", 2, 3, [0.1, 0.2, 0.3, 0.4])
-    np.testing.assert_array_equal(params.betas, [0.1, 0.2])
-    np.testing.assert_array_equal(params.gammas, [0.3, 0.4])
-    circ = qaoa_circuit(random_ising(0, 3)[0], params)
+    table = ansatz_params("qaoa", 2, 3, [0.1, 0.2, 0.3, 0.4])
+    np.testing.assert_array_equal(table[0], [0.1, 0.2])
+    np.testing.assert_array_equal(table[1], [0.3, 0.4])
+    circ = qaoa_circuit(random_ising(0, 3)[0], table)
     assert [g.angle for g in circ.gates if g.kind == "RX"] == [0.2] * 3 + [0.4] * 3
 
 
 def test_qaoa_vector_roundtrip():
-    params = ansatz_params("qaoa", 2, 3, [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(params.betas, [1.0, 2.0])
-    np.testing.assert_array_equal(params.gammas, [3.0, 4.0])
-    np.testing.assert_array_equal(
-        np.concatenate([params.betas, params.gammas]), [1.0, 2.0, 3.0, 4.0]
-    )
+    table = ansatz_params("qaoa", 2, 3, [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(table[0], [1.0, 2.0])
+    np.testing.assert_array_equal(table[1], [3.0, 4.0])
+    np.testing.assert_array_equal(table.ravel(), [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         ansatz_params("qaoa", 2, 3, [1.0, 2.0, 3.0])
 
@@ -71,15 +71,15 @@ def test_vqe_parameter_counts():
     assert num_params("vqe", 2, 4) == 12
     assert num_params("vqe", 1, 8) == 16
     for n, layers in [(4, 2), (8, 1)]:
-        circ = vqe_circuit(VqeParams(np.arange(n * (layers + 1)), layers, n))
+        circ = vqe_circuit(ansatz_params("vqe", layers, n, np.arange(n * (layers + 1))))
         angles = [g.angle for g in circ.gates if g.kind == "RY"]
         assert angles == list(range(n * (layers + 1)))
     with pytest.raises(ValueError):
-        VqeParams(np.zeros(11), layers=2, num_qubits=4)
+        ansatz_params("vqe", 2, 4, np.zeros(11))
     with pytest.raises(ValueError, match="two qubits"):
-        VqeParams(np.zeros(2), layers=1, num_qubits=1)
+        ansatz_params("vqe", 1, 1, np.zeros(2))
     with pytest.raises(ValueError, match="one layer"):
-        VqeParams(np.zeros(3), layers=0, num_qubits=3)
+        ansatz_params("vqe", 0, 3, np.zeros(3))
 
 
 def test_num_params_refuses_an_unknown_ansatz():
@@ -96,13 +96,68 @@ def test_builders_reject_wrong_length():
         vqe_circuit(ansatz_params("vqe", 1, 3, np.zeros(5)))
 
 
+@st.composite
+def ansatz_vectors(draw, angles=st.floats(allow_nan=False, allow_infinity=False)):
+    """An ansatz on 2..5 qubits with 1..3 layers, and a vector of as many
+    ``angles`` as it takes."""
+    algorithm = draw(st.sampled_from(ANSATZE))
+    n, layers = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    count = num_params(algorithm, layers, n)
+    return algorithm, n, layers, draw(st.lists(angles, min_size=count, max_size=count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ansatz_vectors())
+def test_valid_vectors_round_trip_bit_for_bit(case):
+    algorithm, n, layers, vector = case
+    table = ansatz_params(algorithm, layers, n, vector)
+    assert table.shape == ((2, layers) if algorithm == "qaoa" else (layers + 1, n))
+    assert table.ravel().tobytes() == np.array(vector, dtype=float).tobytes()
+
+
+@st.composite
+def malformed_inputs(draw):
+    """A valid case with one defect, and the message that names it: a vector
+    of another length, a NaN or +-inf entry, or ``layers`` given as a bool,
+    a float or a string."""
+    algorithm, n, layers, vector = draw(ansatz_vectors(angles=st.floats(-7.0, 7.0)))
+    defect = draw(st.sampled_from(["length", "non-finite", "layers"]))
+    if defect == "length":
+        size = draw(st.integers(0, len(vector) + 3).filter(lambda k: k != len(vector)))
+        return algorithm, n, layers, (vector + [0.5] * 3)[:size], "needs \\d+ parameters"
+    if defect == "non-finite":
+        vector[draw(st.integers(0, len(vector) - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+        return algorithm, n, layers, vector, "non-finite"
+    layers = draw(st.one_of(st.booleans(), st.floats(), st.text(max_size=3)))
+    return algorithm, n, layers, vector, "layers must be an integer"
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_inputs())
+def test_every_reader_refuses_a_malformed_vector(case):
+    algorithm, n, layers, vector, message = case
+    ising, _ = random_ising(n, n)
+    factory = {"qaoa": qaoa_objective, "vqe": vqe_objective}[algorithm]
+    readers = [
+        lambda: ansatz_params(algorithm, layers, n, vector),
+        lambda: factory(ising, layers)(vector),
+        lambda: ansatz_state(ising, algorithm, layers, vector),
+        lambda: ansatz_circuit(ising, algorithm, layers, vector),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
 # ---------------------------------------------------------------------------
 # QAOA states
 
 
 def test_qaoa_zero_angles_gives_uniform_state():
     ising, _ = random_ising(2, 4)
-    params = QaoaParams([0.0], [0.0], 1)
+    params = ansatz_params("qaoa", 1, 4, [0.0, 0.0])
     fast = qaoa_state_fast(ising, params)
     np.testing.assert_allclose(
         fast.amplitudes, StateVector.plus_state(4).amplitudes, atol=1e-12
@@ -132,12 +187,13 @@ def test_fast_path_matches_gate_path_up_to_global_phase(draw):
     )
 
 
-def phase_then_rx_gates(ising, params):
+def phase_then_rx_gates(ising, table):
     """qaoa_state_fast spelled out with apply_gate: per layer the diagonal
     phase exp(-i gamma cost), then RX(2 beta) on every qubit."""
     n = ising.num_qubits
     state = StateVector.plus_state(n)
-    for gamma, beta in zip(params.gammas, params.betas):
+    betas, gammas = table
+    for gamma, beta in zip(gammas, betas):
         phase = np.exp(-1j * gamma * ising.cost_vector())
         state = StateVector(state.amplitudes * phase, n)
         for q in range(n):
@@ -184,14 +240,14 @@ def test_single_coupling_gives_one_rzz_per_layer():
 
 
 def test_vqe_zero_angles_gives_zero_state():
-    state = run_circuit(vqe_circuit(VqeParams(np.zeros(15), 2, 5)))
+    state = run_circuit(vqe_circuit(ansatz_params("vqe", 2, 5, np.zeros(15))))
     np.testing.assert_allclose(
         state.amplitudes, StateVector.zero_state(5).amplitudes, atol=1e-12
     )
 
 
 def test_vqe_gate_sequence_layout():
-    circ = vqe_circuit(VqeParams(np.zeros(6), 1, 3))
+    circ = vqe_circuit(ansatz_params("vqe", 1, 3, np.zeros(6)))
     kinds = [g.kind for g in circ.gates]
     assert kinds == ["RY", "RY", "RY", "CX", "CX", "RY", "RY", "RY"]
     assert circ.gates[3].qubits == (0, 1) and circ.gates[4].qubits == (1, 2)
@@ -200,7 +256,7 @@ def test_vqe_gate_sequence_layout():
 def test_vqe_state_normalized():
     rng = np.random.default_rng(9)
     vector = rng.uniform(0, 2 * np.pi, num_params("vqe", 2, 4))
-    state = run_circuit(vqe_circuit(VqeParams(vector, 2, 4)))
+    state = run_circuit(vqe_circuit(ansatz_params("vqe", 2, 4, vector)))
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-9
 
 
@@ -235,7 +291,7 @@ def test_landscape_matches_pointwise_expectation():
     scape = cost_landscape(ising, resolution=5)
     for i in [0, 2, 4]:
         for j in [1, 3]:
-            params = QaoaParams([scape.beta_axis[i]], [scape.gamma_axis[j]], 1)
+            params = ansatz_params("qaoa", 1, 3, [scape.beta_axis[i], scape.gamma_axis[j]])
             gate = run_circuit(qaoa_circuit(ising, params)).probabilities()
             assert abs(scape.grid[i, j] - gate @ ising.cost_vector()) < 1e-9
 
@@ -249,7 +305,7 @@ def test_landscape_is_the_qaoa_expectation_grid(shots, seed):
     grid = np.empty((6, 6))
     for j, gamma in enumerate(scape.gamma_axis):
         for i, beta in enumerate(scape.beta_axis):
-            params = QaoaParams([beta], [gamma], 1)
+            params = ansatz_params("qaoa", 1, 4, [beta, gamma])
             probs = qaoa_state_fast(ising, params).probabilities()
             if shots is None:
                 grid[i, j] = float(probs @ cost)
@@ -300,10 +356,10 @@ def test_vqe_kernel_matches_gate_path(n):
     perm = cx_chain_permutation(n)
     for layers in range(1, 4):
         vector = rng.uniform(0.0, 2.0 * np.pi, num_params("vqe", layers, n))
-        gate = run_circuit(vqe_circuit(VqeParams(vector, layers, n)))
+        gate = run_circuit(vqe_circuit(ansatz_params("vqe", layers, n, vector)))
         amps = ry_cx_amplitudes(vector.reshape(layers + 1, n), perm)
         assert np.array_equal(amps, gate.amplitudes)
-        state = vqe_state(VqeParams(vector, layers, n))
+        state = ansatz_state(ising, "vqe", layers, vector)
         assert np.array_equal(state.amplitudes, gate.amplitudes)
         assert np.array_equal(state.probabilities(), gate.probabilities())
         expected = float(gate.probabilities() @ ising.cost_vector())
@@ -321,18 +377,18 @@ def test_vqe_kernel_equals_gates_for_odd_and_even_n(n):
     perm = cx_chain_permutation(n)
     for layers in range(1, 4):
         vector = rng.uniform(0.0, 2.0 * np.pi, num_params("vqe", layers, n))
-        gate = run_circuit(vqe_circuit(VqeParams(vector, layers, n))).amplitudes
+        gate = run_circuit(vqe_circuit(ansatz_params("vqe", layers, n, vector))).amplitudes
         assert np.array_equal(ry_cx_amplitudes(vector.reshape(layers + 1, n), perm), gate)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_params_reject_non_finite_angles(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        QaoaParams([0.1, bad], [0.3, 0.4], layers=2)
+        ansatz_params("qaoa", 2, 0, [0.1, bad, 0.3, 0.4])
     with pytest.raises(ValueError, match="non-finite"):
         ansatz_params("qaoa", 1, 0, [0.1, bad])
     with pytest.raises(ValueError, match="non-finite"):
-        VqeParams(np.r_[np.zeros(5), bad], layers=1, num_qubits=3)
+        ansatz_params("vqe", 1, 3, np.r_[np.zeros(5), bad])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -342,9 +398,9 @@ def test_objectives_raise_on_non_finite_angles(bad):
         vqe_objective(ising, 1)(np.full(6, bad))
     with pytest.raises(ValueError, match="non-finite"):
         qaoa_objective(ising, 1)([bad, 0.2])
-    # raises at the parameter type, before cos(inf) can warn
+    # raises at the one parse, before cos(inf) can warn
     with pytest.raises(ValueError, match="non-finite"):
-        qaoa_state_fast(ising, QaoaParams([0.1], [bad], layers=1))
+        ansatz_state(ising, "qaoa", 1, [0.1, bad])
 
 
 def test_vqe_objective_validation():
@@ -366,6 +422,8 @@ _WIDE = IsingModel(h_quad={}, h_lin=np.zeros(27), h_const=0.0, num_qubits=27)
     [
         (lambda: qaoa_objective(_WIDE, 0, shots=0), "need at least one layer"),
         (lambda: vqe_objective(_ONE_QUBIT, 0, shots=0), "need at least one layer"),
+        (lambda: qaoa_objective(_WIDE, 1.5, shots=0), "layers must be an integer"),
+        (lambda: vqe_objective(_ONE_QUBIT, True, shots=0), "layers must be an integer"),
         (lambda: vqe_objective(_ONE_QUBIT, 1, shots=0), "needs two qubits"),
         (lambda: qaoa_objective(_WIDE, 1, shots=0), "shots must be an integer >= 1"),
         (lambda: vqe_objective(_WIDE, 1, shots=0), "shots must be an integer >= 1"),
@@ -375,7 +433,8 @@ _WIDE = IsingModel(h_quad={}, h_lin=np.zeros(27), h_const=0.0, num_qubits=27)
         (lambda: cost_landscape(_WIDE, 2), "27 qubits exceed the cap of 26"),
     ],
     ids=[
-        "qaoa-layers", "vqe-layers", "vqe-one-qubit", "qaoa-shots", "vqe-shots",
+        "qaoa-layers", "vqe-layers", "qaoa-float-layers", "vqe-bool-layers",
+        "vqe-one-qubit", "qaoa-shots", "vqe-shots",
         "qaoa-cap", "vqe-cap", "landscape-shots", "landscape-cap",
     ],
 )
