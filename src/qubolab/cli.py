@@ -29,6 +29,7 @@ from .model import (
     build_quio,
     encode_binary,
     min_penalty,
+    number_array,
     require_finite,
     require_integer,
     require_real,
@@ -135,6 +136,15 @@ def _load_raw(path, kind=None, *fields) -> dict:
         if key not in doc:
             raise ValueError(f"{kind} {path} has no {key!r} field")
     return doc
+
+
+def _best_params(trained: dict) -> np.ndarray:
+    """A train result's ``best_params``, checked once as a flat list of real
+    numbers (never a bool, a string or a nested list)."""
+    params = number_array("best_params", trained["best_params"])
+    if params.ndim != 1:
+        raise ValueError(f"best_params must be a flat list, got {trained['best_params']!r}")
+    return params
 
 
 def _load_distribution(path) -> Distribution:
@@ -482,7 +492,7 @@ def _cmd_sample(args) -> int:
     result = _load_raw(args.train_result, "TrainResult", "algorithm", "layers", "best_params")
     _, samples = _sample(
         problem.ising, result["algorithm"], result["layers"],
-        result["best_params"], args.shots, args.seed,
+        _best_params(result), args.shots, args.seed,
     )
     save_json(_out_path(args.output), samples)
     top = max(samples.counts, key=samples.counts.get)
@@ -511,9 +521,11 @@ def _cmd_anneal(args) -> int:
 def _cmd_transpile(args) -> int:
     require_integer("--seed", args.seed, least=0)
     problem = _load_problem(args.problem)
-    trained = _load_raw(args.params, "TrainResult", "best_params") if args.params else {}
+    params = None
+    if args.params:
+        params = _best_params(_load_raw(args.params, "TrainResult", "best_params"))
     [record] = _transpile(
-        problem.ising, args.algorithm, args.layers, trained.get("best_params"), args.topology,
+        problem.ising, args.algorithm, args.layers, params, args.topology,
         args.basis, args.error_map, [args.seed],
     )
     record.update(

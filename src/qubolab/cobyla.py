@@ -15,13 +15,20 @@ same order. So ``cobyla`` makes the same evaluations and returns the same
 point, value and evaluation count as ``scipy.optimize.minimize(fun, x0,
 method="COBYLA", tol=rhoend, options={"maxiter": maxfun})``.
 
-Dropped, because none of it can change a number without constraints: the
-penalty update ``getcpen`` (it returns its input when every constraint
-violation is 0), the all-zero constraint arrays and the penalty terms they
-feed, the filter (with no violation, ``selectx`` returns the first point that
-reached the least value), the history, messages, ``preproc`` and the debugging
-checks. Kept from scipy's ``ScalarFunction``: a point equal to the last one
-evaluated reuses its value instead of calling ``fun`` again.
+Dropped, each with the rule that keeps every number the same:
+
+- ``getcpen`` and the constraint arrays: with no violation, no penalty.
+- The filter: ``selectx`` then returns the first point of least value.
+- The history, messages, ``preproc`` and debugging checks: they set no iterate.
+- ``trstlp``'s cascade on ``z = eye(n)``: one term of each product is an exact
+  zero, so one carried column of ``z`` has the same bits (inf or NaN: no step).
+- ``trstlp``'s ``d = 0`` arithmetic: each term it adds is an exact zero.
+- ``updatepole`` at each iteration's start and after a ``rho`` cut: it gets
+  the last ``updatepole``'s (or ``initialize``'s) output, and is idempotent.
+- ``np.tile(v, (n, 1)).T``: ``v[:, None]`` broadcasts the same arithmetic.
+
+Kept from scipy's ``ScalarFunction``: a point equal to the last one evaluated
+reuses its value instead of calling ``fun`` again.
 
 PRIMA is Copyright (c) Zaikun Zhang; the Python translation is part of SciPy,
 Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers. Both are
@@ -102,9 +109,6 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
     jdrop_tr = 0
     small_radius = False
     for _ in range(10 * maxfun):
-        sim, simi, damaging = _updatepole(fval, sim, simi)
-        if damaging:
-            break
         adequate_geo = all(np.sum(sim[:, :n] * sim[:, :n], axis=0) <= 4 * (delta * delta))
 
         g = (fval[:n] - fval[n]) @ simi
@@ -152,9 +156,6 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
                 break
             delta = max(0.5 * rho, _redrho(rho, rhoend))
             rho = _redrho(rho, rhoend)
-            sim, simi, damaging = _updatepole(fval, sim, simi)
-            if damaging:
-                break
 
     # the last trust-region step is tried if it was cut short at the end
     x = sim[:, n] + d
@@ -292,7 +293,7 @@ def _updatepole(fval, sim, simi):
         sim[:, n] += sim[:, jopt]
         sim_jopt = sim[:, jopt].copy()
         sim[:, jopt] = 0
-        sim[:, :n] -= np.tile(sim_jopt, (n, 1)).T
+        sim[:, :n] -= sim_jopt[:, None]
         simi[jopt, :] = -np.sum(simi, axis=0)
     simi, erri = _checked_inverse(sim, simi)
     if erri <= 1:
@@ -318,7 +319,7 @@ def _updatexfc(jdrop, d, f, fval, sim, simi):
         simi[jdrop, :] = simi_jdrop
     else:
         sim[:, n] += d
-        sim[:, :n] -= np.tile(d, (n, 1)).T
+        sim[:, :n] -= d[:, None]
         simid = simi @ d
         sum_simi = np.sum(simi, axis=0)
         simi += np.outer(simid, sum_simi / (1 - sum(simid)))
@@ -347,7 +348,7 @@ def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
     n = sim.shape[0]
     distsq = np.zeros(n + 1)
     if ximproved:
-        diff = sim[:, :n] - np.tile(d, (n, 1)).T
+        diff = sim[:, :n] - d[:, None]
         distsq[:n] = np.sum(diff * diff, axis=0)
         distsq[n] = np.sum(d * d)
     else:
@@ -383,59 +384,55 @@ def _trstlp(g, delta):
     """The trust-region step: ``-delta * g / |g|`` as PRIMA's ``trstlp``
     computes it when ``g`` is its only column. Its first stage, which
     reduces constraint violations, returns ``d = 0`` and ``z = I``."""
-    n = g.size
-    a = g.reshape((n, 1)).copy()
-    if (maxval := max(abs(a[:, 0]))) > 1e12:
-        a[:, 0] *= max(2 * REALMIN, 1 / maxval)
-    d = np.zeros(n)
-    z = np.eye(n)
-    zdota = np.zeros(n)
+    a = g.copy()
+    if (maxval := max(abs(a))) > 1e12:
+        a *= max(2 * REALMIN, 1 / maxval)
+    d = np.zeros(g.size)
     # add the column to the empty QR factorization of the active set
-    nact = _qradd(a[:, 0], z, zdota)
-    if nact == 0 or np.isnan(zdota[0]) or abs(zdota[0]) <= EPS**2:
+    if (qr := _qradd(a)) is None:
         return d
-    sdirn = -1 / zdota[0] * z[:, 0]
-    dd = delta * delta - np.dot(d, d)
+    z, zdota = qr
+    sdirn = -1 / zdota * z
     ss = np.dot(sdirn, sdirn)
-    sd = np.dot(sdirn, d)
-    if dd <= 0 or ss <= EPS * delta * delta or np.isnan(sd):
+    if ss <= EPS * delta * delta:
         return d
-    sqrtd = max(np.sqrt(ss * dd + sd * sd), abs(sd), np.sqrt(ss * dd))
-    if sd > 0:
-        step = dd / (sqrtd + sd)
-    else:
-        step = (sqrtd - sd) / ss
+    step = np.sqrt(ss * (delta * delta)) / ss
     if step <= 0 or not np.isfinite(step):
         return d
-    dnew = d + step * sdirn
     # the column's multiplier, clipped at 0, is never negative, so the step
-    # is taken whole (frac = 1) and kept if it and the multiplier are finite
-    vmult = max(0, -np.linalg.lstsq(a[:, [0]], dnew, rcond=None)[0][0])
-    frac = 1.0
-    dnew = (1 - frac) * d + frac * dnew
+    # is taken whole and kept if it and the multiplier are finite
+    dnew = d + step * sdirn
+    vmult = max(0, -np.linalg.lstsq(a[:, None], dnew, rcond=None)[0][0])
     if not (np.isfinite(np.sum(abs(dnew))) and np.isfinite(vmult)):
         return d
     return dnew
 
 
-def _qradd(c, q, rdiag):
-    """PRIMA's ``qradd_Rdiag`` for an empty factorization: rotates ``c`` into
-    the first column of ``q`` and returns 1, or 0 when ``c`` is negligible."""
-    m = q.shape[1]
-    cq = c @ q
-    cqa = abs(c) @ abs(q)
-    cq = np.where(_isminor(cq, cqa), 0.0, cq)
-    for k in range(m - 2, -1, -1):
+def _qradd(c):
+    """PRIMA's ``qradd_Rdiag`` for an empty factorization, ``q = I``: rotates
+    ``c`` into the first column of ``q`` and returns that column and its
+    ``R`` diagonal entry, or None when ``c`` is negligible."""
+    if not np.isfinite(c).all():
+        return None  # PRIMA's c @ eye(n) then holds a NaN (inf * 0) or an inf: no step
+    n = c.size
+    cqa = abs(c)
+    cq = np.where(_isminor(c, cqa), 0.0, c)
+    # q's column k + 1 after the rotations below k + 1; column k is e_k until
+    # rotation k gives it c * e_k + s * z
+    z = np.zeros(n)
+    z[n - 1] = 1.0
+    for k in range(n - 2, -1, -1):
         if abs(cq[k + 1]) > 0:
-            rot = _planerot(cq[k : k + 2])
-            # the Fortran-ordered copy PRIMA's q[:, [k, k + 1]] makes, so the
-            # matmul gets the same operand layouts
-            q[:, k : k + 2] = np.asfortranarray(q[:, k : k + 2]) @ rot.T
+            cos, sin = _planerot(cq[k : k + 2])
+            z[k + 1 :] *= sin
+            z[k] = cos
             cq[k] = np.hypot(cq[k], cq[k + 1])
+        else:
+            z[k + 1 :] = 0
+            z[k] = 1.0
     if abs(cq[0]) > EPS**2 and not _isminor(cq[0], cqa[0]):
-        rdiag[0] = cq[0]
-        return 1
-    return 0
+        return z, cq[0]
+    return None
 
 
 def _isminor(x, ref):
@@ -450,7 +447,8 @@ _SQRT_REALMAX = np.sqrt(REALMAX / 2.1)
 
 
 def _planerot(x):
-    """The 2x2 Givens rotation G with ``(G @ x)[1] == 0``, in Python floats
+    """``(c, s)`` of the Givens rotation ``G = [[c, s], [-s, c]]`` with
+    ``(G @ x)[1] == 0``, in Python floats
     (the same IEEE operations); the norm is ``np.linalg.norm``'s own
     ``sqrt(x.dot(x))``."""
     a, b = float(x[0]), float(x[1])
@@ -476,4 +474,4 @@ def _planerot(x):
         t = a / b
         u = max(1, abs(t), math.sqrt(1 + t * t)) * np.sign(b)
         c, s = t / u, 1 / u
-    return np.array([[c, s], [-s, c]])
+    return c, s

@@ -221,6 +221,37 @@ def test_train_result_missing_a_field_is_refused_by_name(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "transpile"])
+@pytest.mark.parametrize(
+    "best_params, message",
+    [
+        ([True, "0.5"], "best_params must be a real number, got True"),
+        ([0.5, "0.5"], "best_params must be a real number, got '0.5'"),
+        ([[0.1], [0.2]], "best_params must be a flat list, got [[0.1], [0.2]]"),
+        ({"gamma": 0.1, "beta": 0.2}, "best_params must be a real number, got {'gamma'"),
+        (0.5, "best_params must be a flat list, got 0.5"),
+    ],
+    ids=["bool", "string", "nested", "object", "scalar"],
+)
+def test_train_result_best_params_not_a_flat_list_of_numbers_is_refused(
+    lama_problem, tmp_path, capsys, command, best_params, message
+):
+    # a bool and a numeric string were read as angles, a nested list as a
+    # flat one, and an object failed with a bare TypeError
+    trained = tmp_path / "train.json"
+    trained.write_text(json.dumps(
+        {"type": "TrainResult", "algorithm": "qaoa", "layers": 1, "best_params": best_params}
+    ))
+    out = tmp_path / "o.json"
+    if command == "sample":
+        argv = ["sample", str(lama_problem), str(trained)]
+    else:
+        argv = ["transpile", str(lama_problem), "--params", str(trained)]
+    assert run_cli(*argv, "-o", str(out)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_vqe_param_count(lama_problem, tmp_path):
     trained = tmp_path / "vqe.json"
     rc = run_cli(

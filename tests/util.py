@@ -3,7 +3,11 @@ package's vectorised code is tested against."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from qubolab.cobyla import _SQRT_REALMAX, _SQRT_REALMIN, EPS, REALMIN, _isminor
 
 from qubolab.model import (
     BinaryEncoding,
@@ -141,3 +145,99 @@ def embed_circuit(circuit: Circuit, layout: Layout, num_physical: int) -> Circui
             Gate(gate.kind, tuple(layout.physical(q) for q in gate.qubits), gate.angle)
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# COBYLA's trust-region step in PRIMA's matrix form: the Givens cascade
+# rotates the gradient into ``z = eye(n)`` one (n, 2) product at a time and
+# ``trstlp`` carries its ``d = 0`` first stage through. ``qubolab.cobyla``
+# carries one column of ``z`` instead and must return the same bytes.
+
+
+def matrix_trstlp(g, delta):
+    """The trust-region step: ``-delta * g / |g|`` as PRIMA's ``trstlp``
+    computes it when ``g`` is its only column. Its first stage, which
+    reduces constraint violations, returns ``d = 0`` and ``z = I``."""
+    n = g.size
+    a = g.reshape((n, 1)).copy()
+    if (maxval := max(abs(a[:, 0]))) > 1e12:
+        a[:, 0] *= max(2 * REALMIN, 1 / maxval)
+    d = np.zeros(n)
+    z = np.eye(n)
+    zdota = np.zeros(n)
+    # add the column to the empty QR factorization of the active set
+    nact = matrix_qradd(a[:, 0], z, zdota)
+    if nact == 0 or np.isnan(zdota[0]) or abs(zdota[0]) <= EPS**2:
+        return d
+    sdirn = -1 / zdota[0] * z[:, 0]
+    dd = delta * delta - np.dot(d, d)
+    ss = np.dot(sdirn, sdirn)
+    sd = np.dot(sdirn, d)
+    if dd <= 0 or ss <= EPS * delta * delta or np.isnan(sd):
+        return d
+    sqrtd = max(np.sqrt(ss * dd + sd * sd), abs(sd), np.sqrt(ss * dd))
+    if sd > 0:
+        step = dd / (sqrtd + sd)
+    else:
+        step = (sqrtd - sd) / ss
+    if step <= 0 or not np.isfinite(step):
+        return d
+    dnew = d + step * sdirn
+    # the column's multiplier, clipped at 0, is never negative, so the step
+    # is taken whole (frac = 1) and kept if it and the multiplier are finite
+    vmult = max(0, -np.linalg.lstsq(a[:, [0]], dnew, rcond=None)[0][0])
+    frac = 1.0
+    dnew = (1 - frac) * d + frac * dnew
+    if not (np.isfinite(np.sum(abs(dnew))) and np.isfinite(vmult)):
+        return d
+    return dnew
+
+
+def matrix_qradd(c, q, rdiag):
+    """PRIMA's ``qradd_Rdiag`` for an empty factorization: rotates ``c`` into
+    the first column of ``q`` and returns 1, or 0 when ``c`` is negligible."""
+    m = q.shape[1]
+    cq = c @ q
+    cqa = abs(c) @ abs(q)
+    cq = np.where(_isminor(cq, cqa), 0.0, cq)
+    for k in range(m - 2, -1, -1):
+        if abs(cq[k + 1]) > 0:
+            rot = matrix_planerot(cq[k : k + 2])
+            # the Fortran-ordered copy PRIMA's q[:, [k, k + 1]] makes, so the
+            # matmul gets the same operand layouts
+            q[:, k : k + 2] = np.asfortranarray(q[:, k : k + 2]) @ rot.T
+            cq[k] = np.hypot(cq[k], cq[k + 1])
+    if abs(cq[0]) > EPS**2 and not _isminor(cq[0], cqa[0]):
+        rdiag[0] = cq[0]
+        return 1
+    return 0
+
+
+def matrix_planerot(x):
+    """The 2x2 Givens rotation G with ``(G @ x)[1] == 0``, in Python floats
+    (the same IEEE operations); the norm is ``np.linalg.norm``'s own
+    ``sqrt(x.dot(x))``."""
+    a, b = float(x[0]), float(x[1])
+    if math.isnan(a) or math.isnan(b):
+        c, s = 1, 0
+    elif math.isinf(a) and math.isinf(b):
+        c = 1 / np.sqrt(2) * np.sign(a)
+        s = 1 / np.sqrt(2) * np.sign(b)
+    elif abs(a) <= 0 and abs(b) <= 0:
+        c, s = 1, 0
+    elif abs(b) <= EPS * abs(a):
+        c, s = np.sign(a), 0
+    elif abs(a) <= EPS * abs(b):
+        c, s = 0, np.sign(b)
+    elif _SQRT_REALMIN < abs(a) < _SQRT_REALMAX and _SQRT_REALMIN < abs(b) < _SQRT_REALMAX:
+        r = math.sqrt(x.dot(x))
+        c, s = a / r, b / r
+    elif abs(a) > abs(b):
+        t = b / a
+        u = max(1, abs(t), math.sqrt(1 + t * t)) * np.sign(a)
+        c, s = 1 / u, t / u
+    else:
+        t = a / b
+        u = max(1, abs(t), math.sqrt(1 + t * t)) * np.sign(b)
+        c, s = t / u, 1 / u
+    return np.array([[c, s], [-s, c]])
