@@ -10,8 +10,8 @@ unbounded problem runs through in scipy 1.17.1's ``cobyla/{cobylb,
 trustregion,geometry,update,initialize}.py`` and the ``common/`` helpers they
 call. Every rounding step is kept: the same elementwise operations, and the
 same reductions and BLAS/LAPACK calls (``@``, ``np.dot``, ``np.sum``,
-``np.linalg.norm``, ``inv``, ``lstsq``) on operands of the same layout, in the
-same order. So ``cobyla`` makes the same evaluations and returns the same
+``np.linalg.norm``, ``inv``) on operands of the same layout, in the same
+order. So ``cobyla`` makes the same evaluations and returns the same
 point, value and evaluation count as ``scipy.optimize.minimize(fun, x0,
 method="COBYLA", tol=rhoend, options={"maxiter": maxfun})``.
 
@@ -26,6 +26,14 @@ Dropped, each with the rule that keeps every number the same:
 - ``updatepole`` at each iteration's start and after a ``rho`` cut: it gets
   the last ``updatepole``'s (or ``initialize``'s) output, and is idempotent.
 - ``np.tile(v, (n, 1)).T``: ``v[:, None]`` broadcasts the same arithmetic.
+- ``trstlp``'s multiplier ``lstsq`` and finiteness tests: past ``qradd``,
+  ``|R| > EPS**2``; a finite ``step`` means ``delta < 1.35e154`` (``delta**2``
+  is inf above), so ``|d| ~ delta`` and the multiplier ``|d| / |R|`` are finite.
+- ``planerot``'s NaN, inf/inf and 0/0 branches: ``qradd`` rotates only finite
+  pairs (entries below ``1e12 * sqrt(n)``) whose second entry is nonzero.
+- ``updatepole``'s inverse check of an unmoved pole: ``updatexfc`` has just
+  run it on the same arrays, got ``erri <= 1``, and a rerun changes nothing.
+- A second sum of the vertex lengths: ``setdrop_geo`` reads the geometry test's.
 
 Kept from scipy's ``ScalarFunction``: a point equal to the last one evaluated
 reuses its value instead of calling ``fun`` again.
@@ -140,9 +148,9 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
         reduce_rho = bad_trstep and adequate_geo and max(delta, dnorm) <= rho
 
         if improve_geo and not all(
-            np.sum(sim[:, :n] * sim[:, :n], axis=0) <= 4 * (delta * delta)
+            (distsq_sim := np.sum(sim[:, :n] * sim[:, :n], axis=0)) <= 4 * (delta * delta)
         ):
-            jdrop_geo = np.argmax(np.sum(sim[:, :n] * sim[:, :n], axis=0), axis=0)
+            jdrop_geo = np.argmax(distsq_sim)
             d = _geostep(jdrop_geo, delta / 2, fval, simi)
             x = sim[:, n] + d
             f = _value_at(x, sim, fval, distsq, rhoend, objective)
@@ -188,7 +196,7 @@ class _Objective:
 
     def __call__(self, x):
         self.nf += 1
-        if any(np.isnan(x)):
+        if np.isnan(x).any():
             f = np.nan
         else:
             x = np.clip(x, -REALMAX, REALMAX)
@@ -205,7 +213,7 @@ def _moderatef(f):
 
 
 def _finite(x) -> bool:
-    return not (any(np.isnan(x)) or any(np.isinf(x)))
+    return np.isfinite(x).all()
 
 
 def _initialize(objective, x0):
@@ -284,21 +292,20 @@ def _redrho(rho_in, rhoend):
 
 def _updatepole(fval, sim, simi):
     """Move the vertex of least value to the pole, keeping ``simi`` the
-    inverse of ``sim[:, :n]``. Returns ``(sim, simi, damaging)``."""
+    inverse of ``sim[:, :n]``. Returns ``(sim, simi, damaging)``; ``simi``
+    is checked only if the pole moves, as the caller has just checked it."""
     n = sim.shape[0]
     jopt = np.argmin(fval)
     if not fval[jopt] < fval[n]:
-        jopt = n
-    if jopt < n:
-        sim[:, n] += sim[:, jopt]
-        sim_jopt = sim[:, jopt].copy()
-        sim[:, jopt] = 0
-        sim[:, :n] -= sim_jopt[:, None]
-        simi[jopt, :] = -np.sum(simi, axis=0)
+        return sim, simi, False
+    sim[:, n] += sim[:, jopt]
+    sim_jopt = sim[:, jopt].copy()
+    sim[:, jopt] = 0
+    sim[:, :n] -= sim_jopt[:, None]
+    simi[jopt, :] = -np.sum(simi, axis=0)
     simi, erri = _checked_inverse(sim, simi)
     if erri <= 1:
-        if jopt < n:
-            fval[[jopt, n]] = fval[[n, jopt]]
+        fval[[jopt, n]] = fval[[n, jopt]]
         return sim, simi, False
     return sim, simi, True
 
@@ -400,12 +407,8 @@ def _trstlp(g, delta):
     if step <= 0 or not np.isfinite(step):
         return d
     # the column's multiplier, clipped at 0, is never negative, so the step
-    # is taken whole and kept if it and the multiplier are finite
-    dnew = d + step * sdirn
-    vmult = max(0, -np.linalg.lstsq(a[:, None], dnew, rcond=None)[0][0])
-    if not (np.isfinite(np.sum(abs(dnew))) and np.isfinite(vmult)):
-        return d
-    return dnew
+    # is taken whole; adding it to d = 0 turns a -0.0 into +0.0
+    return d + step * sdirn
 
 
 def _qradd(c):
@@ -448,18 +451,11 @@ _SQRT_REALMAX = np.sqrt(REALMAX / 2.1)
 
 def _planerot(x):
     """``(c, s)`` of the Givens rotation ``G = [[c, s], [-s, c]]`` with
-    ``(G @ x)[1] == 0``, in Python floats
-    (the same IEEE operations); the norm is ``np.linalg.norm``'s own
+    ``(G @ x)[1] == 0`` for a finite ``x`` with ``x[1] != 0``, in Python
+    floats (the same IEEE operations); the norm is ``np.linalg.norm``'s own
     ``sqrt(x.dot(x))``."""
     a, b = float(x[0]), float(x[1])
-    if math.isnan(a) or math.isnan(b):
-        c, s = 1, 0
-    elif math.isinf(a) and math.isinf(b):
-        c = 1 / np.sqrt(2) * np.sign(a)
-        s = 1 / np.sqrt(2) * np.sign(b)
-    elif abs(a) <= 0 and abs(b) <= 0:
-        c, s = 1, 0
-    elif abs(b) <= EPS * abs(a):
+    if abs(b) <= EPS * abs(a):
         c, s = np.sign(a), 0
     elif abs(a) <= EPS * abs(b):
         c, s = 0, np.sign(b)

@@ -211,6 +211,7 @@ class QcioProblem:
         self.r = number_array("r", self.r).ravel()
         self.lower = number_array("lower", self.lower, np.int64).ravel()
         self.upper = number_array("upper", self.upper, np.int64).ravel()
+        require_finite("M, l, c, A or r", self.M, self.l, self.c, self.A, self.r)
         if self.M.shape != (n, n):
             raise ValueError(f"M must be {n}x{n}, got {self.M.shape}")
         if self.A.shape != (n, n):
@@ -250,6 +251,7 @@ class BinaryEncoding:
 
     def __post_init__(self) -> None:
         self.B = number_array("B", self.B)
+        require_finite("B", self.B)
         bits = number_array("bits_per_var", self.bits_per_var, np.int64)
         if bits.ndim != 1:
             raise ValueError(f"bits_per_var must be a list, got {self.bits_per_var!r}")

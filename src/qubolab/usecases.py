@@ -190,6 +190,7 @@ class TrpSpec:
         if m < 3:
             raise ValueError("need at least three cities")
         self.distances = number_array("distances", self.distances)
+        require_finite("distances", self.distances)
         if self.distances.shape != (m, m):
             raise ValueError(f"distance matrix must be {m}x{m}")
         if self.layout not in ("symmetric", "asymmetric"):

@@ -204,6 +204,28 @@ def test_sa_respects_fixed_temperatures():
     assert sum(samples.counts.values()) == 100
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    shift=st.integers(-64, 64).map(lambda k: k / 4),
+)
+def test_constant_shift_moves_the_optimum_by_the_shift_alone(seed, n, shift):
+    # a metamorphic relation: with dyadic Q and constants every sum is exact,
+    # so brute force moves C* by exactly the shift and no minimizer, and SA,
+    # whose flips never see the constant, draws the same counts
+    rng = np.random.default_rng(seed)
+    Q = np.triu(rng.integers(-16, 17, size=(n, n)) / 8)
+    constant = rng.integers(-16, 17) / 4
+    base = QuboProblem(Q=Q, constant=constant)
+    shifted = QuboProblem(Q=Q, constant=constant + shift)
+    report, moved = brute_force_solve(base), brute_force_solve(shifted)
+    assert moved.optimal_set == report.optimal_set
+    assert moved.optimal_cost == report.optimal_cost + shift
+    cfg = SaConfig(num_reads=40, sweeps=20, seed=seed % 1000)
+    assert_same_samples(sa_sample(shifted, cfg), sa_sample(base, cfg))
+
+
 # ---------------------------------------------------------------------------
 # Trotterized annealing
 

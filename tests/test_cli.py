@@ -503,14 +503,20 @@ assert not loaded, loaded
     assert result.returncode == 0, result.stderr
 
 
-def test_ci_smoke_step_passes(tmp_path):
-    """The workflow's console-script smoke step, run as CI runs it: under
-    ``bash -e`` in an empty directory, with ``qubolab`` on PATH."""
+def ci_step(name):
+    """The step of the tier-1 workflow called ``name``."""
     workflow = yaml.safe_load((REPO_ROOT / ".github/workflows/tier1.yml").read_text())
     (step,) = [
         step for job in workflow["jobs"].values() for step in job["steps"]
-        if step.get("name") == "Smoke-test the qubolab console script"
+        if step.get("name") == name
     ]
+    return step
+
+
+def test_ci_smoke_step_passes(tmp_path):
+    """The workflow's console-script smoke step, run as CI runs it: under
+    ``bash -e`` in an empty directory, with ``qubolab`` on PATH."""
+    step = ci_step("Smoke-test the qubolab console script")
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     shim = bin_dir / "qubolab"
@@ -524,6 +530,24 @@ def test_ci_smoke_step_passes(tmp_path):
     result = subprocess.run(
         ["bash", "-e", "-c", step["run"]], cwd=work, env=env,
         capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_ci_single_thread_step_collects():
+    """The workflow's single-threaded-BLAS rerun, which tier-1 does not run
+    itself: every test file it names exists and collects under
+    ``OPENBLAS_NUM_THREADS=1``."""
+    run = ci_step("Bit-exact kernel oracles with single-threaded BLAS")["run"]
+    assert "OPENBLAS_NUM_THREADS=1" in run
+    paths = [word for word in run.split() if word.startswith("tests/")]
+    assert paths
+    for path in paths:
+        assert (REPO_ROOT / path).is_file(), path
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SOURCE_ROOT)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *paths],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
 

@@ -23,7 +23,9 @@ from qubolab.quality import Distribution
 from qubolab.serialize import DOCUMENT_TYPES, dumps, from_dict
 from qubolab.simulator import SampleSet
 from qubolab.transpiler import ErrorMap
-from qubolab.usecases import LamaSpec, build_lama, decode_trp, example_series, gen_cities
+from qubolab.usecases import (
+    LamaSpec, TrpSpec, build_lama, decode_trp, example_series, gen_cities,
+)
 
 from util import route_to_bits
 
@@ -196,6 +198,7 @@ _CORRUPT = {
     "null": st.none(),
     "list": st.lists(_NOT_NUMBERS, min_size=1, max_size=3),
     "object": st.dictionaries(st.text(max_size=4), _NOT_NUMBERS, min_size=1, max_size=2),
+    "non-finite": st.sampled_from([float("nan"), float("inf"), float("-inf")]),
 }
 
 
@@ -252,6 +255,15 @@ def test_qubo_rejects_non_finite_coefficients():
     doc = '{"type": "QuboProblem", "Q": [[NaN, 0.0], [0.0, 1.0]], "constant": 0.0}'
     with pytest.raises(ValueError, match="finite"):
         from_dict(json.loads(doc))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_trp_spec_rejects_a_non_finite_distance_pair(bad):
+    # a symmetric inf pair passed the symmetry check, and a NaN got its message
+    distances = np.ones((3, 3)) - np.eye(3)
+    distances[0, 1] = distances[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite distances"):
+        TrpSpec(num_cities=3, distances=distances)
 
 
 def test_score_rejects_nan_distribution_file(tmp_path, capsys):
