@@ -9,11 +9,11 @@ the Python translation by Nickolai Belakovski that scipy >= 1.16 ships as
 unbounded problem runs through in scipy 1.17.1's ``cobyla/{cobylb,
 trustregion,geometry,update,initialize}.py`` and the ``common/`` helpers they
 call. Every rounding step is kept: the same elementwise operations, and the
-same reductions and BLAS/LAPACK calls (``@``, ``np.dot``, ``np.sum``,
-``np.linalg.norm``, ``inv``) on operands of the same layout, in the same
-order. So ``cobyla`` makes the same evaluations and returns the same
-point, value and evaluation count as ``scipy.optimize.minimize(fun, x0,
-method="COBYLA", tol=rhoend, options={"maxiter": maxfun})``.
+same reductions and BLAS/LAPACK calls (``@``, ``np.dot``, ``np.add.reduce``,
+``inv``) on operands of the same layout, in the same order. So ``cobyla``
+makes the same evaluations and returns the same point, value and evaluation
+count as ``scipy.optimize.minimize(fun, x0, method="COBYLA", tol=rhoend,
+options={"maxiter": maxfun})``.
 
 Dropped, each with the rule that keeps every number the same:
 
@@ -34,6 +34,17 @@ Dropped, each with the rule that keeps every number the same:
 - ``updatepole``'s inverse check of an unmoved pole: ``updatexfc`` has just
   run it on the same arrays, got ``erri <= 1``, and a rerun changes nothing.
 - A second sum of the vertex lengths: ``setdrop_geo`` reads the geometry test's.
+
+Spelled without numpy's Python wrappers, each with the rule that keeps it exact:
+
+- Scalars as Python floats, with ``math``: ``+ - * /`` and ``sqrt`` are
+  correctly rounded on either type, and ``min``/``max`` pick the same value.
+- ``np.add.reduce`` for ``np.sum`` (the ufunc it runs); ``math.sqrt(v.dot(v))``
+  for ``np.linalg.norm`` (its 1-D path); ``a[:, None] * b`` for ``np.outer``
+  (the same products); array methods for ``argmin``, ``max`` and ``clip``;
+  ``np.eye(n)`` built once per size. Not respelled: ``planerot``'s ``x.dot(x)``
+  as ``a*a + b*b`` (16% of random pairs differ, likely BLAS's FMA), and
+  ``updatexfc``'s left-to-right ``sum(simid)`` as pairwise ``np.add.reduce``.
 
 Kept from scipy's ``ScalarFunction``: a point equal to the last one evaluated
 reuses its value instead of calling ``fun`` again.
@@ -72,13 +83,14 @@ distributed under the BSD 3-Clause License:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-REALMIN = np.finfo(float).tiny
-REALMAX = np.finfo(float).max
-EPS = np.finfo(float).eps
+REALMIN = float(np.finfo(float).tiny)  # Python floats, as the scalar bookkeeping is
+REALMAX = float(np.finfo(float).max)
+EPS = float(np.finfo(float).eps)
 FUNCMAX = 10.0**30  # objective values above this (and NaN) count as this
 RHOBEG = 1.0  # the initial trust-region radius, scipy's default
 # trust-region radius update; PRIMA derives eta2 from eta1, so it is not 0.7
@@ -87,10 +99,11 @@ ETA2 = (ETA1 + 2) / 3
 GAMMA1 = 0.5
 GAMMA2 = 2
 # DELTA at most GAMMA3 * RHO is set to RHO
-GAMMA3 = np.maximum(1, np.minimum(0.75 * GAMMA2, 1.5))
+GAMMA3 = max(1, min(0.75 * GAMMA2, 1.5))
 # a step predicting less than this times RHO counts as a failed step; it is
 # 1e-6 * min(cpen, 1), where the penalty cpen stays at its floor EPS
 _TRFAIL = 1.0e-6 * EPS
+_identity = functools.cache(np.eye)  # np.eye(n), built once per size and only read
 
 
 def cobyla(fun, x0, rhoend: float, maxfun: int):
@@ -117,11 +130,11 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
     jdrop_tr = 0
     small_radius = False
     for _ in range(10 * maxfun):
-        adequate_geo = all(np.sum(sim[:, :n] * sim[:, :n], axis=0) <= 4 * (delta * delta))
+        adequate_geo = all(np.add.reduce(sim[:, :n] * sim[:, :n], axis=0) <= 4 * (delta * delta))
 
         g = (fval[:n] - fval[n]) @ simi
         d = _trstlp(g, delta)
-        dnorm = min(delta, np.linalg.norm(d))
+        dnorm = min(delta, math.sqrt(d.dot(d)))
         shortd = dnorm <= 0.1 * rho
         preref = -np.dot(d, g)
         trfail = not (preref > _TRFAIL * rho)
@@ -140,7 +153,7 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
                 delta = rho
             jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi)
             sim, simi, damaging = _updatexfc(jdrop_tr, d, f, fval, sim, simi)
-            if damaging or not _finite(x) or objective.nf >= maxfun:
+            if damaging or not np.isfinite(x).all() or objective.nf >= maxfun:
                 break
 
         bad_trstep = shortd or trfail or ratio <= 0 or jdrop_tr is None
@@ -148,14 +161,14 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
         reduce_rho = bad_trstep and adequate_geo and max(delta, dnorm) <= rho
 
         if improve_geo and not all(
-            (distsq_sim := np.sum(sim[:, :n] * sim[:, :n], axis=0)) <= 4 * (delta * delta)
+            (distsq_sim := np.add.reduce(sim[:, :n] * sim[:, :n], axis=0)) <= 4 * (delta * delta)
         ):
-            jdrop_geo = np.argmax(distsq_sim)
+            jdrop_geo = distsq_sim.argmax()
             d = _geostep(jdrop_geo, delta / 2, fval, simi)
             x = sim[:, n] + d
             f = _value_at(x, sim, fval, distsq, rhoend, objective)
             sim, simi, damaging = _updatexfc(jdrop_geo, d, f, fval, sim, simi)
-            if damaging or not _finite(x) or objective.nf >= maxfun:
+            if damaging or not np.isfinite(x).all() or objective.nf >= maxfun:
                 break
 
         if reduce_rho:
@@ -197,23 +210,16 @@ class _Objective:
     def __call__(self, x):
         self.nf += 1
         if np.isnan(x).any():
-            f = np.nan
-        else:
-            x = np.clip(x, -REALMAX, REALMAX)
-            if not np.array_equal(x, self.x):
-                self.x = x
-                self.f = self.fun(x.copy())
-            f = self.f
-        return _moderatef(f)
+            return FUNCMAX  # a NaN value, moderated
+        x = x.clip(-REALMAX, REALMAX)
+        if not (x == self.x).all():
+            self.x = x
+            self.f = self.fun(x.copy())
+        return _moderatef(self.f)
 
 
 def _moderatef(f):
-    f = FUNCMAX if np.isnan(f) else f
-    return np.clip(f, -REALMAX, FUNCMAX)
-
-
-def _finite(x) -> bool:
-    return np.isfinite(x).all()
+    return FUNCMAX if math.isnan(f) else min(max(f, -REALMAX), FUNCMAX)
 
 
 def _initialize(objective, x0):
@@ -224,17 +230,12 @@ def _initialize(objective, x0):
     sim = np.eye(n, n + 1) * RHOBEG
     sim[:, n] = x0
     fval = np.zeros(n + 1) + REALMAX
-    for k in range(n + 1):
+    fval[n] = _moderatef(objective.f)
+    for j in range(n):
         x = sim[:, n].copy()
-        if k == 0:
-            j = n
-            f = _moderatef(objective.f)
-        else:
-            j = k - 1
-            x[j] += RHOBEG
-            f = objective(x)
-        fval[j] = f
-        if j < n and fval[j] < fval[n]:
+        x[j] += RHOBEG
+        fval[j] = objective(x)
+        if fval[j] < fval[n]:
             fval[j], fval[n] = fval[n], fval[j]
             sim[:, n] = x
             sim[j, : j + 1] = -RHOBEG
@@ -249,10 +250,10 @@ def _value_at(x, sim, fval, distsq, rhoend, objective):
     it, else an evaluation, offered as the answer."""
     n = sim.shape[0]
     step = x - sim[:, n]
-    distsq[n] = np.sum(step * step)
+    distsq[n] = np.add.reduce(step * step)
     diff = x.reshape(n, 1) - (sim[:, n].reshape(n, 1) + sim[:, :n])
-    distsq[:n] = np.sum(diff * diff, axis=0)
-    j = np.argmin(distsq)
+    distsq[:n] = np.add.reduce(diff * diff, axis=0)
+    j = distsq.argmin()
     if distsq[j] <= (1e-4 * rhoend) * (1e-4 * rhoend):
         return fval[j]
     f = objective(x)
@@ -262,14 +263,12 @@ def _value_at(x, sim, fval, distsq, rhoend, objective):
 
 def _redrat(ared, pred):
     """The reduction ratio ``ared / pred``, with NaN and infinities handled."""
-    if np.isnan(ared):
+    if math.isnan(ared):
         return -REALMAX
-    if np.isnan(pred) or pred <= 0:
+    if math.isnan(pred) or pred <= 0:
         return ETA1 / 2 if ared > 0 else -REALMAX
-    if np.isposinf(pred) and np.isposinf(ared):
-        return 1
-    if np.isposinf(pred) and np.isneginf(ared):
-        return -REALMAX
+    if pred == math.inf and math.isinf(ared):
+        return 1 if ared > 0 else -REALMAX
     return ared / pred
 
 
@@ -287,7 +286,7 @@ def _redrho(rho_in, rhoend):
         return 0.1 * rho_in
     if rho_ratio <= 16:
         return rhoend
-    return np.sqrt(rho_ratio) * rhoend
+    return math.sqrt(rho_ratio) * rhoend
 
 
 def _updatepole(fval, sim, simi):
@@ -295,17 +294,17 @@ def _updatepole(fval, sim, simi):
     inverse of ``sim[:, :n]``. Returns ``(sim, simi, damaging)``; ``simi``
     is checked only if the pole moves, as the caller has just checked it."""
     n = sim.shape[0]
-    jopt = np.argmin(fval)
+    jopt = fval.argmin()
     if not fval[jopt] < fval[n]:
         return sim, simi, False
     sim[:, n] += sim[:, jopt]
     sim_jopt = sim[:, jopt].copy()
     sim[:, jopt] = 0
     sim[:, :n] -= sim_jopt[:, None]
-    simi[jopt, :] = -np.sum(simi, axis=0)
+    simi[jopt, :] = -np.add.reduce(simi, axis=0)
     simi, erri = _checked_inverse(sim, simi)
     if erri <= 1:
-        fval[[jopt, n]] = fval[[n, jopt]]
+        fval[jopt], fval[n] = fval[n], fval[jopt]
         return sim, simi, False
     return sim, simi, True
 
@@ -322,14 +321,14 @@ def _updatexfc(jdrop, d, f, fval, sim, simi):
     if jdrop < n:
         sim[:, jdrop] = d
         simi_jdrop = simi[jdrop, :] / np.dot(simi[jdrop, :], d)
-        simi -= np.outer(simi @ d, simi_jdrop)
+        simi -= (simi @ d)[:, None] * simi_jdrop
         simi[jdrop, :] = simi_jdrop
     else:
         sim[:, n] += d
         sim[:, :n] -= d[:, None]
         simid = simi @ d
-        sum_simi = np.sum(simi, axis=0)
-        simi += np.outer(simid, sum_simi / (1 - sum(simid)))
+        sum_simi = np.add.reduce(simi, axis=0)
+        simi += simid[:, None] * (sum_simi / (1 - sum(simid)))
     simi, erri = _checked_inverse(sim, simi)
     if erri <= 1:
         fval[jdrop] = f
@@ -341,11 +340,12 @@ def _checked_inverse(sim, simi):
     """(simi, erri): ``simi`` replaced by a fresh inverse when its error
     exceeds 0.1 and the fresh one is better."""
     n = sim.shape[0]
-    erri = np.max(abs(simi @ sim[:, :n] - np.eye(n)))
-    if erri > 0.1 or np.isnan(erri):
+    eye = _identity(n)
+    erri = abs(simi @ sim[:, :n] - eye).max()
+    if erri > 0.1 or math.isnan(erri):
         simi_test = np.linalg.inv(sim[:, :n])
-        erri_test = np.max(abs(simi_test @ sim[:, :n] - np.eye(n)))
-        if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+        erri_test = abs(simi_test @ sim[:, :n] - eye).max()
+        if erri_test < erri or (math.isnan(erri) and not math.isnan(erri_test)):
             return simi_test, erri_test
     return simi, erri
 
@@ -356,22 +356,22 @@ def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
     distsq = np.zeros(n + 1)
     if ximproved:
         diff = sim[:, :n] - d[:, None]
-        distsq[:n] = np.sum(diff * diff, axis=0)
-        distsq[n] = np.sum(d * d)
+        distsq[:n] = np.add.reduce(diff * diff, axis=0)
+        distsq[n] = np.add.reduce(d * d)
     else:
-        distsq[:n] = np.sum(sim[:, :n] * sim[:, :n], axis=0)
+        distsq[:n] = np.add.reduce(sim[:, :n] * sim[:, :n], axis=0)
         distsq[n] = 0
-    scale = np.maximum(rho, delta / 10)
+    scale = max(rho, delta / 10)
     weight = np.maximum(1, distsq / (scale * scale))
     simid = simi @ d
-    score = weight * abs(np.array([*simid, 1 - np.sum(simid)]))
+    score = weight * abs(np.concatenate((simid, [1 - np.add.reduce(simid)])))
     if not ximproved:
         score[n] = -1
     score[np.isnan(score)] = -1
     if any(score > 0):
-        return np.argmax(score)
+        return score.argmax()
     if ximproved:
-        return np.argmax(distsq)
+        return distsq.argmax()
     return None
 
 
@@ -380,7 +380,7 @@ def _geostep(jdrop, delbar, fval, simi):
     predict the lower value."""
     n = simi.shape[0]
     d = simi[jdrop, :]
-    d = delbar * (d / np.linalg.norm(d))
+    d = delbar * (d / math.sqrt(d.dot(d)))
     g = (fval[:n] - fval[n]) @ simi
     if -np.dot(d, g) < np.dot(d, g):
         d *= -1
@@ -392,7 +392,7 @@ def _trstlp(g, delta):
     computes it when ``g`` is its only column. Its first stage, which
     reduces constraint violations, returns ``d = 0`` and ``z = I``."""
     a = g.copy()
-    if (maxval := max(abs(a))) > 1e12:
+    if (maxval := abs(a).max()) > 1e12:
         a *= max(2 * REALMIN, 1 / maxval)
     d = np.zeros(g.size)
     # add the column to the empty QR factorization of the active set
@@ -403,8 +403,8 @@ def _trstlp(g, delta):
     ss = np.dot(sdirn, sdirn)
     if ss <= EPS * delta * delta:
         return d
-    step = np.sqrt(ss * (delta * delta)) / ss
-    if step <= 0 or not np.isfinite(step):
+    step = math.sqrt(ss * (delta * delta)) / ss
+    if step <= 0 or not math.isfinite(step):
         return d
     # the column's multiplier, clipped at 0, is never negative, so the step
     # is taken whole; adding it to d = 0 turns a -0.0 into +0.0
@@ -445,8 +445,8 @@ def _isminor(x, ref):
     return np.logical_or(abs(ref) >= refa, refa >= refb)
 
 
-_SQRT_REALMIN = np.sqrt(REALMIN)
-_SQRT_REALMAX = np.sqrt(REALMAX / 2.1)
+_SQRT_REALMIN = math.sqrt(REALMIN)
+_SQRT_REALMAX = math.sqrt(REALMAX / 2.1)
 
 
 def _planerot(x):

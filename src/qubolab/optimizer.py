@@ -8,6 +8,7 @@ run's answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,26 +45,27 @@ def minimize(objective, x0, max_iter: int = 1000) -> OptTrace:
     ``max_iter`` objective evaluations. Non-finite objective values abort, and
     a ``max_iter`` below COBYLA's minimum of ``len(x0) + 2`` is refused."""
     # only training needs the solver, so the other commands never import it
-    from .cobyla import cobyla
+    from .cobyla import FUNCMAX, cobyla
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     require_integer("max_iter", max_iter, least=len(x0) + 2)
     iterates = []
 
-    def recorded(x):
-        value = float(objective(np.asarray(x, dtype=float)))
-        if not np.isfinite(value):
-            raise ValueError(
-                f"objective returned non-finite value {value} at {np.asarray(x)}"
-            )
-        iterates.append((np.array(x, dtype=float), value))
+    def recorded(x):  # x is cobyla's copy of its point; the trace keeps its own
+        point = x.copy()
+        value = float(objective(x))
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned non-finite value {value} at {point}")
+        iterates.append((point, value))
         return value
 
     best_x, best_f, nfev = cobyla(recorded, x0, rhoend=_TOL, maxfun=max_iter)
-    last_x, last_f = iterates[-1]
     final_f = float(best_f)
-    if not (np.array_equal(best_x, last_x) and final_f == last_f):
-        iterates.append((np.array(best_x, dtype=float), final_f))
+    if final_f >= FUNCMAX:  # cobyla's clip: take the value recorded nearest its point
+        final_f = min(iterates, key=lambda it: np.add.reduce((it[0] - best_x) ** 2))[1]
+    last_x, last_f = iterates[-1]
+    if not ((best_x == last_x).all() and final_f == last_f):
+        iterates.append((best_x.copy(), final_f))
     termination = "max_iter" if nfev >= max_iter else "tolerance"
     return OptTrace(iterates, iterates[-1][1], termination)
 

@@ -257,36 +257,44 @@ def _wall(mats, legs: tuple, at: int) -> int:
     return at ^ (len(legs[at]) & 1)
 
 
-def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
-    """Evolve |+...+> through ``steps``, a sequence of ``(phi, theta)`` pairs.
-
-    Each step multiplies amplitude v by exp(-i phi cost[v]) and then applies
-    RX(theta) to every qubit; with ``mixer_first`` the RX wall comes first.
-    ``cost`` is the length-2^n diagonal, n >= 1. The state lives in one of
-    two complex buffers: ``_wall`` moves it between them, one ``np.dot`` per
-    gate, and the phase factors go into the buffer it does not occupy. It is
-    validated once at the end. QAOA states, the p=1 landscape and Trotter
-    annealing all run on this kernel; applying the same gates one at a time
-    with ``apply_gate`` is its oracle.
-    """
+def phase_mixer_kernel(cost, mixer_first: bool = False):
+    """``evolve(phis, thetas)``: |+...+> through the steps ``zip(phis, thetas)``
+    on the length-2^n diagonal ``cost``, n >= 1. Each step multiplies amplitude
+    v by exp(-i phi cost[v]), then applies RX(theta) to every qubit (the RX wall
+    first with ``mixer_first``). The two complex buffers are set up here once:
+    ``_wall`` moves the state between them, one ``np.dot`` per gate, and the
+    phase factors go into the one it does not occupy. ``evolve`` returns the
+    buffer unvalidated, and its next call overwrites it. QAOA, the landscape
+    and Trotter run on it; the same gates through ``apply_gate`` are its oracle."""
     cost = np.asarray(cost, dtype=float)
     n = cost.size.bit_length() - 1
     if cost.ndim != 1 or cost.size < 2 or cost.size != 1 << n:
         raise ValueError(f"cost diagonal of length {cost.size} is not 2^n with n >= 1")
-    steps = np.reshape(np.asarray(steps, dtype=float), (len(steps), 2))
-    psi = np.full(cost.size, cost.size ** -0.5, dtype=complex)
-    buffers = (psi, np.empty_like(psi))
+    buffers = (np.empty(cost.size, dtype=complex), np.empty(cost.size, dtype=complex))
     legs = _wall_legs(*buffers, n)
-    at = 0  # index of the buffer that holds the state
-    for phi, rx in zip(steps[:, 0], _rx_walls(steps[:, 1])):
-        if mixer_first:
-            at = _wall([rx] * n, legs, at)
-        psi, phase = buffers[at], buffers[1 - at]
-        np.multiply(-1j * phi, cost, out=phase)
-        psi *= np.exp(phase, out=phase)
-        if not mixer_first:
-            at = _wall([rx] * n, legs, at)
-    return StateVector(buffers[at], n)
+
+    def evolve(phis, thetas) -> np.ndarray:
+        buffers[0].fill(cost.size ** -0.5)
+        at = 0  # index of the buffer that holds the state
+        for phi, rx in zip(phis, _rx_walls(thetas)):
+            if mixer_first:
+                at = _wall([rx] * n, legs, at)
+            psi, phase = buffers[at], buffers[1 - at]
+            np.multiply(-1j * phi, cost, out=phase)
+            psi *= np.exp(phase, out=phase)
+            if not mixer_first:
+                at = _wall([rx] * n, legs, at)
+        return buffers[at]
+
+    return evolve
+
+
+def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
+    """The validated state of a fresh ``phase_mixer_kernel`` after ``steps``,
+    a sequence of ``(phi, theta)`` pairs."""
+    steps = np.reshape(np.asarray(steps, dtype=float), (len(steps), 2))
+    amplitudes = phase_mixer_kernel(cost, mixer_first)(steps[:, 0], steps[:, 1])
+    return StateVector(amplitudes, amplitudes.size.bit_length() - 1)
 
 
 def cx_chain_permutation(num_qubits: int) -> np.ndarray:
@@ -300,29 +308,32 @@ def cx_chain_permutation(num_qubits: int) -> np.ndarray:
     return perm
 
 
-def ry_cx_amplitudes(angles, perm: np.ndarray) -> np.ndarray:
-    """Real amplitudes of |0...0> after RY walls separated by CX chains.
-
-    ``angles[l][q]`` is the RY angle on qubit q in wall l; ``perm`` (from
-    ``cx_chain_permutation``) is applied between consecutive walls by
-    gathering the state into the other of two buffers, the same pair that
-    ``_wall`` moves the state between. Every gate is real, so the state
-    stays real; ``run_circuit`` on the same gates is the oracle.
-    """
-    angles = np.asarray(angles, dtype=float)
-    n = angles.shape[1]
-    buffers = (np.zeros(1 << n), np.empty(1 << n))
-    buffers[0][0] = 1.0
+def ry_cx_kernel(perm: np.ndarray):
+    """``amplitudes(angles)``: the real amplitudes of |0...0> after RY walls
+    separated by CX chains; ``angles[l][q]`` is the RY angle on qubit q in wall
+    l. The two buffers are set up here once; ``perm`` (from
+    ``cx_chain_permutation``) gathers the state into the other one between
+    walls, and ``_wall`` moves it between them. Every gate is real, so the
+    state stays real. The next call overwrites the buffer a call returns;
+    ``run_circuit`` on the same gates is the oracle."""
+    n = perm.size.bit_length() - 1
+    buffers = (np.empty(perm.size), np.empty(perm.size))
     legs = _wall_legs(*buffers, n)
-    at = 0  # index of the buffer that holds the state
-    c, s = np.cos(angles / 2), np.sin(angles / 2)
-    walls = np.stack([c, -s, s, c], axis=-1).reshape(*angles.shape, 2, 2)
-    for layer, mats in enumerate(walls):
-        if layer:
-            np.take(buffers[at], perm, out=buffers[1 - at])
-            at ^= 1
-        at = _wall(mats, legs, at)
-    return buffers[at]
+
+    def amplitudes(angles) -> np.ndarray:
+        buffers[0].fill(0.0)
+        buffers[0][0] = 1.0
+        at = 0  # index of the buffer that holds the state
+        c, s = np.cos(angles / 2), np.sin(angles / 2)
+        walls = np.stack([c, -s, s, c], axis=-1).reshape(*angles.shape, 2, 2)
+        for layer, mats in enumerate(walls):
+            if layer:
+                buffers[at].take(perm, out=buffers[1 - at])
+                at ^= 1
+            at = _wall(mats, legs, at)
+        return buffers[at]
+
+    return amplitudes
 
 
 def sample(state: StateVector, shots: int, seed: int) -> SampleSet:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import IsingModel, require_finite, require_integer
 from .simulator import Circuit, Gate, StateVector, cx_chain_permutation
-from .simulator import phase_mixer_state, ry_cx_amplitudes
+from .simulator import phase_mixer_kernel, ry_cx_kernel
 # unused here; perfbench/spans.py traces these names in this module
 from .simulator import apply_gate, run_circuit  # noqa: F401
 
@@ -104,14 +104,13 @@ def qaoa_circuit(ising: IsingModel, table: np.ndarray) -> Circuit:
 
 
 def qaoa_state_fast(ising: IsingModel, table: np.ndarray) -> StateVector:
-    """Diagonal-phase QAOA evolution on ``phase_mixer_state`` at the (2, p)
+    """Diagonal-phase QAOA evolution on ``phase_mixer_kernel`` at the (2, p)
     angle ``table``: per layer, multiply amplitudes by exp(-i gamma * cost(b)),
     then mix with RX(2 beta).
 
     The gate-level ``qaoa_circuit`` is its oracle and differs only by a global
     phase (the constant term h'' enters here but not there)."""
-    betas, gammas = table
-    return phase_mixer_state(ising.cost_vector(), list(zip(gammas, 2.0 * betas)))
+    return StateVector(_amplitudes(ising, "qaoa")(table), ising.num_qubits)
 
 
 def vqe_circuit(table: np.ndarray) -> Circuit:
@@ -131,18 +130,18 @@ def vqe_circuit(table: np.ndarray) -> Circuit:
 
 
 def _amplitudes(ising: IsingModel, algorithm: str):
-    """The named ansatz's amplitudes as a function of its angle table:
-    complex from ``qaoa_state_fast``, real from the ``ry_cx_amplitudes``
-    kernel (each CX chain one permutation, built here once). The gate-level
+    """The named ansatz's amplitudes as a function of its angle table, on a
+    kernel set up here once, whose next call overwrites them: complex from
+    ``phase_mixer_kernel``, real from ``ry_cx_kernel``. The gate-level
     ``qaoa_circuit`` and ``vqe_circuit`` are their oracles."""
     if algorithm == "qaoa":
-        return lambda table: qaoa_state_fast(ising, table).amplitudes
-    perm = cx_chain_permutation(ising.num_qubits)
-    return lambda table: ry_cx_amplitudes(table, perm)
+        evolve = phase_mixer_kernel(ising.cost_vector())
+        return lambda table: evolve(table[1], 2.0 * table[0])
+    return ry_cx_kernel(cx_chain_permutation(ising.num_qubits))
 
 
 def ansatz_state(ising: IsingModel, algorithm: str, layers: int, vector) -> StateVector:
-    """The named ansatz's state at the parameter ``vector``, on its kernel."""
+    """The named ansatz's state at the parameter ``vector``, on its own kernel."""
     table = ansatz_params(algorithm, layers, ising.num_qubits, vector)
     return StateVector(_amplitudes(ising, algorithm)(table), ising.num_qubits)
 
@@ -187,14 +186,14 @@ def _objective(ising: IsingModel, algorithm: str, layers, shots, seed):
 def qaoa_objective(
     ising: IsingModel, layers: int, shots: int | None = None, seed: int | None = None
 ):
-    """Objective over ``concat(betas, gammas)`` vectors, on ``qaoa_state_fast``."""
+    """Objective over ``concat(betas, gammas)`` vectors, on ``phase_mixer_kernel``."""
     return _objective(ising, "qaoa", layers, shots, seed)
 
 
 def vqe_objective(
     ising: IsingModel, layers: int, shots: int | None = None, seed: int | None = None
 ):
-    """Objective over two-local RY angle vectors, on ``ry_cx_amplitudes``."""
+    """Objective over two-local RY angle vectors, on ``ry_cx_kernel``."""
     return _objective(ising, "vqe", layers, shots, seed)
 
 

@@ -73,6 +73,20 @@ def test_non_finite_objective_aborts():
         minimize(poisoned, np.ones(2))
 
 
+def test_values_above_cobylas_cap_stay_as_returned():
+    # COBYLA clips values above its FUNCMAX (1e30) for its own bookkeeping;
+    # the trace and final_cost must hold what the objective returned
+    returned = []
+
+    def huge(x):
+        returned.append(1e40 + x @ x)
+        return returned[-1]
+
+    trace = minimize(huge, [0.3, -0.2], max_iter=20)
+    assert all(value in returned for _, value in trace.iterates)
+    assert trace.final_cost >= 1e40
+
+
 def test_trace_validation():
     with pytest.raises(ValueError):
         OptTrace([(np.zeros(1), 1.0)], final_cost=2.0, termination="tolerance")

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util import random_qubo
+from util import p1_qaoa_energy, random_qubo
 
+from qubolab import cli
 from qubolab.model import IsingModel, qubo_cost_vector, to_ising
 from qubolab.simulator import (
     Gate,
     StateVector,
     apply_gate,
     cx_chain_permutation,
-    ry_cx_amplitudes,
+    ry_cx_kernel,
     run_circuit,
 )
 from qubolab.variational import (
@@ -353,11 +354,11 @@ def test_qaoa_objective_shot_mode_noise_and_determinism():
 def test_vqe_kernel_matches_gate_path(n):
     rng = np.random.default_rng(200 + n)
     ising, _ = random_ising(300 + n, n)
-    perm = cx_chain_permutation(n)
+    kernel = ry_cx_kernel(cx_chain_permutation(n))
     for layers in range(1, 4):
         vector = rng.uniform(0.0, 2.0 * np.pi, num_params("vqe", layers, n))
         gate = run_circuit(vqe_circuit(ansatz_params("vqe", layers, n, vector)))
-        amps = ry_cx_amplitudes(vector.reshape(layers + 1, n), perm)
+        amps = kernel(vector.reshape(layers + 1, n))
         assert np.array_equal(amps, gate.amplitudes)
         state = ansatz_state(ising, "vqe", layers, vector)
         assert np.array_equal(state.amplitudes, gate.amplitudes)
@@ -374,11 +375,11 @@ def test_vqe_kernel_matches_gate_path(n):
 )
 def test_vqe_kernel_equals_gates_for_odd_and_even_n(n):
     rng = np.random.default_rng(900 + n)
-    perm = cx_chain_permutation(n)
+    kernel = ry_cx_kernel(cx_chain_permutation(n))  # one kernel, its buffers reused
     for layers in range(1, 4):
         vector = rng.uniform(0.0, 2.0 * np.pi, num_params("vqe", layers, n))
         gate = run_circuit(vqe_circuit(ansatz_params("vqe", layers, n, vector))).amplitudes
-        assert np.array_equal(ry_cx_amplitudes(vector.reshape(layers + 1, n), perm), gate)
+        assert np.array_equal(kernel(vector.reshape(layers + 1, n)), gate)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -461,3 +462,70 @@ def test_objectives_and_landscape_refuse_bad_shots_when_built(shots):
     for build in builders:
         with pytest.raises(ValueError, match="shots must be an integer"):
             build()
+
+
+# ---------------------------------------------------------------------------
+# the p=1 closed form, and kernels that keep their buffers between calls
+
+
+@st.composite
+def ising_models(draw):
+    """Ising models on 1..10 qubits with random couplings (some zero), and
+    random fields or none."""
+    n = draw(st.integers(1, 10))
+    coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+    weights = {(i, j): draw(st.just(0.0) | coefficient) for i in range(n) for j in range(i + 1, n)}
+    h_lin = [draw(coefficient) for _ in range(n)] if draw(st.booleans()) else np.zeros(n)
+    return IsingModel({k: w for k, w in weights.items() if w}, h_lin, draw(coefficient), n)
+
+
+def assert_p1_energy(ising, beta, gamma):
+    """The kernel's p=1 energy within 1e-12 of the closed form, relative to
+    it or, for energies near 0, to the sum of |coefficients| (a bound on |C|)."""
+    scale = abs(ising.h_const) + np.abs(ising.h_lin).sum() + sum(map(abs, ising.h_quad.values()))
+    expected = p1_qaoa_energy(ising, beta, gamma)
+    actual = qaoa_objective(ising, 1)([beta, gamma])
+    assert abs(actual - expected) <= 1e-12 * max(abs(expected), scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ising_models(), st.floats(0.0, np.pi), st.floats(0.0, np.pi))
+def test_qaoa_objective_equals_the_p1_closed_form(ising, beta, gamma):
+    assert_p1_energy(ising, beta, gamma)
+
+
+@pytest.mark.parametrize(
+    "instance", ["Ex0p1", "Ex0p2", "Ex1p1", "Ex1p2", "Ex1p3", "Ex2p1", "Ex2p2", "Ex2p3", "Ex2p4"]
+)
+def test_qaoa_objective_equals_the_p1_closed_form_on_bundled_instances(instance):
+    ising = cli._Problem.build({"name": "lama", "instance": instance}).ising
+    for beta, gamma in [(0.7, 0.3), (2.9, 1.7), (0.1, 3.0)]:
+        assert_p1_energy(ising, beta, gamma)
+
+
+@pytest.mark.parametrize("shots", [None, 200], ids=["exact", "shots"])
+def test_objective_buffers_are_invisible(shots):
+    """Objectives own their kernel's buffers: called in alternation on one
+    Ising model they give the bytes each gives alone, and a state that
+    ``ansatz_state`` returned does not move under later calls."""
+    ising, _ = random_ising(77, 6)
+    rng = np.random.default_rng(78)
+    points = {"qaoa": rng.uniform(0.0, np.pi, (12, 4)), "vqe": rng.uniform(0.0, 7.0, (12, 18))}
+    factories = {"qaoa": qaoa_objective, "vqe": vqe_objective}
+
+    def alone(algorithm):
+        objective = factories[algorithm](ising, 2, shots, 5)
+        return np.array([objective(x) for x in points[algorithm]]).tobytes()
+
+    expected = {algorithm: alone(algorithm) for algorithm in factories}
+    states = {a: ansatz_state(ising, a, 2, points[a][0]) for a in factories}
+    kept = {a: state.amplitudes.copy() for a, state in states.items()}
+    objectives = {a: factory(ising, 2, shots, 5) for a, factory in factories.items()}
+    values = {a: [] for a in factories}
+    for k in range(12):
+        for algorithm, objective in objectives.items():
+            values[algorithm].append(objective(points[algorithm][k]))
+        ansatz_state(ising, "qaoa", 2, points["qaoa"][k])
+    for algorithm in factories:
+        assert np.array(values[algorithm]).tobytes() == expected[algorithm]
+        assert states[algorithm].amplitudes.tobytes() == kept[algorithm].tobytes()

@@ -115,6 +115,41 @@ def expectation_diagonal(state: StateVector, diag_cost) -> float:
     return float(probs @ values)
 
 
+def p1_qaoa_energy(ising: IsingModel, beta: float, gamma: float) -> float:
+    """<C> in the p=1 QAOA state RX(2 beta)^n exp(-i gamma C)|+...+>, for
+    C = sum_u h_u Z_u + sum_uv J_uv Z_u Z_v + h'', in closed form from the
+    single-layer <Z_u> and <Z_u Z_v> of Ozaeta, van Dam & McMahon
+    (arXiv:2012.03421): O(n) per term and no 2^n vector, so it shares
+    nothing with the state kernel it checks."""
+    n = ising.num_qubits
+    h = ising.h_lin
+    coupling = np.zeros((n, n))
+    for (u, v), weight in ising.h_quad.items():
+        coupling[u, v] = coupling[v, u] = weight
+
+    def cos_prod(angles) -> float:  # prod_w cos(2 gamma angle_w)
+        return float(np.prod(np.cos(2.0 * gamma * angles)))
+
+    s2, s4 = math.sin(2.0 * beta), math.sin(4.0 * beta)
+    energy = ising.h_const
+    for u in range(n):
+        others = np.arange(n) != u
+        z_u = s2 * math.sin(2.0 * gamma * h[u]) * cos_prod(coupling[u, others])
+        energy += h[u] * z_u
+    for (u, v), weight in ising.h_quad.items():
+        rest = (np.arange(n) != u) & (np.arange(n) != v)
+        ju, jv = coupling[u, rest], coupling[v, rest]
+        z_uv = 0.5 * s4 * math.sin(2.0 * gamma * weight) * (
+            math.cos(2.0 * gamma * h[u]) * cos_prod(ju)
+            + math.cos(2.0 * gamma * h[v]) * cos_prod(jv)
+        ) - 0.5 * s2 * s2 * (
+            math.cos(2.0 * gamma * (h[u] + h[v])) * cos_prod(ju + jv)
+            - math.cos(2.0 * gamma * (h[u] - h[v])) * cos_prod(ju - jv)
+        )
+        energy += weight * z_uv
+    return float(energy)
+
+
 def route_to_bits(order: list[int], m: int) -> np.ndarray:
     """Assignment bits of a tour, inverse of decode_trp for feasible inputs."""
     bits = np.zeros(m * m, dtype=np.int64)
