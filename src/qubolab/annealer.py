@@ -12,12 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IsingModel, QuboProblem, render_bits, require_finite, require_integer
-from .simulator import SampleSet, StateVector, phase_mixer_state
+from .simulator import SampleSet, StateVector, phase_mixer_kernel
 from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py traces it here
 
 TROTTER_QUBIT_CAP = 12
-# 200x the default 5 000 steps: the step lists take ~150 bytes a step, so about
-# 150 MB, and 12 qubits take ~0.3 ms a step; unbounded, a tiny dt is a MemoryError
+# 200x the default 5 000 steps: 12 qubits take ~0.3 ms a step, about five minutes
+# at the cap, where the schedule arrays take ~130 MB; a tiny dt is refused, not run
 TROTTER_STEP_CAP = 1_000_000
 
 
@@ -139,7 +139,7 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
 def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateVector:
     """First-order Trotter evolution from |+...+>, midpoint-sampled schedule:
     per step, RX(-a(t_k) dt) on every qubit, then the diagonal phase
-    exp(-i b(t_k) dt/2 * cost(b)), on ``phase_mixer_state`` (mixer first);
+    exp(-i b(t_k) dt/2 * cost(b)), on ``phase_mixer_kernel`` (mixer first);
     the same steps gate by gate through ``apply_gate`` are its oracle."""
     n = ising.num_qubits
     if n > TROTTER_QUBIT_CAP:
@@ -155,9 +155,9 @@ def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateV
     if steps == 0:
         return StateVector.plus_state(n)
     dt_eff = schedule.total_time / steps
-    times = [(k + 0.5) * dt_eff for k in range(steps)]
-    pairs = [(0.5 * schedule.b(t) * dt_eff, -schedule.a(t) * dt_eff) for t in times]
-    return phase_mixer_state(ising.cost_vector(), pairs, mixer_first=True)
+    t = (np.arange(steps) + 0.5) * dt_eff
+    evolve = phase_mixer_kernel(ising.cost_vector(), mixer_first=True)
+    return StateVector(evolve(0.5 * schedule.b(t) * dt_eff, -schedule.a(t) * dt_eff), n)
 
 
 @dataclass

@@ -173,8 +173,8 @@ def _floats(text: str) -> list:
 def _check_use_case(use_case) -> None:
     """Raise ``ValueError`` naming the first field of a ``use_case`` entry
     that is missing, foreign to the named use case (a typo such as
-    ``layuot``) or of the wrong type: ``cities`` and ``seed`` are integers (a
-    bool, float or string is refused, never truncated) and ``rho`` is "auto"
+    ``layuot``) or of the wrong type: ``cities`` and ``seed`` >= 0 are integers
+    (a bool, float or string is refused, never truncated) and ``rho`` is "auto"
     or a finite real number."""
     if not isinstance(use_case, dict):
         raise ValueError(f"config field 'use_case' needs an object, got {use_case!r}")
@@ -186,8 +186,8 @@ def _check_use_case(use_case) -> None:
             raise ValueError(f"use_case field {key!r} is not a {name} field")
     if name == "trp" and "cities" not in use_case:
         raise ValueError("use_case field 'cities' is required for trp")
-    for key in ("cities", "seed"):
-        require_integer(f"use_case field {key!r}", use_case.get(key, 0))
+    for key, least in (("cities", None), ("seed", 0)):
+        require_integer(f"use_case field {key!r}", use_case.get(key, 0), least)
     rho = use_case.get("rho", "auto")
     if rho != "auto":
         require_real("use_case field 'rho'", rho)
@@ -458,8 +458,8 @@ def _cmd_landscape(args) -> int:
     scape = cost_landscape(ising, resolution=args.grid, shots=args.shots, seed=args.seed)
     landscape_to_csv(scape, _out_path(args.output))
     print(
-        f"landscape {args.grid}x{args.grid}: min {scape.grid.min()!r} "
-        f"max {scape.grid.max()!r}"
+        f"landscape {args.grid}x{args.grid}: min {float(scape.grid.min())!r} "
+        f"max {float(scape.grid.max())!r}"
     )
     return 0
 
@@ -519,7 +519,6 @@ def _cmd_anneal(args) -> int:
 
 
 def _cmd_transpile(args) -> int:
-    require_integer("--seed", args.seed, least=0)
     problem = _load_problem(args.problem)
     params = None
     if args.params:
@@ -546,7 +545,6 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    require_integer("--seed", args.seed, least=0)
     p, q = _load_distribution(args.p), _load_distribution(args.q)
     fidelity = hellinger_fidelity(p, q)
     print(f"fidelity {fidelity!r}")
@@ -852,6 +850,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        require_integer("--seed", getattr(args, "seed", 0), least=0)
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -289,14 +289,6 @@ def phase_mixer_kernel(cost, mixer_first: bool = False):
     return evolve
 
 
-def phase_mixer_state(cost, steps, mixer_first: bool = False) -> StateVector:
-    """The validated state of a fresh ``phase_mixer_kernel`` after ``steps``,
-    a sequence of ``(phi, theta)`` pairs."""
-    steps = np.reshape(np.asarray(steps, dtype=float), (len(steps), 2))
-    amplitudes = phase_mixer_kernel(cost, mixer_first)(steps[:, 0], steps[:, 1])
-    return StateVector(amplitudes, amplitudes.size.bit_length() - 1)
-
-
 def cx_chain_permutation(num_qubits: int) -> np.ndarray:
     """Index map of the chain CX(0,1) CX(1,2) ... CX(n-2,n-1): the chain
     takes amplitudes ``a`` to ``a[perm]``."""

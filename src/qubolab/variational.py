@@ -103,16 +103,6 @@ def qaoa_circuit(ising: IsingModel, table: np.ndarray) -> Circuit:
     return circ
 
 
-def qaoa_state_fast(ising: IsingModel, table: np.ndarray) -> StateVector:
-    """Diagonal-phase QAOA evolution on ``phase_mixer_kernel`` at the (2, p)
-    angle ``table``: per layer, multiply amplitudes by exp(-i gamma * cost(b)),
-    then mix with RX(2 beta).
-
-    The gate-level ``qaoa_circuit`` is its oracle and differs only by a global
-    phase (the constant term h'' enters here but not there)."""
-    return StateVector(_amplitudes(ising, "qaoa")(table), ising.num_qubits)
-
-
 def vqe_circuit(table: np.ndarray) -> Circuit:
     """Two-local ansatz at the (L+1, n) angle ``table``: L blocks of [RY wall,
     CX chain], then a closing RY wall."""
@@ -133,7 +123,8 @@ def _amplitudes(ising: IsingModel, algorithm: str):
     """The named ansatz's amplitudes as a function of its angle table, on a
     kernel set up here once, whose next call overwrites them: complex from
     ``phase_mixer_kernel``, real from ``ry_cx_kernel``. The gate-level
-    ``qaoa_circuit`` and ``vqe_circuit`` are their oracles."""
+    ``qaoa_circuit`` and ``vqe_circuit`` are their oracles, QAOA's up to the
+    global phase of the constant h'', which the kernel's diagonal holds."""
     if algorithm == "qaoa":
         evolve = phase_mixer_kernel(ising.cost_vector())
         return lambda table: evolve(table[1], 2.0 * table[0])

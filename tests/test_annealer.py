@@ -242,9 +242,7 @@ def three_qubit_ising():
 def test_trotter_zero_steps_keeps_plus_state():
     ising, _ = three_qubit_ising()
     state = qa_trotter(ising, AnnealSchedule.linear(0.001), dt=0.01)
-    np.testing.assert_allclose(
-        state.amplitudes, StateVector.plus_state(3).amplitudes, atol=1e-12
-    )
+    assert state.amplitudes.tobytes() == StateVector.plus_state(3).amplitudes.tobytes()
 
 
 def test_trotter_norm_preserved():
@@ -333,9 +331,11 @@ def test_trotter_kernel_matches_gate_by_gate_reference(n):
     rng = np.random.default_rng(100 + n)
     Q = np.triu(rng.uniform(-2.0, 2.0, size=(n, n)))
     ising = to_ising(QuboProblem(Q=Q, constant=float(rng.uniform(-1.0, 1.0))))
-    for _ in range(2):
-        schedule = AnnealSchedule.linear(float(rng.uniform(0.2, 3.0)))
-        dt = float(rng.uniform(0.02, 0.2))
+    drawn = [(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.02, 0.2))) for _ in range(2)]
+    # one step, two steps, and T / dt = 2.5 and 3.5, which round to the even 2 and 4
+    boundary = [(0.3, 0.3), (0.5, 0.25), (0.625, 0.25), (0.875, 0.25)]
+    for total_time, dt in drawn + boundary:
+        schedule = AnnealSchedule.linear(total_time)
         fast = qa_trotter(ising, schedule, dt).amplitudes
         reference = gate_by_gate_trotter(ising, schedule, dt).amplitudes
         assert np.array_equal(fast, reference)

@@ -98,7 +98,7 @@ def test_solve_brute(lama_problem, tmp_path, capsys):
 # landscape
 
 
-def test_landscape_grid_and_gamma_zero_column(lama_problem, tmp_path):
+def test_landscape_grid_and_gamma_zero_column(lama_problem, tmp_path, capsys):
     out = tmp_path / "scape.csv"
     assert run_cli("landscape", str(lama_problem), "--grid", "6", "-o", str(out)) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=2)
@@ -106,6 +106,11 @@ def test_landscape_grid_and_gamma_zero_column(lama_problem, tmp_path):
     grid = rows[:, 1:]
     # gamma = 0 leaves the uniform superposition untouched
     assert np.allclose(grid[:, 0], grid[0, 0], atol=1e-9)
+    # the printed extremes are the grid's, as plain floats, not "np.float64(18.2)"
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert "np." not in line
+    _, _, _, low, _, high = line.split(" ")
+    assert float(low) == grid.min() and float(high) == grid.max()
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +314,22 @@ _BAD_FLAGS = {
     "train-starts-0": (["train", "{problem}", "--starts", "0"], "num_starts"),
     "train-layers-0": (["train", "{problem}", "--layers", "0"], "one layer"),
     "train-shots-0": (["train", "{problem}", "--shots", "0"], "shots"),
+    "train-seed-negative": (
+        ["train", "{problem}", "--seed", "-1"], "--seed must be an integer >= 0"
+    ),
     "train-max-iter-below-cobyla": (
         ["train", "{problem}", "--algorithm", "vqe", "--starts", "1", "--max-iter", "5"],
         "max_iter",
     ),
     "sample-shots-0": (["sample", "{problem}", "{train}", "--shots", "0"], "shots"),
+    "sample-seed-negative": (
+        ["sample", "{problem}", "{train}", "--seed", "-1"], "--seed must be an integer >= 0"
+    ),
     "anneal-reads-0": (["anneal", "{problem}", "--reads", "0"], "num_reads"),
     "anneal-sweeps-0": (["anneal", "{problem}", "--sweeps", "0"], "sweeps"),
+    "anneal-seed-negative": (
+        ["anneal", "{problem}", "--seed", "-1"], "--seed must be an integer >= 0"
+    ),
     "trotter-total-time-0": (
         ["anneal", "{problem}", "--backend", "trotter", "--total-time", "0"], "total_time"
     ),
@@ -325,6 +339,9 @@ _BAD_FLAGS = {
     ),
     "landscape-grid-1": (["landscape", "{problem}", "--grid", "1"], "resolution"),
     "landscape-shots-0": (["landscape", "{problem}", "--grid", "3", "--shots", "0"], "shots"),
+    "landscape-seed-negative": (
+        ["landscape", "{problem}", "--shots", "5", "--seed", "-1"], "--seed must be an integer >= 0"
+    ),
     "transpile-layers-0": (["transpile", "{problem}", "--layers", "0"], "one layer"),
     "transpile-seed-negative": (
         ["transpile", "{problem}", "--seed", "-1"], "--seed must be an integer >= 0"
@@ -336,6 +353,13 @@ _BAD_FLAGS = {
     "sweep-values-nan": (["sweep", "lama", "--values", "nan"], "rho"),
     "sweep-time-0": (["sweep", "lama", "--axis", "time", "--values", "0"], "sweeps"),
     "sweep-reads-0": (["sweep", "lama", "--values", "1", "--reads", "0"], "num_reads"),
+    "sweep-seed-negative": (
+        ["sweep", "lama", "--values", "1", "--seed", "-1"], "--seed must be an integer >= 0"
+    ),
+    # --seed lays out the cities
+    "build-seed-negative": (
+        ["build", "trp", "--cities", "4", "--seed", "-3"], "--seed must be an integer >= 0"
+    ),
 }
 
 
@@ -1062,6 +1086,7 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
             "seed",
         ),
         ({"use_case": {"name": "trp", "cities": 4, "seed": False}}, "seed"),
+        ({"use_case": {"name": "trp", "cities": 4, "seed": -3}}, "seed"),
         ({"use_case": {"name": "trp", "cities": 4, "rho": "x"}}, "rho"),
         ({"use_case": {"name": "trp", "cities": 4, "rho": "2"}}, "rho"),
         ({"use_case": {"name": "trp", "cities": 4, "rho": True}}, "rho"),
@@ -1109,7 +1134,8 @@ def test_run_failing_trotter_state_errors_every_seed(tmp_path, monkeypatch):
         "string-sweeps", "bool-layers", "float-shots", "float-starts",
         "string-max_iter", "float-routing_seeds", "float-routing-seed",
         "float-cities", "bool-cities", "string-cities", "float-layout-seed",
-        "bool-layout-seed", "string-rho", "numeric-string-rho", "bool-rho", "nan-rho",
+        "bool-layout-seed", "negative-layout-seed", "string-rho", "numeric-string-rho",
+        "bool-rho", "nan-rho",
         "inf-rho", "string-use_case", "list-use_case", "missing-name",
         "unknown-name", "list-name", "missing-cities", "misspelled-layout",
         "trp-instance", "lama-cities", "lama-seed", "unknown-field", "bool-total_time",

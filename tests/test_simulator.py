@@ -15,7 +15,7 @@ from qubolab.simulator import (
     StateVector,
     apply_gate,
     gate_matrix,
-    phase_mixer_state,
+    phase_mixer_kernel,
     run_circuit,
     sample,
 )
@@ -226,12 +226,13 @@ def test_gate_validation():
 
 @pytest.mark.parametrize("cost", [[1.0], [], [1.0, 2.0, 3.0], np.zeros((2, 2))])
 def test_phase_mixer_state_rejects_diagonal_without_qubits(cost):
-    with pytest.raises(ValueError, match="not 2\\^n"):
-        phase_mixer_state(cost, [(0.1, 0.2)])
+    for mixer_first in (False, True):
+        with pytest.raises(ValueError, match="not 2\\^n"):
+            phase_mixer_kernel(cost, mixer_first)
 
 
 def phase_mixer_gate_by_gate(cost, steps, mixer_first):
-    """phase_mixer_state spelled out with apply_gate: per step the diagonal
+    """phase_mixer_kernel spelled out with apply_gate: per step the diagonal
     phase and an RX gate on every qubit, in the kernel's order."""
     n = cost.size.bit_length() - 1
     state = StateVector.plus_state(n)
@@ -262,7 +263,7 @@ def test_phase_mixer_state_equals_gates_for_odd_and_even_n(n, mixer_first):
     cost = rng.uniform(-3.0, 3.0, size=1 << n)
     for p in range(1, 5):
         steps = rng.uniform(-np.pi, np.pi, size=(p, 2))
-        fast = phase_mixer_state(cost, steps, mixer_first=mixer_first).amplitudes
+        fast = phase_mixer_kernel(cost, mixer_first)(steps[:, 0], steps[:, 1])
         reference = phase_mixer_gate_by_gate(cost, steps, mixer_first).amplitudes
         assert np.array_equal(fast, reference)
 

@@ -29,7 +29,6 @@ from qubolab.variational import (
     num_params,
     qaoa_circuit,
     qaoa_objective,
-    qaoa_state_fast,
     vqe_circuit,
     vqe_objective,
 )
@@ -159,7 +158,7 @@ def test_every_reader_refuses_a_malformed_vector(case):
 def test_qaoa_zero_angles_gives_uniform_state():
     ising, _ = random_ising(2, 4)
     params = ansatz_params("qaoa", 1, 4, [0.0, 0.0])
-    fast = qaoa_state_fast(ising, params)
+    fast = ansatz_state(ising, "qaoa", 1, [0.0, 0.0])
     np.testing.assert_allclose(
         fast.amplitudes, StateVector.plus_state(4).amplitudes, atol=1e-12
     )
@@ -181,7 +180,7 @@ def test_fast_path_matches_gate_path_up_to_global_phase(draw):
     p = int(rng.integers(1, 4))
     ising, _ = random_ising(int(rng.integers(1000)), n)
     vec = rng.uniform(0, np.pi, size=2 * p)
-    fast = qaoa_state_fast(ising, ansatz_params("qaoa", p, n, vec))
+    fast = ansatz_state(ising, "qaoa", p, vec)
     gate = run_circuit(qaoa_circuit(ising, ansatz_params("qaoa", p, n, vec)))
     np.testing.assert_allclose(
         align_phase(gate.amplitudes, fast.amplitudes), fast.amplitudes, atol=1e-10
@@ -189,7 +188,7 @@ def test_fast_path_matches_gate_path_up_to_global_phase(draw):
 
 
 def phase_then_rx_gates(ising, table):
-    """qaoa_state_fast spelled out with apply_gate: per layer the diagonal
+    """ansatz_state's QAOA spelled out with apply_gate: per layer the diagonal
     phase exp(-i gamma cost), then RX(2 beta) on every qubit."""
     n = ising.num_qubits
     state = StateVector.plus_state(n)
@@ -207,8 +206,9 @@ def test_qaoa_kernel_equals_phase_then_rx_gates(n):
     rng = np.random.default_rng(400 + n)
     ising, _ = random_ising(500 + n, n)
     for p in range(1, 4):
-        params = ansatz_params("qaoa", p, n, rng.uniform(-np.pi, np.pi, 2 * p))
-        fast = qaoa_state_fast(ising, params).amplitudes
+        vec = rng.uniform(-np.pi, np.pi, 2 * p)
+        fast = ansatz_state(ising, "qaoa", p, vec).amplitudes
+        params = ansatz_params("qaoa", p, n, vec)
         assert np.array_equal(fast, phase_then_rx_gates(ising, params).amplitudes)
 
 
@@ -216,9 +216,7 @@ def test_qaoa_state_normalized_for_random_params():
     ising, _ = random_ising(4, 6)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        state = qaoa_state_fast(
-            ising, ansatz_params("qaoa", 2, 6, rng.uniform(0, np.pi, 4))
-        )
+        state = ansatz_state(ising, "qaoa", 2, rng.uniform(0, np.pi, 4))
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-9
 
 
@@ -307,7 +305,7 @@ def test_landscape_is_the_qaoa_expectation_grid(shots, seed):
     for j, gamma in enumerate(scape.gamma_axis):
         for i, beta in enumerate(scape.beta_axis):
             params = ansatz_params("qaoa", 1, 4, [beta, gamma])
-            probs = qaoa_state_fast(ising, params).probabilities()
+            probs = ansatz_state(ising, "qaoa", 1, [beta, gamma]).probabilities()
             if shots is None:
                 grid[i, j] = float(probs @ cost)
                 gate = run_circuit(qaoa_circuit(ising, params)).probabilities()
