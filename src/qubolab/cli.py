@@ -297,13 +297,14 @@ class _Problem:
         return self.qubo.num_vars
 
     def decoder(self):
-        """Bitstring -> (feasible, objective in use-case units)."""
+        """Bitstring -> (feasible, objective in use-case units); a charging
+        schedule that is not feasible has no objective (None)."""
         spec = self.spec
         if self.use_case == "lama":
 
             def decode(s):
                 levels, ok = decode_lama(s, spec)
-                return ok, lama_objective(levels)
+                return ok, (lama_objective(levels) if ok else None)
 
         else:
 
@@ -322,14 +323,13 @@ class _Problem:
         if self.use_case == "lama":
             if self.num_qubits > BRUTE_FORCE_CAP:
                 raise ValueError("instance too large for the brute-force oracle")
-            report = self.report
-            decode = self.decoder()
-            feasible = [decode(s) for s in report.optimal_set if decode(s)[0]]
-            if not feasible:
+            decoded = map(self.decoder(), self.report.optimal_set)
+            cost = next((cost for ok, cost in decoded if ok), None)
+            if cost is None:
                 raise ValueError(
                     "no feasible minimizer at this penalty; increase --rho"
                 )
-            return feasible[0][1]
+            return cost
         m = self.spec.num_cities
         if m > _TOUR_ORACLE_CAP:
             raise ValueError("instance too large for the tour-enumeration oracle")
@@ -383,16 +383,15 @@ def _cost_scores(problem: _Problem, dist: Distribution, seed) -> tuple:
     return err, base
 
 
-def _transpile(ising, algorithm, layers, params, topology, basis, error_map, seeds):
-    """Build the ansatz at ``params`` (0.5 everywhere when None), then route,
-    lower and score it once per routing seed: one row per seed."""
+def _transpile(ising, algorithm, layers, params, coupling, basis, errmap, seeds):
+    """Build the ansatz at ``params`` (0.5 everywhere when None), then route
+    it on ``coupling``, lower and score it against ``errmap`` once per routing
+    seed: one row per seed."""
     n = ising.num_qubits
     if params is None:
         params = np.full(num_params(algorithm, layers, n), 0.5)
     circ = ansatz_circuit(ising, algorithm, layers, params)
     circ.measure(*range(n))
-    coupling = _topology(topology, n)
-    errmap = _error_map(error_map, coupling)
     rows = []
     for seed in seeds:
         routed = route(circ, coupling, Layout.trivial(n), seed=seed)
@@ -523,9 +522,10 @@ def _cmd_transpile(args) -> int:
     params = None
     if args.params:
         params = _best_params(_load_raw(args.params, "TrainResult", "best_params"))
+    coupling = _topology(args.topology, problem.num_qubits)
     [record] = _transpile(
-        problem.ising, args.algorithm, args.layers, params, args.topology,
-        args.basis, args.error_map, [args.seed],
+        problem.ising, args.algorithm, args.layers, params, coupling,
+        args.basis, _error_map(args.error_map, coupling), [args.seed],
     )
     record.update(
         {
@@ -546,22 +546,21 @@ def _cmd_transpile(args) -> int:
 
 def _cmd_score(args) -> int:
     p, q = _load_distribution(args.p), _load_distribution(args.q)
-    fidelity = hellinger_fidelity(p, q)
-    print(f"fidelity {fidelity!r}")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "type": "ScoreReport",
-        "fidelity": fidelity,
+        "fidelity": hellinger_fidelity(p, q),
     }
     if args.problem:
         err, base = _cost_scores(_load_problem(args.problem), p, args.seed)
         payload["relative_error"] = err.value
         payload["relative_error_is_absolute"] = err.is_absolute
         payload["random_baseline"] = base.value
-        print(f"relative_error {err.value!r}")
-        print(f"random_baseline {base.value!r}")
     if args.output:
         _save_raw(args.output, payload)
+    for key in ("fidelity", "relative_error", "random_baseline"):
+        if key in payload:
+            print(f"{key} {payload[key]!r}")
     return 0
 
 
@@ -632,7 +631,7 @@ def _settings(config: dict) -> dict:
     return settings
 
 
-def _variational_record(problem, settings, seed) -> dict:
+def _variational_record(problem, settings, seed, device) -> dict:
     algorithm, layers = settings["algorithm"], settings["layers"]
     ising = problem.ising
     report = _train(
@@ -656,13 +655,11 @@ def _variational_record(problem, settings, seed) -> dict:
         record["feasible_pct"], record["optimal_pct"] = problem.rates(samples)
     except ValueError as exc:
         record["oracle_note"] = str(exc)
-    routing = settings["routing_seeds"]
-    if not isinstance(routing, list):
-        routing = range(routing)
-    if routing:
+    if device:
+        coupling, errmap = device
         record["transpile"] = _transpile(
-            ising, algorithm, layers, report.best_params, settings["topology"],
-            settings["basis"], settings["error_map"], routing,
+            ising, algorithm, layers, report.best_params, coupling,
+            settings["basis"], errmap, settings["routing_seeds"],
         )
     return record
 
@@ -694,6 +691,13 @@ def run(config: dict) -> dict:
     settings = _settings(config)
     algorithm = settings["algorithm"]
     problem = _Problem.build(config["use_case"])
+    routing = settings["routing_seeds"]
+    if not isinstance(routing, list):
+        settings["routing_seeds"] = routing = range(routing)
+    device = None  # read once, before any seed trains
+    if algorithm in ANSATZE and routing:
+        coupling = _topology(settings["topology"], problem.num_qubits)
+        device = coupling, _error_map(settings["error_map"], coupling)
     records = []
     for seed in map(int, seeds):
         try:
@@ -706,7 +710,7 @@ def run(config: dict) -> dict:
                     "evaluations": report.evaluations,
                 }
             elif algorithm in ANSATZE:
-                record = _variational_record(problem, settings, seed)
+                record = _variational_record(problem, settings, seed, device)
             else:
                 record = _anneal_record(problem, settings, seed)
         except Exception as exc:  # per-seed isolation
@@ -738,21 +742,44 @@ def _cmd_run(args) -> int:
 # parser
 
 
-def _add_common_problem_arg(p):
-    p.add_argument("problem", help="problem bundle JSON from `build`")
+_PROBLEM = ("problem", "problem bundle JSON from `build`")
+
+
+def _command(sub, name, func, help, *positionals, seed=True, output_required=True):
+    """Subcommand ``name`` running ``func``, with its ``(name, help)``
+    positionals, ``--seed`` (unless ``seed`` is false) and ``-o/--output``."""
+    p = sub.add_parser(name, help=help)
+    for arg, arg_help in positionals:
+        p.add_argument(arg, help=arg_help)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output", required=output_required)
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_run_fields(p, *names):
+    """``--<name>`` for each named ``_RUN_FIELDS`` entry, defaulting to it
+    and taking its ``_CHOICES`` or the type of its default."""
+    for name in names:
+        default = _RUN_FIELDS[name]
+        kind = {"choices": _CHOICES[name]} if name in _CHOICES else {"type": type(default)}
+        p.add_argument("--" + name.replace("_", "-"), default=default, **kind)
 
 
 def _add_use_case_args(p):
-    """The use case and its flags, as ``_flag_use_case`` reads them."""
+    """The use case and its flags, as ``_flag_use_case`` reads them; ``--seed``
+    comes from ``_command``."""
     p.add_argument("use_case", choices=["lama", "trp"])
     p.add_argument("--instance", default="Ex0p1", help="charging example name")
     p.add_argument("--cities", type=int, default=4)
     p.add_argument("--layout", choices=["symmetric", "asymmetric"], default="symmetric")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", default="auto", help="penalty weight or 'auto'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qubolab",
         description="QUBO workbench: problem building, variational training, "
@@ -760,95 +787,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="emit a problem bundle JSON")
+    p = _command(sub, "build", _cmd_build, "emit a problem bundle JSON")
     _add_use_case_args(p)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("solve-brute", help="exact enumeration of a problem bundle")
-    _add_common_problem_arg(p)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_solve_brute)
+    _command(sub, "solve-brute", _cmd_solve_brute, "exact enumeration of a problem bundle",
+             _PROBLEM, seed=False, output_required=False)
 
-    p = sub.add_parser("landscape", help="p=1 QAOA energy grid as CSV")
-    _add_common_problem_arg(p)
+    p = _command(sub, "landscape", _cmd_landscape, "p=1 QAOA energy grid as CSV", _PROBLEM)
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_landscape)
 
-    p = sub.add_parser("train", help="multi-start variational optimization")
-    _add_common_problem_arg(p)
+    p = _command(sub, "train", _cmd_train, "multi-start variational optimization", _PROBLEM)
     p.add_argument("--algorithm", choices=ANSATZE, default=ANSATZE[0])
-    p.add_argument("--layers", type=int, default=_RUN_FIELDS["layers"])
-    p.add_argument("--starts", type=int, default=_RUN_FIELDS["starts"])
-    p.add_argument("--max-iter", type=int, default=_RUN_FIELDS["max_iter"])
+    _add_run_fields(p, "layers", "starts", "max_iter")
     p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", help="optional CSV of per-run convergence")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("sample", help="shots from a trained state")
-    _add_common_problem_arg(p)
-    p.add_argument("train_result", help="JSON from `train`")
-    p.add_argument("--shots", type=int, default=_RUN_FIELDS["shots"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_sample)
+    p = _command(sub, "sample", _cmd_sample, "shots from a trained state",
+                 _PROBLEM, ("train_result", "JSON from `train`"))
+    _add_run_fields(p, "shots")
 
-    p = sub.add_parser("anneal", help="simulated annealing or Trotter evolution")
-    _add_common_problem_arg(p)
+    p = _command(sub, "anneal", _cmd_anneal, "simulated annealing or Trotter evolution", _PROBLEM)
     p.add_argument("--backend", choices=["sa", "trotter"], default="sa")
-    p.add_argument("--reads", type=int, default=_RUN_FIELDS["reads"])
-    p.add_argument("--sweeps", type=int, default=_RUN_FIELDS["sweeps"])
-    p.add_argument("--total-time", type=float, default=_RUN_FIELDS["total_time"])
-    p.add_argument("--dt", type=float, default=_RUN_FIELDS["dt"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_anneal)
+    _add_run_fields(p, "reads", "sweeps", "total_time", "dt")
 
-    p = sub.add_parser("transpile", help="route + decompose + count + score")
-    _add_common_problem_arg(p)
+    p = _command(sub, "transpile", _cmd_transpile, "route + decompose + count + score",
+                 _PROBLEM, output_required=False)
     p.add_argument("--algorithm", choices=ANSATZE, default=ANSATZE[0])
-    p.add_argument("--layers", type=int, default=_RUN_FIELDS["layers"])
+    _add_run_fields(p, "layers", "basis")
     p.add_argument("--topology", choices=_CHOICES["topology"], default="heavy_hex_27")
-    p.add_argument("--basis", choices=_CHOICES["basis"], default="CX")
     p.add_argument("--error-map", help="ErrorMap JSON; uniform defaults otherwise")
     p.add_argument("--params", help="train result JSON to bind angles from")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_transpile)
 
-    p = sub.add_parser("score", help="quality metrics from two distribution files")
-    p.add_argument("p", help="empirical Distribution or SampleSet JSON")
-    p.add_argument("q", help="reference Distribution or SampleSet JSON")
+    p = _command(sub, "score", _cmd_score, "quality metrics from two distribution files",
+                 ("p", "empirical Distribution or SampleSet JSON"),
+                 ("q", "reference Distribution or SampleSet JSON"), output_required=False)
     p.add_argument("--problem", help="bundle JSON enabling cost-error metrics")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("sweep", help="SA solution-rate scan over penalty or time")
+    p = _command(sub, "sweep", _cmd_sweep, "SA solution-rate scan over penalty or time")
     _add_use_case_args(p)
     p.add_argument("--axis", choices=["penalty", "time"], default="penalty")
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--reads", type=int, default=_RUN_FIELDS["reads"])
-    p.add_argument("--sweeps", type=int, default=_RUN_FIELDS["sweeps"])
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_sweep)
+    _add_run_fields(p, "reads", "sweeps")
 
-    p = sub.add_parser("run", help="seeded experiment batch from a config JSON")
-    p.add_argument("config", help="ExperimentConfig JSON")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_run)
-
+    _command(sub, "run", _cmd_run, "seeded experiment batch from a config JSON",
+             ("config", "ExperimentConfig JSON"), seed=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         require_integer("--seed", getattr(args, "seed", 0), least=0)
         return args.func(args)

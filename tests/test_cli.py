@@ -307,9 +307,10 @@ def test_run_records_the_budget_refusal_on_every_seed(tmp_path):
     ]
 
 
-# one numeric flag at 0, below 0 or NaN, per subcommand, with a fragment of
-# its refusal: "{problem}" is an Ex0p1 bundle, "{train}" a p=1 QAOA train
-# result and "{dist}" a Distribution
+# one numeric flag at 0, below 0 or NaN, per subcommand, or a file it cannot
+# use, with a fragment of its refusal: "{problem}" is an Ex0p1 bundle,
+# "{train}" a p=1 QAOA train result, "{dist}" a 6-bit and "{dist8}" an 8-bit
+# Distribution, and "{missing}" a path with no file
 _BAD_FLAGS = {
     "train-starts-0": (["train", "{problem}", "--starts", "0"], "num_starts"),
     "train-layers-0": (["train", "{problem}", "--layers", "0"], "one layer"),
@@ -350,6 +351,13 @@ _BAD_FLAGS = {
         ["score", "{dist}", "{dist}", "--problem", "{problem}", "--seed", "-1"],
         "--seed must be an integer >= 0",
     ),
+    # the problem is read before the fidelity line is printed
+    "score-problem-missing": (
+        ["score", "{dist}", "{dist}", "--problem", "{missing}"], "missing.json"
+    ),
+    "score-problem-of-another-width": (
+        ["score", "{dist8}", "{dist8}", "--problem", "{problem}"], "bit widths differ"
+    ),
     "sweep-values-nan": (["sweep", "lama", "--values", "nan"], "rho"),
     "sweep-time-0": (["sweep", "lama", "--axis", "time", "--values", "0"], "sweeps"),
     "sweep-reads-0": (["sweep", "lama", "--values", "1", "--reads", "0"], "num_reads"),
@@ -373,7 +381,12 @@ def test_bad_numeric_flag_exits_1_and_writes_nothing(
     ))
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps({"type": "Distribution", "probs": {"101000": 1.0}}))
-    paths = {"problem": lama_problem, "train": train, "dist": dist}
+    dist8 = tmp_path / "dist8.json"
+    dist8.write_text(json.dumps({"type": "Distribution", "probs": {"10100000": 1.0}}))
+    paths = {
+        "problem": lama_problem, "train": train, "dist": dist, "dist8": dist8,
+        "missing": tmp_path / "missing.json",
+    }
     out = tmp_path / "out"
     assert run_cli(*[arg.format(**paths) for arg in argv], "-o", str(out)) == 1
     captured = capsys.readouterr()
@@ -874,6 +887,32 @@ def test_run_deterministic_modulo_timestamp(tmp_path):
     assert {rec["seed"] for rec in r1["records"]} == {0, 1}
 
 
+def test_run_documents_match_their_golden_hashes():
+    """Every field of the 30 benchmark `run` documents keeps its bytes, apart
+    from ``timestamp``. tests/make_run_hashes.py runs them in its own process,
+    with single-threaded BLAS, and regenerates the golden file."""
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tests/make_run_hashes.py")],
+        env=dict(os.environ, PYTHONPATH=SOURCE_ROOT),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    golden = json.loads((REPO_ROOT / "tests/golden/run/hashes.json").read_text())
+    assert len(golden) == 30
+
+    def by_field(hashes):  # "<config> seed <s> '<field>'" -> hash
+        return {
+            f"{config} {seed} {field!r}": digest
+            for config, seeds in hashes.items()
+            for seed, fields in seeds.items()
+            for field, digest in fields.items()
+        }
+
+    old, new = by_field(golden), by_field(json.loads(result.stdout))
+    moved = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+    assert not moved, "moved: " + ", ".join(moved)
+
+
 def test_run_records_have_rates(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("run", str(sa_config(tmp_path)), "-o", str(out)) == 0
@@ -1155,6 +1194,26 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error_map", ["missing", "another-document"])
+def test_run_reads_its_error_map_before_any_seed_trains(
+    lama_problem, tmp_path, capsys, monkeypatch, error_map
+):
+    # a routed batch read the error map only after every seed had trained
+    path = tmp_path / f"{error_map}.json"
+    if error_map == "another-document":
+        path.write_text(lama_problem.read_text())
+    cfg = sa_config(
+        tmp_path, algorithm="qaoa", seeds=[0, 1], starts=1, max_iter=5,
+        routing_seeds=2, topology="heavy_hex_27", error_map=str(path),
+    )
+    trained = count_calls(monkeypatch, "multistart")
+    out = tmp_path / "r.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 1
+    assert str(path) in capsys.readouterr().err
+    assert trained == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["[]", "1", '"x"', "null"])
 def test_run_refuses_a_config_that_is_not_an_object(tmp_path, capsys, text):
     # an array was "'list' object has no attribute 'get'"
@@ -1232,20 +1291,27 @@ def test_run_takes_integer_times(tmp_path):
 
 def test_flag_defaults_are_the_run_config_defaults():
     parser = cli.build_parser()
+    assert cli.build_parser() is parser  # built once per process
     argvs = [
         ["train", "p.json", "-o", "x"],
         ["sample", "p.json", "t.json", "-o", "x"],
         ["anneal", "p.json", "-o", "x"],
         ["sweep", "lama", "--values", "1", "-o", "x"],
+        ["transpile", "p.json"],
     ]
+    # train's exact energy and transpile's heavy-hex device are their own defaults
+    exceptions = {("train", "shots"), ("transpile", "topology")}
     checked = set()
     for argv in argvs:
         args = vars(parser.parse_args(argv))
         for name, default in cli._RUN_FIELDS.items():
-            if name in args and not (argv[0] == "train" and name == "shots"):
+            if name in args and (argv[0], name) not in exceptions:
                 assert args[name] == default, (argv[0], name)
                 checked.add(name)
-    assert checked == {"layers", "starts", "max_iter", "shots", "reads", "sweeps", "total_time", "dt"}
+    assert checked == {
+        "layers", "starts", "max_iter", "shots", "reads", "sweeps", "total_time", "dt",
+        "basis", "error_map",
+    }
 
 
 @pytest.mark.parametrize("layout", ["symmetric", "asymmetric"])
