@@ -222,6 +222,8 @@ class _Problem:
         self.doc = doc
         self.use_case = doc["use_case"]
         self.qubo = from_dict(doc["qubo"])
+        if (found := type(self.qubo).__name__) != "QuboProblem":
+            raise ValueError(f"bundle field 'qubo' holds a {found}, not a QuboProblem")
         self.spec = from_dict(doc["spec"])
         kind = type(self.spec).__name__
         if (self.use_case, kind) not in (("lama", "LamaSpec"), ("trp", "TrpSpec")):
@@ -688,6 +690,8 @@ def run(config: dict) -> dict:
     seeds = config.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ValueError("config needs a nonempty 'seeds' list")
+    if "use_case" not in config:
+        raise ValueError("config needs a 'use_case' object")
     settings = _settings(config)
     algorithm = settings["algorithm"]
     problem = _Problem.build(config["use_case"])

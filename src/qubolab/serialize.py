@@ -110,10 +110,6 @@ def write_json(path, doc: dict):
     Path(path).write_text(_text(doc) + "\n")
 
 
-def load_json(path):
-    return from_dict(json.loads(Path(path).read_text()))
-
-
 # ---------------------------------------------------------------------------
 # CSV exports
 

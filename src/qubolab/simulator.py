@@ -113,9 +113,6 @@ class Circuit:
     def h(self, q):
         return self.append(Gate("H", (q,)))
 
-    def x(self, q):
-        return self.append(Gate("X", (q,)))
-
     def sx(self, q):
         return self.append(Gate("SX", (q,)))
 
@@ -130,9 +127,6 @@ class Circuit:
 
     def cx(self, control, target):
         return self.append(Gate("CX", (control, target)))
-
-    def cz(self, q1, q2):
-        return self.append(Gate("CZ", (q1, q2)))
 
     def swap(self, q1, q2):
         return self.append(Gate("SWAP", (q1, q2)))

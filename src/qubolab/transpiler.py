@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import require_each, require_real
-from .simulator import Circuit, Gate, gate_matrix, run_circuit, StateVector
+from .simulator import Circuit, Gate, gate_matrix
 
-UNITARY_QUBIT_CAP = 6
 _H = gate_matrix(Gate("H", (0,)))
 
 # 27-qubit heavy-hex lattice (rows of hexagons sharing cell borders)
@@ -173,9 +172,6 @@ class Layout:
     def trivial(cls, n: int) -> "Layout":
         return cls(list(range(n)))
 
-    def physical(self, logical: int) -> int:
-        return self.assignment[logical]
-
 
 @dataclass
 class RoutedCircuit:
@@ -310,18 +306,3 @@ def circuit_score(circuit: Circuit, errmap: ErrorMap) -> float:
     for gate in circuit.gates:
         score *= 1.0 - errmap.rate(gate)
     return score
-
-
-def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of the circuit (test oracle); capped at 6 qubits."""
-    n = circuit.num_qubits
-    if n > UNITARY_QUBIT_CAP:
-        raise ValueError(f"unitary extraction capped at {UNITARY_QUBIT_CAP} qubits")
-    dim = 1 << n
-    cols = np.empty((dim, dim), dtype=complex)
-    for v in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[v] = 1.0
-        cols[:, v] = run_circuit(circuit, StateVector(amps, n)).amplitudes
-    return cols
-

@@ -16,10 +16,7 @@ import numpy as np
 from .model import (
     BinaryEncoding,
     QcioProblem,
-    QuboProblem,
     as_bits,
-    build_quio,
-    encode_binary,
     number_array,
     require_each,
     require_finite,
@@ -108,8 +105,6 @@ def build_lama(spec: LamaSpec) -> tuple[QcioProblem, BinaryEncoding]:
                 A[row, c * T + t] = 1.0
                 r[row] = 0.0
                 row += 1
-    if row > n:
-        raise ValueError("constraint rows exceed variable count")  # unreachable for valid specs
     qcio = QcioProblem(
         dim_n=n,
         M=M,
@@ -265,12 +260,6 @@ def trp_model(spec: TrpSpec) -> tuple[QcioProblem, BinaryEncoding]:
         upper=np.ones(n, dtype=int),
     )
     return qcio, BinaryEncoding.levels(n, 1)
-
-
-def build_trp(spec: TrpSpec) -> QuboProblem:
-    """Tour QUBO over m^2 assignment bits at the spec's penalty weight."""
-    qcio, enc = trp_model(spec)
-    return encode_binary(build_quio(qcio, spec.rho), enc)
 
 
 def decode_trp(bits: np.ndarray | str, spec: TrpSpec) -> tuple[list[int] | None, bool, float]:

@@ -57,11 +57,9 @@ from qubolab.transpiler import (
     count_two_qubit,
     decompose,
     route,
-    unitary_of,
 )
 from qubolab.usecases import (
     build_lama,
-    build_trp,
     decode_lama,
     decode_trp,
     example_series,
@@ -80,12 +78,14 @@ from qubolab.variational import (
 
 from util import (
     bits_to_int,
+    build_trp,
     embed_circuit,
     expectation_diagonal,
     permutation_unitary,
     random_qcio,
     random_qubo,
     route_to_bits,
+    unitary_of,
 )
 
 
@@ -311,7 +311,7 @@ def test_08_circuit_score_closed_form_and_monotone():
     e = 0.01
     errmap = ErrorMap.uniform(coupling, single=e, two=e, measure=e)
     circ = Circuit(3)
-    circ.cx(0, 1).sx(0).x(1).cx(1, 2).sx(2)
+    circ.cx(0, 1).sx(0).append(Gate("X", (1,))).cx(1, 2).sx(2)
     circ.measure(0)
     circ.measure(1)
     circ.measure(2)

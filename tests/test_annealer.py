@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from util import bits_to_str, int_to_bits, random_qubo
+from util import bits_to_str, build_trp, int_to_bits, random_qubo
 
 from qubolab.annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample
 from qubolab.model import (
@@ -18,7 +18,7 @@ from qubolab.model import (
     to_ising,
 )
 from qubolab.simulator import Gate, SampleSet, StateVector, apply_gate
-from qubolab.usecases import build_trp, gen_cities
+from qubolab.usecases import gen_cities
 
 
 def two_var_qubo():

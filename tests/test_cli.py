@@ -424,8 +424,12 @@ def test_anneal_sa_prints_the_oracle_reason(tmp_path, capsys):
         ({"spec": to_dict(example_series()["Ex1p1"])}, "LamaSpec spec needs 8 bits, its qubo 6"),
         ({"use_case": "trp"}, "use_case 'trp' does not match its LamaSpec spec"),
         ({"use_case": "tsp"}, "use_case 'tsp' does not match its LamaSpec spec"),
+        (
+            {"qubo": to_dict(example_series()["Ex0p1"])},
+            "bundle field 'qubo' holds a LamaSpec, not a QuboProblem",
+        ),
     ],
-    ids=["spec-width", "other-use-case", "unknown-use-case"],
+    ids=["spec-width", "other-use-case", "unknown-use-case", "spec-as-qubo"],
 )
 def test_bundle_whose_parts_disagree_is_refused(lama_problem, tmp_path, capsys, command, change, message):
     bad = tmp_path / "bad.json"
@@ -1191,6 +1195,17 @@ def test_run_rejects_bad_config(tmp_path, capsys, overrides, field):
     out = tmp_path / "x.json"
     assert run_cli("run", str(sa_config(tmp_path, **overrides)), "-o", str(out)) == 1
     assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_without_use_case_is_refused_by_name(tmp_path, capsys):
+    cfg = sa_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    del doc["use_case"]
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 1
+    assert "error: config needs a 'use_case' object" in capsys.readouterr().err
     assert not out.exists()
 
 

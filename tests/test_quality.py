@@ -27,9 +27,9 @@ from qubolab.quality import (
     state_fidelity,
 )
 from qubolab.simulator import SampleSet, StateVector, sample
-from qubolab.usecases import build_lama, build_trp, example_series, gen_cities
+from qubolab.usecases import build_lama, example_series, gen_cities
 
-from util import bits_to_str, int_to_bits, qubo_cost, random_qubo
+from util import bits_to_str, build_trp, int_to_bits, qubo_cost, random_qubo
 
 
 def test_fidelity_identical_distributions():
@@ -224,6 +224,20 @@ def test_random_baseline_converges_to_uniform_error():
     uniform_err = abs(uniform_mean - report.optimal_cost) / abs(report.optimal_cost)
     base = random_baseline(qubo, trials=200, seed=4)
     assert abs(base.value - uniform_err) / uniform_err < 0.05
+
+
+@pytest.mark.parametrize("name, qubo", list(bundled_qubos()))
+def test_random_baseline_matches_the_uniform_error_on_bundled_problems(name, qubo):
+    # a normalized complex-Gaussian state's probabilities are Dirichlet(1, ..., 1),
+    # so one trial's mean cost has expectation mean(cost) and variance
+    # Var_pop(cost) / (2^n + 1); every trial costs at least C*
+    cost, trials = qubo.cost_vector(), 50
+    c_opt = brute_force_solve(qubo).optimal_cost
+    expected = (cost.mean() - c_opt) / abs(c_opt)
+    sigma = np.sqrt(cost.var() / (cost.size + 1)) / (abs(c_opt) * np.sqrt(trials))
+    base = random_baseline(qubo, trials=trials, seed=0, c_opt=c_opt)
+    assert not base.is_absolute
+    assert abs(base.value - expected) < 5 * sigma, (base.value - expected) / sigma
 
 
 def test_random_baseline_beats_trained_state_direction():

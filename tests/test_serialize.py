@@ -16,7 +16,6 @@ from qubolab.serialize import (
     dumps,
     from_dict,
     landscape_to_csv,
-    load_json,
     save_json,
     sweeps_to_csv,
     to_dict,
@@ -26,6 +25,8 @@ from qubolab.simulator import SampleSet
 from qubolab.transpiler import CouplingMap, ErrorMap
 from qubolab.usecases import build_lama, example_series, gen_cities
 from qubolab.variational import Landscape
+
+from util import load_json
 
 
 def roundtrip(obj):

@@ -26,7 +26,6 @@ from qubolab.usecases import (
     LamaSpec,
     TrpSpec,
     build_lama,
-    build_trp,
     decode_lama,
     decode_trp,
     example_series,
@@ -36,6 +35,7 @@ from qubolab.usecases import (
 )
 
 from util import (
+    build_trp,
     constraint_residual,
     diag_cost,
     int_to_bits,

@@ -3,7 +3,9 @@ package's vectorised code is tested against."""
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -16,10 +18,16 @@ from qubolab.model import (
     QuboProblem,
     QuioProblem,
     as_bits,
+    build_quio,
+    encode_binary,
     upper_triangularize,
 )
-from qubolab.simulator import Circuit, Gate, StateVector
+from qubolab.serialize import from_dict
+from qubolab.simulator import Circuit, Gate, StateVector, run_circuit
 from qubolab.transpiler import Layout
+from qubolab.usecases import TrpSpec, trp_model
+
+UNITARY_QUBIT_CAP = 6
 
 
 def random_qubo(rng: np.random.Generator, n: int, density: float = 0.6) -> QuboProblem:
@@ -177,9 +185,33 @@ def embed_circuit(circuit: Circuit, layout: Layout, num_physical: int) -> Circui
     out = Circuit(num_physical)
     for gate in circuit.gates:
         out.append(
-            Gate(gate.kind, tuple(layout.physical(q) for q in gate.qubits), gate.angle)
+            Gate(gate.kind, tuple(layout.assignment[q] for q in gate.qubits), gate.angle)
         )
     return out
+
+
+def unitary_of(circuit: Circuit) -> np.ndarray:
+    """Dense matrix of the circuit (test oracle); capped at 6 qubits."""
+    n = circuit.num_qubits
+    if n > UNITARY_QUBIT_CAP:
+        raise ValueError(f"unitary extraction capped at {UNITARY_QUBIT_CAP} qubits")
+    dim = 1 << n
+    cols = np.empty((dim, dim), dtype=complex)
+    for v in range(dim):
+        amps = np.zeros(dim, dtype=complex)
+        amps[v] = 1.0
+        cols[:, v] = run_circuit(circuit, StateVector(amps, n)).amplitudes
+    return cols
+
+
+def build_trp(spec: TrpSpec) -> QuboProblem:
+    """Tour QUBO over m^2 assignment bits at the spec's penalty weight."""
+    qcio, enc = trp_model(spec)
+    return encode_binary(build_quio(qcio, spec.rho), enc)
+
+
+def load_json(path):
+    return from_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------
