@@ -34,10 +34,6 @@ class AnnealSchedule:
             raise ValueError("total_time must be positive")
         self.total_time = float(self.total_time)
 
-    @classmethod
-    def linear(cls, total_time: float) -> "AnnealSchedule":
-        return cls(total_time)
-
     def a(self, t: float) -> float:
         return 1.0 - t / self.total_time
 

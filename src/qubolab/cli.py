@@ -48,13 +48,12 @@ from .serialize import (
     SCHEMA_VERSION,
     from_dict,
     landscape_to_csv,
-    save_json,
     sweeps_to_csv,
     to_dict,
     traces_to_csv,
     write_json,
 )
-from .simulator import StateVector, sample as sample_state
+from .simulator import Gate, StateVector, sample as sample_state
 from .simulator import run_circuit  # noqa: F401  unused; perfbench/spans.py traces it here
 from .transpiler import (
     CouplingMap,
@@ -285,7 +284,7 @@ class _Problem:
         evolved once per (total_time, dt). The Trotter anneal stage."""
         key = (total_time, dt)
         if key not in self._trotter_states:
-            schedule = AnnealSchedule.linear(total_time)
+            schedule = AnnealSchedule(total_time)
             self._trotter_states[key] = qa_trotter(self.ising, schedule, dt=dt)
         return self._trotter_states[key]
 
@@ -393,7 +392,7 @@ def _transpile(ising, algorithm, layers, params, coupling, basis, errmap, seeds)
     if params is None:
         params = np.full(num_params(algorithm, layers, n), 0.5)
     circ = ansatz_circuit(ising, algorithm, layers, params)
-    circ.measure(*range(n))
+    circ.append(Gate("MEASURE", range(n)))
     rows = []
     for seed in seeds:
         routed = route(circ, coupling, Layout.trivial(n), seed=seed)
@@ -449,7 +448,7 @@ def _cmd_solve_brute(args) -> int:
     print(f"optimal cost {report.optimal_cost!r}")
     print(f"optimal set ({len(report.optimal_set)}): {' '.join(report.optimal_set[:16])}")
     if args.output:
-        save_json(_out_path(args.output), report)
+        _save_raw(args.output, to_dict(report))
     return 0
 
 
@@ -495,7 +494,7 @@ def _cmd_sample(args) -> int:
         problem.ising, result["algorithm"], result["layers"],
         _best_params(result), args.shots, args.seed,
     )
-    save_json(_out_path(args.output), samples)
+    _save_raw(args.output, to_dict(samples))
     top = max(samples.counts, key=samples.counts.get)
     print(f"sampled {args.shots} shots; mode {top} x{samples.counts[top]}")
     return 0
@@ -505,7 +504,7 @@ def _cmd_anneal(args) -> int:
     problem = _load_problem(args.problem)
     if args.backend == "sa":
         samples = _sa_anneal(problem, args.reads, args.sweeps, args.seed)
-        save_json(_out_path(args.output), samples)
+        _save_raw(args.output, to_dict(samples))
         try:
             feas, opt = problem.rates(samples)
             print(f"sa: {args.reads} reads, feasible {feas}% optimal {opt}%")
@@ -513,7 +512,7 @@ def _cmd_anneal(args) -> int:
             print(f"sa: {args.reads} reads ({exc})")
         return 0
     dist = Distribution.from_state(problem.trotter_state(args.total_time, args.dt))
-    save_json(_out_path(args.output), dist)
+    _save_raw(args.output, to_dict(dist))
     best = max(dist.probs, key=dist.probs.get)
     print(f"trotter T={args.total_time}: peak {best} p={dist.probs[best]!r}")
     return 0
@@ -523,7 +522,14 @@ def _cmd_transpile(args) -> int:
     problem = _load_problem(args.problem)
     params = None
     if args.params:
-        params = _best_params(_load_raw(args.params, "TrainResult", "best_params"))
+        trained = _load_raw(args.params, "TrainResult", "best_params")
+        for key in ("algorithm", "layers"):  # optional; as written, so true is not 1
+            if key in trained and repr(trained[key]) != repr(getattr(args, key)):
+                raise ValueError(
+                    f"{args.params} was trained with {key} {trained[key]!r}, "
+                    f"not the --{key} {getattr(args, key)!r} asked for"
+                )
+        params = _best_params(trained)
     coupling = _topology(args.topology, problem.num_qubits)
     [record] = _transpile(
         problem.ising, args.algorithm, args.layers, params, coupling,

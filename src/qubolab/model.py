@@ -278,10 +278,6 @@ class BinaryEncoding:
     def num_vars(self) -> int:
         return self.B.shape[0]
 
-    def decode(self, bits: np.ndarray) -> np.ndarray:
-        """Integer vector encoded by ``bits``."""
-        return self.B @ np.asarray(bits, dtype=np.float64)
-
     @classmethod
     def levels(cls, num_vars: int, bits_per_var: int = 2) -> "BinaryEncoding":
         """Positional encoding with weights 1, 2, 4, ... for every variable."""

@@ -3,6 +3,7 @@ random-statevector baseline, and feasible/optimal solution rates."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,10 +77,14 @@ def hellinger_fidelity(p: Distribution, q: Distribution) -> float:
     Raises ValueError when the two distributions have different bit widths."""
     if p.num_bits != q.num_bits:
         raise ValueError(f"bit widths differ: {p.num_bits} vs {q.num_bits}")
-    overlap = sum(
-        np.sqrt(v * q.probs[s]) for s, v in p.probs.items() if s in q.probs
-    )
-    return float(overlap) ** 2
+    return _overlap(p, np.fromiter(map(q.probs.get, p.probs, itertools.repeat(0.0)), float))
+
+
+def _overlap(p: Distribution, q_on_p: np.ndarray) -> float:
+    """(sum_b sqrt(p_b q_b))^2, where ``q_on_p`` holds q's probability of each
+    of ``p``'s keys in ``p``'s order; the sum runs left to right over that order."""
+    terms = np.sqrt(np.fromiter(p.probs.values(), float) * q_on_p)
+    return float(sum(terms)) ** 2
 
 
 def _support_index(p: Distribution, num_qubits: int) -> np.ndarray:
@@ -93,9 +98,7 @@ def state_fidelity(p: Distribution, state: StateVector) -> float:
     """``hellinger_fidelity(p, Distribution.from_state(state))``, bit for bit,
     reading the exact probabilities only on the support of ``p``."""
     index = _support_index(p, state.num_qubits)
-    terms = np.sqrt(np.fromiter(p.probs.values(), float) * state.probabilities()[index])
-    # the same left-to-right sum over p's order as hellinger_fidelity
-    return float(sum(terms)) ** 2
+    return _overlap(p, state.probabilities()[index])
 
 
 def _guarded_error(mean: float, c_opt: float) -> RelativeError:

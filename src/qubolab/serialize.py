@@ -101,10 +101,6 @@ def dumps(obj) -> str:
     return _text(to_dict(obj))
 
 
-def save_json(path, obj):
-    write_json(path, to_dict(obj))
-
-
 def write_json(path, doc: dict):
     """Write a JSON-ready dict in the format of :func:`dumps`, plus a newline."""
     Path(path).write_text(_text(doc) + "\n")

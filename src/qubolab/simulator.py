@@ -109,31 +109,6 @@ class Circuit:
         self.gates.append(gate)
         return self
 
-    # thin builders
-    def h(self, q):
-        return self.append(Gate("H", (q,)))
-
-    def sx(self, q):
-        return self.append(Gate("SX", (q,)))
-
-    def rx(self, q, theta):
-        return self.append(Gate("RX", (q,), theta))
-
-    def rz(self, q, theta):
-        return self.append(Gate("RZ", (q,), theta))
-
-    def rzz(self, q1, q2, theta):
-        return self.append(Gate("RZZ", (q1, q2), theta))
-
-    def cx(self, control, target):
-        return self.append(Gate("CX", (control, target)))
-
-    def swap(self, q1, q2):
-        return self.append(Gate("SWAP", (q1, q2)))
-
-    def measure(self, *qubits):
-        return self.append(Gate("MEASURE", tuple(qubits)))
-
 
 @dataclass
 class StateVector:

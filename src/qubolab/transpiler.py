@@ -201,7 +201,7 @@ def route(
     out = Circuit(n_phys)
 
     def do_swap(p, q):
-        out.swap(p, q)
+        out.append(Gate("SWAP", (p, q)))
         wp, wq = held[p], held[q]
         held[p], held[q] = wq, wp
         where[wp], where[wq] = q, p
@@ -244,11 +244,11 @@ def _zyz_angles(u: np.ndarray) -> tuple:
 def _emit_1q(out: Circuit, q: int, u: np.ndarray):
     """ZXZXZ synthesis: U ~ RZ(phi+pi) SX RZ(theta+pi) SX RZ(lam)."""
     theta, phi, lam = _zyz_angles(u)
-    out.rz(q, lam)
-    out.sx(q)
-    out.rz(q, theta + np.pi)
-    out.sx(q)
-    out.rz(q, phi + np.pi)
+    out.append(Gate("RZ", (q,), lam))
+    out.append(Gate("SX", (q,)))
+    out.append(Gate("RZ", (q,), theta + np.pi))
+    out.append(Gate("SX", (q,)))
+    out.append(Gate("RZ", (q,), phi + np.pi))
 
 
 def _emit_2q(out: Circuit, kind: str, control: int, target: int, basis: str):
@@ -283,7 +283,7 @@ def decompose(circuit: Circuit, basis: str = "CX") -> Circuit:
         elif kind == "RZZ":
             i, j = gate.qubits
             _emit_2q(out, "CX", i, j, basis)
-            out.rz(j, gate.angle)
+            out.append(Gate("RZ", (j,), gate.angle))
             _emit_2q(out, "CX", i, j, basis)
         elif kind == "SWAP":
             a, b = gate.qubits

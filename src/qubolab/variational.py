@@ -88,18 +88,18 @@ def qaoa_circuit(ising: IsingModel, table: np.ndarray) -> Circuit:
     n = ising.num_qubits
     circ = Circuit(n)
     for q in range(n):
-        circ.h(q)
+        circ.append(Gate("H", (q,)))
     couplings = sorted(ising.h_quad.items())
     # 2h is rounded before the product, so reported gate angles stay as they were
     for beta, gamma in zip(*table):
         for i, h in enumerate(ising.h_lin):
             if h != 0.0:
-                circ.rz(i, (2.0 * h) * gamma)
+                circ.append(Gate("RZ", (i,), (2.0 * h) * gamma))
         for (i, j), h in couplings:
             if h != 0.0:
-                circ.rzz(i, j, (2.0 * h) * gamma)
+                circ.append(Gate("RZZ", (i, j), (2.0 * h) * gamma))
         for q in range(n):
-            circ.rx(q, 2.0 * beta)
+            circ.append(Gate("RX", (q,), 2.0 * beta))
     return circ
 
 
@@ -113,7 +113,7 @@ def vqe_circuit(table: np.ndarray) -> Circuit:
         for q, theta in enumerate(wall):
             circ.append(Gate("RY", (q,), theta))
         for q in range(n - 1):
-            circ.cx(q, q + 1)
+            circ.append(Gate("CX", (q, q + 1)))
     for q, theta in enumerate(closing):
         circ.append(Gate("RY", (q,), theta))
     return circ

@@ -295,9 +295,9 @@ def test_07_transpiler_preserves_unitaries_and_counts():
         perm = permutation_unitary(routed.wire_permutation)
         assert_equal_up_to_phase(actual, perm @ reference, atol=1e-9)
 
-    swap = decompose(Circuit(2).swap(0, 1), basis="CX")
+    swap = decompose(Circuit(2, [Gate("SWAP", (0, 1))]), basis="CX")
     assert [g.kind for g in swap.gates] == ["CX", "CX", "CX"]
-    rzz = decompose(Circuit(2).rzz(0, 1, 0.7), basis="CX")
+    rzz = decompose(Circuit(2, [Gate("RZZ", (0, 1), 0.7)]), basis="CX")
     assert [g.kind for g in rzz.gates] == ["CX", "RZ", "CX"]
     assert count_two_qubit(rzz) == 2
 
@@ -310,13 +310,12 @@ def test_08_circuit_score_closed_form_and_monotone():
     coupling = CouplingMap.line(3)
     e = 0.01
     errmap = ErrorMap.uniform(coupling, single=e, two=e, measure=e)
-    circ = Circuit(3)
-    circ.cx(0, 1).sx(0).append(Gate("X", (1,))).cx(1, 2).sx(2)
-    circ.measure(0)
-    circ.measure(1)
-    circ.measure(2)
+    circ = Circuit(3, [
+        Gate("CX", (0, 1)), Gate("SX", (0,)), Gate("X", (1,)), Gate("CX", (1, 2)), Gate("SX", (2,)),
+        Gate("MEASURE", (0,)), Gate("MEASURE", (1,)), Gate("MEASURE", (2,)),
+    ])
     assert circuit_score(circ, errmap) == pytest.approx((1 - e) ** 8, rel=1e-14)
-    single = Circuit(2).cx(0, 1)
+    single = Circuit(2, [Gate("CX", (0, 1))])
     one_gate_map = ErrorMap.uniform(CouplingMap.line(2), 0.25, 0.25, 0.25)
     assert circuit_score(single, one_gate_map) == 1.0 - 0.25
 
@@ -350,7 +349,7 @@ def test_09_trotter_trend_and_exact_overlap():
     ground = int(np.argmin(qubo_cost_vector(qubo3)))
     probs = []
     for total in (0.5, 5.0, 50.0):
-        state = qa_trotter(ising3, AnnealSchedule.linear(total), dt=0.01)
+        state = qa_trotter(ising3, AnnealSchedule(total), dt=0.01)
         probs.append(float(np.abs(state.amplitudes[ground]) ** 2))
     assert probs[0] <= probs[1] <= probs[2]
     assert probs[2] > 0.9
@@ -358,7 +357,7 @@ def test_09_trotter_trend_and_exact_overlap():
     # two-qubit oracle: integrate the Schrodinger equation directly
     qubo2 = QuboProblem(Q=[[-1.0, 1.5], [0.0, -2.0]], constant=0.0)
     ising2 = to_ising(qubo2)
-    schedule = AnnealSchedule.linear(50.0)
+    schedule = AnnealSchedule(50.0)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     sum_x = np.kron(np.eye(2), x) + np.kron(x, np.eye(2))
     diag = np.diag(ising2.cost_vector())

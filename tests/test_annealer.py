@@ -30,14 +30,14 @@ def two_var_qubo():
 
 
 def test_linear_schedule_boundaries_exact():
-    sched = AnnealSchedule.linear(3.0)
+    sched = AnnealSchedule(3.0)
     assert sched.a(0.0) == 1.0 and sched.b(0.0) == 0.0
     assert sched.a(3.0) == 0.0 and sched.b(3.0) == 1.0
 
 
 def test_schedule_rejects_bad_boundaries():
     with pytest.raises(ValueError):
-        AnnealSchedule.linear(-1.0)
+        AnnealSchedule(-1.0)
 
 
 def test_sa_config_validation():
@@ -80,7 +80,7 @@ def test_sa_config_rejects_non_finite_temperatures(temps):
 @pytest.mark.parametrize("total_time", [np.inf, np.nan])
 def test_schedule_rejects_non_finite_total_time(total_time):
     with pytest.raises(ValueError, match="non-finite"):
-        AnnealSchedule.linear(total_time)
+        AnnealSchedule(total_time)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +241,13 @@ def three_qubit_ising():
 
 def test_trotter_zero_steps_keeps_plus_state():
     ising, _ = three_qubit_ising()
-    state = qa_trotter(ising, AnnealSchedule.linear(0.001), dt=0.01)
+    state = qa_trotter(ising, AnnealSchedule(0.001), dt=0.01)
     assert state.amplitudes.tobytes() == StateVector.plus_state(3).amplitudes.tobytes()
 
 
 def test_trotter_norm_preserved():
     ising, _ = three_qubit_ising()
-    state = qa_trotter(ising, AnnealSchedule.linear(5.0), dt=0.05)
+    state = qa_trotter(ising, AnnealSchedule(5.0), dt=0.05)
     assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-6
 
 
@@ -256,7 +256,7 @@ def test_trotter_success_probability_grows_with_anneal_time():
     idx = int(str_to_bits(report.optimal_set[0]) @ (1 << np.arange(3)))
     probs = []
     for T in (0.5, 5.0, 50.0):
-        state = qa_trotter(ising, AnnealSchedule.linear(T), dt=0.01)
+        state = qa_trotter(ising, AnnealSchedule(T), dt=0.01)
         probs.append(state.probabilities()[idx])
     assert probs[0] <= probs[1] <= probs[2]
     assert probs[2] > 0.9
@@ -266,7 +266,7 @@ def test_trotter_matches_exact_integration_at_two_qubits():
     qubo = two_var_qubo()
     ising = to_ising(qubo)
     T = 50.0
-    sched = AnnealSchedule.linear(T)
+    sched = AnnealSchedule(T)
     cost = ising.cost_vector()
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
@@ -297,17 +297,17 @@ def test_trotter_rejects_oversize_and_bad_dt():
 
     big = IsingModel({}, np.zeros(13), 0.0, 13)
     with pytest.raises(ValueError):
-        qa_trotter(big, AnnealSchedule.linear(1.0), dt=0.1)
+        qa_trotter(big, AnnealSchedule(1.0), dt=0.1)
     ising, _ = three_qubit_ising()
     with pytest.raises(ValueError):
-        qa_trotter(ising, AnnealSchedule.linear(1.0), dt=0.0)
+        qa_trotter(ising, AnnealSchedule(1.0), dt=0.0)
     for dt in (np.inf, np.nan):
         with pytest.raises(ValueError, match="non-finite"):
-            qa_trotter(ising, AnnealSchedule.linear(1.0), dt=dt)
+            qa_trotter(ising, AnnealSchedule(1.0), dt=dt)
     # past the step cap, and an infinite total_time / dt, before any step list
     for total_time in (1.0, 1e300):
         with pytest.raises(ValueError, match="Trotter steps"):
-            qa_trotter(ising, AnnealSchedule.linear(total_time), dt=1e-300)
+            qa_trotter(ising, AnnealSchedule(total_time), dt=1e-300)
 
 
 def gate_by_gate_trotter(ising, schedule, dt):
@@ -335,7 +335,7 @@ def test_trotter_kernel_matches_gate_by_gate_reference(n):
     # one step, two steps, and T / dt = 2.5 and 3.5, which round to the even 2 and 4
     boundary = [(0.3, 0.3), (0.5, 0.25), (0.625, 0.25), (0.875, 0.25)]
     for total_time, dt in drawn + boundary:
-        schedule = AnnealSchedule.linear(total_time)
+        schedule = AnnealSchedule(total_time)
         fast = qa_trotter(ising, schedule, dt).amplitudes
         reference = gate_by_gate_trotter(ising, schedule, dt).amplitudes
         assert np.array_equal(fast, reference)

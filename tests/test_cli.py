@@ -189,6 +189,35 @@ def test_params_of_another_depth_are_refused(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "trained_as, flags, message",
+    [
+        (("vqe", 1, 12), ["--layers", "6"], "algorithm 'vqe', not the --algorithm 'qaoa'"),
+        (("qaoa", 6, 12), ["--algorithm", "vqe"], "algorithm 'qaoa', not the --algorithm 'vqe'"),
+        (("qaoa", 6, 12), [], "layers 6, not the --layers 1"),
+        (("qaoa", True, 2), [], "layers True, not the --layers 1"),
+        (("qaoa", 1.0, 2), [], "layers 1.0, not the --layers 1"),
+    ],
+    ids=["vqe-as-qaoa", "qaoa-as-vqe", "layers", "layers-bool", "layers-float"],
+)
+def test_transpile_refuses_params_of_another_ansatz(
+    lama_problem, tmp_path, capsys, trained_as, flags, message
+):
+    # 12 angles fit one VQE layer and six QAOA layers on Ex0p1, so only the
+    # names tell them apart; a VQE result was transpiled as a 6-layer QAOA
+    algorithm, layers, size = trained_as
+    trained = tmp_path / "train.json"
+    trained.write_text(json.dumps({
+        "type": "TrainResult", "algorithm": algorithm, "layers": layers,
+        "best_params": [0.5] * size,
+    }))
+    out = tmp_path / "tr.json"
+    argv = ["transpile", str(lama_problem), *flags, "--params", str(trained), "-o", str(out)]
+    assert run_cli(*argv) == 1
+    assert f"error: {trained} was trained with {message} asked for" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("layers", ["1", True, 1.0])
 def test_sample_refuses_layers_that_are_not_an_integer(lama_problem, tmp_path, capsys, layers):
     # "1" failed on a str/int comparison; true was read as one layer

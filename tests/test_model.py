@@ -36,6 +36,7 @@ from util import (
     bits_to_int,
     bits_to_str,
     constraint_residual,
+    decode,
     diag_cost,
     int_to_bits,
     qcio_cost,
@@ -366,7 +367,7 @@ def test_transform_chain_consistency(seed, n, rho):
     quio = build_quio(qcio, rho)
     qubo = encode_binary(quio, enc)
     for bits in all_bitstrings(enc.num_bits):
-        x = enc.decode(bits)
+        x = decode(enc, bits)
         expected = qcio_cost(qcio, x) + rho * float(
             constraint_residual(qcio, x) @ constraint_residual(qcio, x)
         )
@@ -488,7 +489,7 @@ def test_min_penalty_grid_neighbors_stay_feasible():
     for k in range(10):
         qubo = encode_binary(build_quio(qcio, rho + 0.1 * k), enc)
         for s in brute_force_solve(qubo).optimal_set:
-            x = enc.decode(str_to_bits(s))
+            x = decode(enc, str_to_bits(s))
             assert np.allclose(constraint_residual(qcio, x), 0.0, atol=1e-9)
 
 
@@ -498,7 +499,7 @@ def test_min_penalty_decodes_feasible_at_and_above_threshold():
     rho = min_penalty(qcio, enc)
     qubo = encode_binary(build_quio(qcio, rho), enc)
     for s in brute_force_solve(qubo).optimal_set:
-        x = enc.decode(str_to_bits(s))
+        x = decode(enc, str_to_bits(s))
         assert np.allclose(constraint_residual(qcio, x), 0.0, atol=1e-9)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubolab.model import (
@@ -29,7 +29,7 @@ from qubolab.quality import (
 from qubolab.simulator import SampleSet, StateVector, sample
 from qubolab.usecases import build_lama, example_series, gen_cities
 
-from util import bits_to_str, build_trp, int_to_bits, qubo_cost, random_qubo
+from util import bits_to_str, build_trp, hellinger_by_key, int_to_bits, qubo_cost, random_qubo
 
 
 def test_fidelity_identical_distributions():
@@ -69,6 +69,36 @@ def test_fidelity_symmetric_and_bounded(wa, wb):
     f_qp = hellinger_fidelity(q, p)
     assert abs(f_pq - f_qp) < 1e-12
     assert -1e-12 <= f_pq <= 1.0 + 1e-9
+
+
+@st.composite
+def distribution_pairs(draw):
+    """Two distributions over the same 1..8 bits, each on a random support in
+    random key order (so overlapping, nested or disjoint), with zero and
+    tiny probabilities among the keys."""
+    n = draw(st.integers(1, 8))
+    keys = st.integers(0, (1 << n) - 1).map(lambda v: format(v, f"0{n}b"))
+
+    def distribution():
+        support = draw(st.lists(keys, min_size=1, max_size=12, unique=True))
+        weights = [draw(st.floats(0.01, 1.0))]
+        weights += [draw(st.just(0.0) | st.floats(0.0, 1.0)) for _ in support[1:]]
+        total = sum(weights)
+        return Distribution({k: w / total for k, w in zip(support, weights)})
+
+    return distribution(), distribution()
+
+
+@settings(max_examples=200, deadline=None)
+@given(distribution_pairs())
+@example((Distribution({"01": 0.5, "10": 0.5}), Distribution({"00": 0.25, "11": 0.75})))
+@example((Distribution({"0": 0.0, "1": 1.0}), Distribution({"0": 1.0, "1": 0.0})))
+@example((Distribution({"1": 1.0, "0": 0.0}), Distribution({"0": 0.3, "1": 0.7})))
+def test_hellinger_fidelity_equals_the_per_key_sum(pair):
+    # the same float64, disjoint supports and zero-probability keys included
+    p, q = pair
+    got, want = hellinger_fidelity(p, q), hellinger_by_key(p, q)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_distribution_rejects_malformed_keys():

@@ -16,10 +16,10 @@ from qubolab.serialize import (
     dumps,
     from_dict,
     landscape_to_csv,
-    save_json,
     sweeps_to_csv,
     to_dict,
     traces_to_csv,
+    write_json,
 )
 from qubolab.simulator import SampleSet
 from qubolab.transpiler import CouplingMap, ErrorMap
@@ -91,7 +91,7 @@ def test_quality_and_distribution_roundtrip():
 def test_save_and_load_json(tmp_path):
     qubo = QuboProblem(Q=[[1.0, -2.0], [0.0, 0.5]], constant=3.0)
     path = tmp_path / "qubo.json"
-    save_json(path, qubo)
+    write_json(path, to_dict(qubo))
     raw = json.loads(path.read_text())
     assert raw["schema_version"] == SCHEMA_VERSION
     assert raw["Q"] == [[1.0, -2.0], [0.0, 0.5]]

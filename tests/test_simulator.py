@@ -169,7 +169,7 @@ def test_empty_circuit_preserves_state():
 def test_hadamard_wall_gives_uniform_superposition():
     circ = Circuit(4)
     for q in range(4):
-        circ.h(q)
+        circ.append(Gate("H", (q,)))
     out = run_circuit(circ)
     np.testing.assert_allclose(out.amplitudes, np.full(16, 0.25), atol=1e-12)
     np.testing.assert_allclose(
@@ -180,7 +180,7 @@ def test_hadamard_wall_gives_uniform_superposition():
 def test_cx_ladder_keeps_zero_state():
     circ = Circuit(5)
     for q in range(4):
-        circ.cx(q, q + 1)
+        circ.append(Gate("CX", (q, q + 1)))
     out = run_circuit(circ)
     np.testing.assert_allclose(
         out.amplitudes, StateVector.zero_state(5).amplitudes, atol=1e-12
@@ -219,7 +219,7 @@ def test_gate_validation():
         with pytest.raises(ValueError, match="non-finite RZZ angle"):
             Gate("RZZ", (0, 1), angle)
     with pytest.raises(ValueError):
-        Circuit(2).h(2)
+        Circuit(2).append(Gate("H", (2,)))
     with pytest.raises(ValueError):
         apply_gate(basis("00"), Gate("CX", (0, 5)))
 

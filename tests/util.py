@@ -22,6 +22,7 @@ from qubolab.model import (
     encode_binary,
     upper_triangularize,
 )
+from qubolab.quality import Distribution
 from qubolab.serialize import from_dict
 from qubolab.simulator import Circuit, Gate, StateVector, run_circuit
 from qubolab.transpiler import Layout
@@ -212,6 +213,20 @@ def build_trp(spec: TrpSpec) -> QuboProblem:
 
 def load_json(path):
     return from_dict(json.loads(Path(path).read_text()))
+
+
+def decode(enc: BinaryEncoding, bits: np.ndarray) -> np.ndarray:
+    """Integer vector encoded by ``bits``."""
+    return enc.B @ np.asarray(bits, dtype=np.float64)
+
+
+def hellinger_by_key(p: Distribution, q: Distribution) -> float:
+    """(sum_b sqrt(p_b q_b))^2 as one ``np.sqrt`` per key both hold, summed
+    left to right over ``p``'s order: ``hellinger_fidelity``'s reference."""
+    overlap = sum(
+        np.sqrt(v * q.probs[s]) for s, v in p.probs.items() if s in q.probs
+    )
+    return float(overlap) ** 2
 
 
 # ---------------------------------------------------------------------------
