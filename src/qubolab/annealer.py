@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IsingModel, QuboProblem, render_bits, require_finite, require_integer
+from .model import BRUTE_FORCE_CAP, IsingModel, QuboProblem, render_bits
+from .model import require_finite, require_integer
 from .simulator import SampleSet, StateVector, phase_mixer_kernel
 from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py traces it here
 
@@ -19,6 +20,7 @@ TROTTER_QUBIT_CAP = 12
 # 200x the default 5 000 steps: 12 qubits take ~0.3 ms a step, about five minutes
 # at the cap, where the schedule arrays take ~130 MB; a tiny dt is refused, not run
 TROTTER_STEP_CAP = 1_000_000
+SA_ENTRY_CAP = 1 << BRUTE_FORCE_CAP  # sweeps and reads * bits: SA's arrays stay dense-sized
 
 
 @dataclass
@@ -52,6 +54,8 @@ class SaConfig:
     def __post_init__(self):
         for name in ("num_reads", "sweeps"):
             require_integer(name, getattr(self, name), least=1)
+        if self.sweeps > SA_ENTRY_CAP:
+            raise ValueError(f"sweeps = {self.sweeps} exceeds the cap of {SA_ENTRY_CAP}")
         for name, value in (("t_hot", self.t_hot), ("t_cold", self.t_cold)):
             if value is not None:
                 require_finite(name, value)
@@ -68,52 +72,48 @@ class SaConfig:
         cold = 0.01 * hot if self.t_cold is None else self.t_cold
         if not hot > cold > 0.0:
             raise ValueError("need t_hot > t_cold > 0")
-        if self.sweeps == 1:
-            return np.array([hot])
-        return hot * (cold / hot) ** (np.arange(self.sweeps) / (self.sweeps - 1))
+        # one sweep runs at hot: (cold / hot) ** 0 is 1
+        return hot * (cold / hot) ** (np.arange(self.sweeps) / max(self.sweeps - 1, 1))
 
 
 def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
     """Metropolis chains over bitstrings, all reads advanced in lockstep.
 
-    Single-bit flip energies come from incrementally maintained local fields.
-    The fields and the +-1 flip values are held as (n, reads) arrays, so bit
-    k's row is contiguous, and each sweep draws its uniforms as one
-    (n, reads) block: the same stream, in the same order, as n draws of
-    ``reads``. A sweep starts with scale = flip * -T; bit k's visit takes
-    weight = (field_k + diag_k) / scale_k, which equals -flip * d / T
-    exactly because flip is +-1 and division is sign-symmetric, and accepts
-    where u < exp(weight). A positive weight gives exp >= 1 > u, the same
-    decision as clipping it at 0, and an overflow to inf still accepts. When
-    a read accepts, the fields of all reads take the outer product of bit
-    k's couplings and delta = flip * accept, one (n, 1) x (1, reads) BLAS
-    product, so a sweep costs O(reads * n^2), the same as the initial setup.
-    Flip k changes only at bit k's own visit, so the sweep negates every
-    accepted flip at its end, by subtracting flip * accept twice (exact for
-    +-1). The read-major loop kept in the test suite is the oracle: its
-    counts equal these in keys and order.
+    Single-bit flip energies come from incrementally maintained local fields,
+    held with the +-1 flip values as (n, reads) arrays so bit k's row is
+    contiguous; each sweep draws its uniforms as one (n, reads) block, the
+    same stream in the same order as n draws of ``reads``. A sweep starts
+    with scale = flip * -T; bit k's visit takes weight = (field_k + diag_k) /
+    scale_k, which equals -flip * d / T exactly because flip is +-1 and
+    division is sign-symmetric, and accepts where u < exp(weight). A positive
+    weight gives exp >= 1 > u, the same decision as clipping it at 0, and an
+    overflow to inf still accepts. When a read accepts, the fields of all
+    reads take the outer product of bit k's couplings and delta = flip *
+    accept, one (n, 1) x (1, reads) BLAS product, so a sweep costs
+    O(reads * n^2), the same as the initial setup; the visit then negates the
+    accepted flips (flip -= delta twice, exact for +-1): flip k is read only
+    at its own visit and by the next sweep's scale. The test suite's
+    read-major loop is the oracle: its counts equal these in keys and order.
     """
-    n = qubo.num_vars
+    n, reads = qubo.num_vars, cfg.num_reads
+    if reads * n > SA_ENTRY_CAP:
+        raise ValueError(f"num_reads * bits = {reads} * {n} exceeds the cap of {SA_ENTRY_CAP}")
     rng = np.random.default_rng(cfg.seed)
     temps = cfg.temperatures(qubo)
-    reads = cfg.num_reads
     sym = qubo.Q + qubo.Q.T
     np.fill_diagonal(sym, 0.0)
     diag = np.diag(qubo.Q).copy()
     states = rng.integers(0, 2, size=(reads, n)).astype(float)
     field = np.ascontiguousarray((states @ sym).T)  # field[k, r] = sum_j sym[k, j] * b[r, j]
     flips = np.ascontiguousarray((1.0 - 2.0 * states).T)  # +1 flips bit 0 -> 1
-    uniforms, scale, deltas, update = (np.empty((n, reads)) for _ in range(4))
-    accepts = np.empty((n, reads), dtype=bool)
-    weight = np.empty(reads)
-    rows = list(
-        zip(field, diag, scale, uniforms, accepts, flips, deltas[:, None], sym[:, :, None])
-    )
+    uniforms, scale, update = (np.empty((n, reads)) for _ in range(3))
+    accept, weight, delta = np.empty(reads, dtype=bool), np.empty(reads), np.empty((1, reads))
+    rows = list(zip(field, diag, scale, uniforms, flips[:, None], sym[:, :, None]))
     with np.errstate(over="ignore"):
         for temp in temps:
             rng.random(out=uniforms)
             np.multiply(flips, -temp, out=scale)
-            for field_k, diag_k, scale_k, u, accept, flip, delta, sym_k in rows:
+            for field_k, diag_k, scale_k, u, flip, sym_k in rows:
                 np.add(field_k, diag_k, out=weight)
                 np.divide(weight, scale_k, out=weight)
                 np.exp(weight, out=weight)
@@ -125,9 +125,8 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
                 np.multiply(flip, accept, out=delta)
                 np.dot(sym_k, delta, out=update)
                 field += update
-            np.multiply(flips, accepts, out=deltas)
-            flips -= deltas  # twice: -flip where accepted; reads that do
-            flips -= deltas  # not accept subtract +-0
+                flip -= delta  # twice: -flip where accepted; reads that do
+                flip -= delta  # not accept subtract +-0
     # Counter keeps the order in which reads first reach each bitstring
     return SampleSet(Counter(render_bits(flips.T < 0.0)), reads)
 

@@ -578,14 +578,16 @@ def _cmd_sweep(args) -> int:
     values = sorted(_floats(args.values))
     if not values:
         raise ValueError("empty --values list")
-    SaConfig(args.reads, args.sweeps, seed=args.seed)  # bad flags fail before the oracle runs
-    use_case = _flag_use_case(args)
-    problem = _Problem.build(use_case)
-    problem.optimal_cost()  # the oracle must exist before any anneal
+    # bad flags and sweep counts fail before the oracle runs
+    SaConfig(args.reads, args.sweeps, seed=args.seed)
     if args.axis == "time":
         for value in values:
             if not value.is_integer():
                 raise ValueError(f"time-axis value {value!r} is not a whole sweep count")
+            SaConfig(args.reads, int(value), seed=args.seed)
+    use_case = _flag_use_case(args)
+    problem = _Problem.build(use_case)
+    problem.optimal_cost()  # the oracle must exist before any anneal
     rows = []
     for value in values:
         if args.axis == "penalty":

@@ -39,12 +39,18 @@ Spelled without numpy's Python wrappers, each with the rule that keeps it exact:
 
 - Scalars as Python floats, with ``math``: ``+ - * /`` and ``sqrt`` are
   correctly rounded on either type, and ``min``/``max`` pick the same value.
+  ``qradd``'s rotated vector, its carried column of ``z`` and ``trstlp``'s
+  step are Python floats too, with the ``z`` products in the same order.
 - ``np.add.reduce`` for ``np.sum`` (the ufunc it runs); ``math.sqrt(v.dot(v))``
   for ``np.linalg.norm`` (its 1-D path); ``a[:, None] * b`` for ``np.outer``
-  (the same products); array methods for ``argmin``, ``max`` and ``clip``;
-  ``np.eye(n)`` built once per size. Not respelled: ``planerot``'s ``x.dot(x)``
-  as ``a*a + b*b`` (16% of random pairs differ, likely BLAS's FMA), and
-  ``updatexfc``'s left-to-right ``sum(simid)`` as pairwise ``np.add.reduce``.
+  (the same products); ``np.logical_and.reduce``/``np.logical_or.reduce`` for
+  ``all``/``any`` and the array methods, ``np.maximum.reduce(v, axis=None)``
+  for ``max`` and ``np.minimum(np.maximum(x, lo), hi)`` for ``clip`` (the
+  ufuncs the methods run); ``np.eye(n)`` built once per size. Not respelled:
+  ``planerot``'s ``x.dot(x)`` as ``a*a + b*b`` (16% of random pairs differ,
+  likely BLAS's FMA), ``np.hypot`` as ``math.hypot`` (another algorithm),
+  ``trstlp``'s ``np.dot(sdirn, sdirn)``, and ``updatexfc``'s left-to-right
+  ``sum(simid)`` as pairwise ``np.add.reduce``.
 
 Kept from scipy's ``ScalarFunction``: a point equal to the last one evaluated
 reuses its value instead of calling ``fun`` again.
@@ -114,7 +120,7 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
     included."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    if x0.ndim != 1 or n < 1 or not np.isfinite(x0).all():
+    if x0.ndim != 1 or n < 1 or not np.logical_and.reduce(np.isfinite(x0)):
         raise ValueError(f"x0 must be a non-empty finite vector, got {x0}")
     if maxfun < n + 2:
         raise ValueError(f"maxfun must be at least len(x0) + 2 = {n + 2}, got {maxfun}")
@@ -130,7 +136,9 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
     jdrop_tr = 0
     small_radius = False
     for _ in range(10 * maxfun):
-        adequate_geo = all(np.add.reduce(sim[:, :n] * sim[:, :n], axis=0) <= 4 * (delta * delta))
+        adequate_geo = np.logical_and.reduce(
+            np.add.reduce(sim[:, :n] * sim[:, :n], axis=0) <= 4 * (delta * delta)
+        )
 
         g = (fval[:n] - fval[n]) @ simi
         d = _trstlp(g, delta)
@@ -153,14 +161,14 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
                 delta = rho
             jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi)
             sim, simi, damaging = _updatexfc(jdrop_tr, d, f, fval, sim, simi)
-            if damaging or not np.isfinite(x).all() or objective.nf >= maxfun:
+            if damaging or not np.logical_and.reduce(np.isfinite(x)) or objective.nf >= maxfun:
                 break
 
         bad_trstep = shortd or trfail or ratio <= 0 or jdrop_tr is None
         improve_geo = bad_trstep and not adequate_geo
         reduce_rho = bad_trstep and adequate_geo and max(delta, dnorm) <= rho
 
-        if improve_geo and not all(
+        if improve_geo and not np.logical_and.reduce(
             (distsq_sim := np.add.reduce(sim[:, :n] * sim[:, :n], axis=0)) <= 4 * (delta * delta)
         ):
             jdrop_geo = distsq_sim.argmax()
@@ -168,7 +176,7 @@ def cobyla(fun, x0, rhoend: float, maxfun: int):
             x = sim[:, n] + d
             f = _value_at(x, sim, fval, distsq, rhoend, objective)
             sim, simi, damaging = _updatexfc(jdrop_geo, d, f, fval, sim, simi)
-            if damaging or not np.isfinite(x).all() or objective.nf >= maxfun:
+            if damaging or not np.logical_and.reduce(np.isfinite(x)) or objective.nf >= maxfun:
                 break
 
         if reduce_rho:
@@ -209,10 +217,10 @@ class _Objective:
 
     def __call__(self, x):
         self.nf += 1
-        if np.isnan(x).any():
+        if np.logical_or.reduce(np.isnan(x)):
             return FUNCMAX  # a NaN value, moderated
-        x = x.clip(-REALMAX, REALMAX)
-        if not (x == self.x).all():
+        x = np.minimum(np.maximum(x, -REALMAX), REALMAX)
+        if not np.logical_and.reduce(x == self.x):
             self.x = x
             self.f = self.fun(x.copy())
         return _moderatef(self.f)
@@ -341,10 +349,10 @@ def _checked_inverse(sim, simi):
     exceeds 0.1 and the fresh one is better."""
     n = sim.shape[0]
     eye = _identity(n)
-    erri = abs(simi @ sim[:, :n] - eye).max()
+    erri = np.maximum.reduce(abs(simi @ sim[:, :n] - eye), axis=None)
     if erri > 0.1 or math.isnan(erri):
         simi_test = np.linalg.inv(sim[:, :n])
-        erri_test = abs(simi_test @ sim[:, :n] - eye).max()
+        erri_test = np.maximum.reduce(abs(simi_test @ sim[:, :n] - eye), axis=None)
         if erri_test < erri or (math.isnan(erri) and not math.isnan(erri_test)):
             return simi_test, erri_test
     return simi, erri
@@ -368,7 +376,7 @@ def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
     if not ximproved:
         score[n] = -1
     score[np.isnan(score)] = -1
-    if any(score > 0):
+    if np.logical_or.reduce(score > 0):
         return score.argmax()
     if ximproved:
         return distsq.argmax()
@@ -392,15 +400,15 @@ def _trstlp(g, delta):
     computes it when ``g`` is its only column. Its first stage, which
     reduces constraint violations, returns ``d = 0`` and ``z = I``."""
     a = g.copy()
-    if (maxval := abs(a).max()) > 1e12:
+    if (maxval := np.maximum.reduce(abs(a), axis=None)) > 1e12:
         a *= max(2 * REALMIN, 1 / maxval)
     d = np.zeros(g.size)
     # add the column to the empty QR factorization of the active set
     if (qr := _qradd(a)) is None:
         return d
     z, zdota = qr
-    sdirn = -1 / zdota * z
-    ss = np.dot(sdirn, sdirn)
+    sdirn = -1 / zdota * np.array(z)
+    ss = float(np.dot(sdirn, sdirn))
     if ss <= EPS * delta * delta:
         return d
     step = math.sqrt(ss * (delta * delta)) / ss
@@ -413,53 +421,56 @@ def _trstlp(g, delta):
 
 def _qradd(c):
     """PRIMA's ``qradd_Rdiag`` for an empty factorization, ``q = I``: rotates
-    ``c`` into the first column of ``q`` and returns that column and its
-    ``R`` diagonal entry, or None when ``c`` is negligible."""
-    if not np.isfinite(c).all():
+    ``c`` into the first column of ``q`` and returns that column (a list)
+    and its ``R`` diagonal entry, or None when ``c`` is negligible. Past the
+    minor test the entries are Python floats: the same IEEE products, in the
+    same order, as on the array."""
+    if not np.logical_and.reduce(np.isfinite(c)):
         return None  # PRIMA's c @ eye(n) then holds a NaN (inf * 0) or an inf: no step
     n = c.size
-    cqa = abs(c)
-    cq = np.where(_isminor(c, cqa), 0.0, c)
+    cq = np.where(_isminor(c, abs(c)), 0.0, c).tolist()
     # q's column k + 1 after the rotations below k + 1; column k is e_k until
     # rotation k gives it c * e_k + s * z
-    z = np.zeros(n)
+    z = [0.0] * n
     z[n - 1] = 1.0
     for k in range(n - 2, -1, -1):
         if abs(cq[k + 1]) > 0:
-            cos, sin = _planerot(cq[k : k + 2])
-            z[k + 1 :] *= sin
+            cos, sin = _planerot(cq[k], cq[k + 1])
+            for j in range(k + 1, n):
+                z[j] *= sin
             z[k] = cos
-            cq[k] = np.hypot(cq[k], cq[k + 1])
+            cq[k] = float(np.hypot(cq[k], cq[k + 1]))
         else:
-            z[k + 1 :] = 0
+            z[k + 1 :] = [0.0] * (n - k - 1)
             z[k] = 1.0
-    if abs(cq[0]) > EPS**2 and not _isminor(cq[0], cqa[0]):
+    if abs(cq[0]) > EPS**2 and not _isminor(cq[0], abs(float(c[0]))):
         return z, cq[0]
     return None
 
 
 def _isminor(x, ref):
-    """True where ``x`` is 0 or rounding noise next to ``ref``."""
+    """True where ``x`` is 0 or rounding noise next to ``ref``: arrays or
+    Python floats."""
     refa = abs(ref) + 0.1 * abs(x)
     refb = abs(ref) + 2 * 0.1 * abs(x)
-    return np.logical_or(abs(ref) >= refa, refa >= refb)
+    return (abs(ref) >= refa) | (refa >= refb)
 
 
 _SQRT_REALMIN = math.sqrt(REALMIN)
 _SQRT_REALMAX = math.sqrt(REALMAX / 2.1)
 
 
-def _planerot(x):
+def _planerot(a, b):
     """``(c, s)`` of the Givens rotation ``G = [[c, s], [-s, c]]`` with
-    ``(G @ x)[1] == 0`` for a finite ``x`` with ``x[1] != 0``, in Python
-    floats (the same IEEE operations); the norm is ``np.linalg.norm``'s own
-    ``sqrt(x.dot(x))``."""
-    a, b = float(x[0]), float(x[1])
+    ``G @ (a, b) == (r, 0)`` for finite floats with ``b != 0`` (the same IEEE
+    operations as on arrays); the norm is ``np.linalg.norm``'s own
+    ``sqrt(x.dot(x))`` of the 2-vector."""
     if abs(b) <= EPS * abs(a):
         c, s = np.sign(a), 0
     elif abs(a) <= EPS * abs(b):
         c, s = 0, np.sign(b)
     elif _SQRT_REALMIN < abs(a) < _SQRT_REALMAX and _SQRT_REALMIN < abs(b) < _SQRT_REALMAX:
+        x = np.array((a, b))
         r = math.sqrt(x.dot(x))
         c, s = a / r, b / r
     elif abs(a) > abs(b):

@@ -115,9 +115,8 @@ _CSV_HEADER = f"# schema_version={SCHEMA_VERSION}\n"
 def landscape_to_csv(scape: Landscape, path):
     """Matrix layout: first column beta, remaining columns one per gamma."""
     lines = [_CSV_HEADER.rstrip("\n")]
-    gamma_cells = ",".join(repr(float(g)) for g in scape.gamma_axis)
-    lines.append("beta\\gamma," + gamma_cells)
-    for i, beta in enumerate(scape.beta_axis):
+    lines.append("beta\\gamma," + ",".join(repr(float(g)) for g in scape.axis))
+    for i, beta in enumerate(scape.axis):
         row = ",".join(repr(float(v)) for v in scape.grid[i])
         lines.append(f"{float(beta)!r},{row}")
     Path(path).write_text("\n".join(lines) + "\n")

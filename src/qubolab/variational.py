@@ -69,16 +69,16 @@ def ansatz_params(algorithm: str, layers: int, num_qubits: int, vector) -> np.nd
 
 @dataclass
 class Landscape:
+    """``grid[i][j]`` is the energy at ``(beta, gamma) = (axis[i], axis[j])``."""
+
     grid: np.ndarray
-    beta_axis: np.ndarray
-    gamma_axis: np.ndarray
+    axis: np.ndarray
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        self.beta_axis = np.asarray(self.beta_axis, dtype=float).reshape(-1)
-        self.gamma_axis = np.asarray(self.gamma_axis, dtype=float).reshape(-1)
-        if self.grid.shape != (len(self.beta_axis), len(self.gamma_axis)):
-            raise ValueError("grid shape does not match axes")
+        self.axis = np.asarray(self.axis, dtype=float).reshape(-1)
+        if self.grid.shape != (len(self.axis), len(self.axis)):
+            raise ValueError("grid shape does not match the axis")
 
 
 def qaoa_circuit(ising: IsingModel, table: np.ndarray) -> Circuit:
@@ -200,4 +200,4 @@ def cost_landscape(
     for j, gamma in enumerate(axis):
         for i, beta in enumerate(axis):
             grid[i, j] = energy([beta, gamma])
-    return Landscape(grid, axis.copy(), axis.copy())
+    return Landscape(grid, axis)

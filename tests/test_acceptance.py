@@ -232,7 +232,7 @@ def test_05_landscape_grid():
     scape = cost_landscape(ising, resolution=50)
     assert time.perf_counter() - start < 60.0
     assert scape.grid.shape == (50, 50)
-    assert scape.gamma_axis[0] == 0.0
+    assert scape.axis[0] == 0.0
     # gamma = 0 applies no phase separation, so beta cannot matter
     assert float(np.ptp(scape.grid[:, 0])) < 1e-9
 

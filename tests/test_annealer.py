@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from util import bits_to_str, build_trp, int_to_bits, random_qubo
 
-from qubolab.annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample
+from qubolab.annealer import SA_ENTRY_CAP, AnnealSchedule, SaConfig, qa_trotter, sa_sample
 from qubolab.model import (
     QuboProblem,
     brute_force_solve,
@@ -51,6 +51,7 @@ def test_sa_config_validation():
     temps = SaConfig(num_reads=1, sweeps=100).temperatures(two_var_qubo())
     assert temps[0] == 2.0 and abs(temps[-1] - 0.02) < 1e-12
     assert np.all(np.diff(temps) < 0.0)
+    assert SaConfig(num_reads=1, sweeps=1).temperatures(two_var_qubo()).tolist() == [2.0]
 
 
 @pytest.mark.parametrize(
@@ -75,6 +76,18 @@ def test_sa_config_rejects_non_integer_counts(counts):
 def test_sa_config_rejects_non_finite_temperatures(temps):
     with pytest.raises(ValueError, match="non-finite"):
         SaConfig(num_reads=4, **temps)
+
+
+def test_sa_budget_is_refused_by_name_before_any_array():
+    # a ladder of 10**12 sweeps asked numpy for 8 TB and failed naming no field
+    assert SaConfig(num_reads=1, sweeps=SA_ENTRY_CAP).sweeps == SA_ENTRY_CAP
+    for sweeps in (SA_ENTRY_CAP + 1, 10**12):
+        with pytest.raises(ValueError, match="^sweeps = "):
+            SaConfig(num_reads=1, sweeps=sweeps)
+    # a (bits, reads) table one entry past the cap: refused, not allocated
+    cfg = SaConfig(num_reads=SA_ENTRY_CAP // 2 + 1, sweeps=1)
+    with pytest.raises(ValueError, match="^num_reads \\* bits = "):
+        sa_sample(two_var_qubo(), cfg)
 
 
 @pytest.mark.parametrize("total_time", [np.inf, np.nan])

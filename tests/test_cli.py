@@ -336,6 +336,21 @@ def test_run_records_the_budget_refusal_on_every_seed(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("sweeps", 10**12, "sweeps = 1000000000000 exceeds the cap of 67108864"),
+        ("reads", 10**8, "num_reads * bits = 100000000 * 6 exceeds the cap of 67108864"),
+    ],
+)
+def test_run_records_the_sa_budget_refusal_on_every_seed(tmp_path, field, value, error):
+    cfg = sa_config(tmp_path, seeds=[0, 1], **{field: value})
+    out = tmp_path / "r.json"
+    assert run_cli("run", str(cfg), "-o", str(out)) == 1
+    records = json.loads(out.read_text())["records"]
+    assert records == [{"seed": seed, "error": error} for seed in (0, 1)]
+
+
 # one numeric flag at 0, below 0 or NaN, per subcommand, or a file it cannot
 # use, with a fragment of its refusal: "{problem}" is an Ex0p1 bundle,
 # "{train}" a p=1 QAOA train result, "{dist}" a 6-bit and "{dist8}" an 8-bit
@@ -809,6 +824,18 @@ def test_sweep_time_axis_refuses_fractional_sweep_count(tmp_path, capsys):
     )
     assert rc == 1
     assert "10.7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_time_axis_refuses_a_sweep_count_past_the_cap(tmp_path, capsys):
+    # was numpy's "Maximum allowed size exceeded", which names no field
+    out = tmp_path / "s.csv"
+    rc = run_cli(
+        "sweep", "lama", "--axis", "time", "--values", "1e300", "--reads", "10",
+        "-o", str(out),
+    )
+    assert rc == 1
+    assert "sweeps = " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -116,11 +116,7 @@ def test_unknown_types_rejected():
 
 
 def test_landscape_csv_layout(tmp_path):
-    scape = Landscape(
-        np.array([[1.0, 2.0], [3.0, 4.0]]),
-        np.array([0.0, 1.0]),
-        np.array([0.0, 2.0]),
-    )
+    scape = Landscape(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0]))
     path = tmp_path / "scape.csv"
     landscape_to_csv(scape, path)
     lines = path.read_text().splitlines()

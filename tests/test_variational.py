@@ -274,8 +274,8 @@ def test_landscape_shape_and_axes():
     ising, _ = random_ising(7, 3)
     scape = cost_landscape(ising, resolution=12)
     assert scape.grid.shape == (12, 12)
-    assert scape.beta_axis[0] == 0.0 and abs(scape.beta_axis[-1] - np.pi) < 1e-12
-    assert len(scape.gamma_axis) == 12
+    assert scape.axis[0] == 0.0 and abs(scape.axis[-1] - np.pi) < 1e-12
+    assert len(scape.axis) == 12
 
 
 def test_landscape_gamma_zero_column_is_mean_cost():
@@ -290,7 +290,7 @@ def test_landscape_matches_pointwise_expectation():
     scape = cost_landscape(ising, resolution=5)
     for i in [0, 2, 4]:
         for j in [1, 3]:
-            params = ansatz_params("qaoa", 1, 3, [scape.beta_axis[i], scape.gamma_axis[j]])
+            params = ansatz_params("qaoa", 1, 3, [scape.axis[i], scape.axis[j]])
             gate = run_circuit(qaoa_circuit(ising, params)).probabilities()
             assert abs(scape.grid[i, j] - gate @ ising.cost_vector()) < 1e-9
 
@@ -302,8 +302,8 @@ def test_landscape_is_the_qaoa_expectation_grid(shots, seed):
     cost = ising.cost_vector()
     rng = np.random.default_rng(seed)
     grid = np.empty((6, 6))
-    for j, gamma in enumerate(scape.gamma_axis):
-        for i, beta in enumerate(scape.beta_axis):
+    for j, gamma in enumerate(scape.axis):
+        for i, beta in enumerate(scape.axis):
             params = ansatz_params("qaoa", 1, 4, [beta, gamma])
             probs = ansatz_state(ising, "qaoa", 1, [beta, gamma]).probabilities()
             if shots is None:
@@ -329,7 +329,7 @@ def test_landscape_shot_mode_is_seed_deterministic():
 
 def test_landscape_validation():
     with pytest.raises(ValueError):
-        Landscape(np.zeros((3, 4)), np.zeros(3), np.zeros(3))
+        Landscape(np.zeros((3, 4)), np.zeros(3))
     ising, _ = random_ising(11, 2)
     with pytest.raises(ValueError):
         cost_landscape(ising, resolution=1)
