@@ -5,7 +5,10 @@ The chain starts from a quadratic constrained integer optimization problem
 encodes the bounded integers into bits (QUBO), and finally rewrites the
 binary cost as a diagonal Hamiltonian over qubits (Ising form). Brute-force
 enumeration and the penalty-weight scan live here as well, since they are
-the oracles everything else is verified against.
+the oracles everything else is verified against. Every cost table is one
+``quadratic_table``: the "Yates" doubling cost[x + 2^k] = cost[x] + Q[k,k] +
+sum_{j<k} x_j Q[j,k] over the low 18 bits, plus per 2^18-entry chunk the
+subset sums of its high bits' terms, so a range is that slice's bytes.
 
 Bit convention used across the package: bit i of a bitstring is qubit i and
 carries weight 2^i, so the integer value of bits b is sum_i b_i 2^i. String
@@ -24,6 +27,7 @@ import numpy as np
 BRUTE_FORCE_CAP = 26
 
 _ATOL = 1e-9
+_CHUNK_BITS = 18  # brute force's chunks and cost tables' low bits: 2^18 entries
 _PENALTY_STEP = 0.1
 _PENALTY_CEILING = 50.0
 
@@ -143,26 +147,32 @@ def parse_bits(keys) -> np.ndarray:
     return str_to_bits(text).reshape(len(keys), widths.pop() if keys else 0)
 
 
-def all_bitstrings(num_bits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows of bit vectors for the integers ``start..stop-1`` (default: all 2^n)."""
-    if stop is None:
-        stop = 1 << num_bits
-    return index_bits(np.arange(start, stop), num_bits).astype(np.float64)
+def _subset_sums(start, weights) -> np.ndarray:
+    """out[x + 2^i] = out[x] + weights[i] for x < 2^i, from out[0] = start."""
+    out = np.empty((1 << len(weights),) + np.shape(start))
+    out[0] = start
+    for i, weight in enumerate(weights):
+        np.add(out[: 1 << i], weight, out=out[1 << i : 2 << i])
+    return out
 
 
-def _by_row_blocks(fn, num_bits: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """``fn(all_bitstrings(num_bits, start, stop))`` evaluated on blocks of at
-    most 4096 rows, so that its temporaries stay small at 2^16 and more rows;
-    ``fn`` must treat every row on its own. Past ``BRUTE_FORCE_CAP`` bits it
-    refuses before the first block."""
-    require_dense(num_bits)
-    if stop is None:
-        stop = 1 << num_bits
-    blocks = [
-        fn(all_bitstrings(num_bits, lo, min(lo + 4096, stop)))
-        for lo in range(start, stop, 4096)
-    ]
-    return np.concatenate(blocks) if blocks else fn(all_bitstrings(num_bits, start, stop))
+def quadratic_table(Q: np.ndarray, const: float, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """b'Qb + const, Q upper-triangular, of the bitstrings with integer values
+    ``start..stop-1`` (default: all 2^n); an entry's sums depend on its index
+    alone. Bit k of the low table adds Q[k,k] and its column's subset sums."""
+    require_dense(n := len(Q))
+    stop = 1 << n if stop is None else stop
+    low = min(n, _CHUNK_BITS)
+    table = np.zeros(1 << low)
+    for k in range(low):
+        np.add(table[: 1 << k], _subset_sums(Q[k, k], Q[:k, k]), out=table[1 << k : 2 << k])
+    high = quadratic_table(Q[low:, low:], 0.0) if n > low else [0.0]
+    linear = _subset_sums(np.zeros(low), Q[:low, low:].T)
+    chunks = []
+    for h in range(start >> low, ((stop - 1) >> low) + 1):
+        chunk = _subset_sums(high[h], linear[h]) + table + const
+        chunks.append(chunk[max(start - (h << low), 0) : stop - (h << low)])
+    return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +291,7 @@ class BinaryEncoding:
     @classmethod
     def levels(cls, num_vars: int, bits_per_var: int = 2) -> "BinaryEncoding":
         """Positional encoding with weights 1, 2, 4, ... for every variable."""
-        weights = 2.0 ** np.arange(bits_per_var)
-        B = np.zeros((num_vars, num_vars * bits_per_var))
-        for i in range(num_vars):
-            B[i, i * bits_per_var : (i + 1) * bits_per_var] = weights
+        B = np.kron(np.eye(num_vars), 2.0 ** np.arange(bits_per_var))
         return cls(B=B, bits_per_var=[bits_per_var] * num_vars)
 
 
@@ -338,29 +345,33 @@ class IsingModel:
     def __post_init__(self) -> None:
         self.h_lin = np.asarray(self.h_lin, dtype=np.float64).ravel()
         self.h_const = float(self.h_const)
-        if self.num_qubits == 0:
-            self.num_qubits = self.h_lin.size
+        self.num_qubits = self.num_qubits or self.h_lin.size
+        if self.h_lin.size != self.num_qubits:
+            raise ValueError(f"h_lin has {self.h_lin.size} entries for {self.num_qubits} qubits")
         self.h_quad = {
             (int(i), int(j)): float(w) for (i, j), w in self.h_quad.items()
         }
         for i, j in self.h_quad:
             if not 0 <= i < j < self.num_qubits:
                 raise ValueError(f"coupling ({i},{j}) must satisfy 0 <= i < j < n")
-
-    def _block_costs(self, bits: np.ndarray) -> np.ndarray:
-        z = 1.0 - 2.0 * bits
-        cost = self.h_const + z @ self.h_lin
-        for (i, j), w in self.h_quad.items():
-            cost += w * z[:, i] * z[:, j]
-        return cost
+        require_finite("h_lin", self.h_lin)
+        require_finite("h_quad", list(self.h_quad.values()))
+        require_finite("h_const", self.h_const)
 
     def cost_vector(self) -> np.ndarray:
-        """The diagonal cost of every bitstring, indexed by integer value.
-
+        """The diagonal cost of every bitstring, indexed by integer value: the
+        ``quadratic_table`` of the bit form (z_i = 1 - 2 b_i) Q_ij = 4 w_ij,
+        Q_ii = -2 h'_i - 2 sum_j w_ij and constant h'' + sum h' + sum w.
         Computed on the first call; every call returns that same read-only
         array, so the coefficients must not be changed after it."""
         if self._cost is None:
-            self._cost = _by_row_blocks(self._block_costs, self.num_qubits)
+            W = np.zeros((self.num_qubits, self.num_qubits))
+            for (i, j), w in self.h_quad.items():
+                W[i, j] = w
+            Q = 4.0 * W - 2.0 * np.diag(self.h_lin + W.sum(axis=0) + W.sum(axis=1))
+            const = self.h_const + self.h_lin.sum() + W.sum()
+            require_finite("bit form of h_quad, h_lin and h_const", Q, const)
+            self._cost = quadratic_table(Q, const)
             self._cost.flags.writeable = False
         return self._cost
 
@@ -407,8 +418,7 @@ def upper_triangularize(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    out = np.triu(mat) + np.triu(mat.T, k=1)
-    return out
+    return np.triu(mat) + np.triu(mat.T, k=1)
 
 
 def encode_binary(quio: QuioProblem, enc: BinaryEncoding) -> QuboProblem:
@@ -423,9 +433,9 @@ def encode_binary(quio: QuioProblem, enc: BinaryEncoding) -> QuboProblem:
 
 
 def qubo_cost_vector(qubo: QuboProblem, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Costs of the bitstrings with integer values ``start..stop-1``, vectorized."""
-    costs = _by_row_blocks(lambda b: ((b @ qubo.Q) * b).sum(axis=1), qubo.num_vars, start, stop)
-    return costs + qubo.constant
+    """``quadratic_table`` of the bitstrings ``start..stop-1`` (default: all):
+    brute force's chunks hold the bytes of the slices of the scored table."""
+    return quadratic_table(qubo.Q, qubo.constant, start, stop)
 
 
 def to_ising(qubo: QuboProblem) -> IsingModel:
@@ -459,7 +469,7 @@ def brute_force_solve(qubo: QuboProblem) -> SolveReport:
     if N > BRUTE_FORCE_CAP:
         raise ValueError(f"{N} variables exceed the enumeration cap of {BRUTE_FORCE_CAP}")
     total = 1 << N
-    chunk = min(total, 1 << 18)
+    chunk = min(total, 1 << _CHUNK_BITS)
     best = np.inf
     near = []  # per chunk: the indices and costs within _ATOL of the running minimum
     for start in range(0, total, chunk):
@@ -483,29 +493,18 @@ def min_penalty(qcio: QcioProblem, enc: BinaryEncoding) -> float:
     at every grid point; returns the first rho for which every minimizer decodes
     to a feasible integer vector attaining the constrained optimum.
     """
-    N = enc.num_bits
-    if N > BRUTE_FORCE_CAP:
-        raise ValueError(f"{N} bits exceed the enumeration cap of {BRUTE_FORCE_CAP}")
-
-    def base_and_penalty(bits):
-        xs = bits @ enc.B.T
-        residual = xs @ qcio.A.T - qcio.r
-        base = ((xs @ qcio.M) * xs).sum(axis=1) + xs @ qcio.l + qcio.c
-        return np.stack([base, (residual * residual).sum(axis=1)], axis=1)
-
-    base, penalty = _by_row_blocks(base_and_penalty, N).T
+    # the cost and the squared residual |ABb - r|^2 as two QUBOs in the bits
+    squares = QuioProblem(qcio.A.T @ qcio.A, -2.0 * qcio.r @ qcio.A, float(qcio.r @ qcio.r), 1.0)
+    qubos = [encode_binary(quio, enc) for quio in (build_quio(qcio, 0.0), squares)]
+    base, penalty = (quadratic_table(q.Q, q.constant) for q in qubos)
     feasible = penalty <= _ATOL
     if not np.any(feasible):
         raise ValueError("no encodable point satisfies the constraints")
     c_star = base[feasible].min()
-    k = 0
-    while True:
+    for k in range(round(_PENALTY_CEILING / _PENALTY_STEP) + 1):
         rho = k * _PENALTY_STEP
-        if rho > _PENALTY_CEILING + _ATOL:
-            raise ValueError(f"no valid penalty weight found up to ceiling {_PENALTY_CEILING}")
         total = base + rho * penalty
-        lo = total.min()
-        opt = total <= lo + _ATOL
+        opt = total <= total.min() + _ATOL
         if np.all(feasible[opt]) and np.all(np.abs(base[opt] - c_star) <= _ATOL):
             return rho
-        k += 1
+    raise ValueError(f"no valid penalty weight found up to ceiling {_PENALTY_CEILING}")

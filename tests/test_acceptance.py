@@ -27,7 +27,6 @@ from scipy.integrate import solve_ivp
 from qubolab import cli
 from qubolab.annealer import AnnealSchedule, SaConfig, qa_trotter, sa_sample
 from qubolab.model import (
-    all_bitstrings,
     brute_force_solve,
     build_quio,
     encode_binary,
@@ -77,6 +76,7 @@ from qubolab.variational import (
 )
 
 from util import (
+    all_bitstrings,
     bits_to_int,
     build_trp,
     embed_circuit,

@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 
 from qubolab.model import (
     BinaryEncoding,
+    IsingModel,
     QcioProblem,
     QuboProblem,
     SolveReport,
-    all_bitstrings,
     brute_force_solve,
     build_quio,
     encode_binary,
     index_bits,
     min_penalty,
     parse_bits,
+    quadratic_table,
     qubo_cost_vector,
     render_bits,
     require_integer,
@@ -31,13 +32,16 @@ from qubolab.model import (
     to_ising,
     upper_triangularize,
 )
+from qubolab.quality import Distribution, relative_error
 
 from util import (
+    all_bitstrings,
     bits_to_int,
     bits_to_str,
     constraint_residual,
     decode,
     diag_cost,
+    enumerated_costs,
     int_to_bits,
     qcio_cost,
     qubo_cost,
@@ -293,7 +297,7 @@ def test_qubo_cost_vector_matches_scalar_costs():
 
 
 def test_qubo_cost_vector_across_row_blocks():
-    # 14 variables: the range 1000..13001 spans several 4096-row blocks
+    # 14 variables: the range 1000..13001 starts and stops inside the table
     qubo = random_qubo(np.random.default_rng(8), 14)
     vec = qubo_cost_vector(qubo, 1000, 13001)
     assert vec.shape == (12001,)
@@ -302,6 +306,51 @@ def test_qubo_cost_vector_across_row_blocks():
     ising = to_ising(qubo)
     for v in [0, 4095, 4096, 16383]:
         assert abs(ising.cost_vector()[v] - diag_cost(ising, int_to_bits(v, 14))) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=16, shift=0, seed=0)
+@example(n=0, shift=4, seed=1)
+@given(n=st.integers(0, 16), shift=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_quadratic_table_equals_the_enumeration_on_dyadic_coefficients(n, shift, seed):
+    # entries k / 2^shift with |k| <= 64: both summation orders are exact
+    rng = np.random.default_rng(seed)
+    Q = np.triu(rng.integers(-64, 65, size=(n, n)) * (rng.random((n, n)) < 0.7)) / 2.0**shift
+    const = int(rng.integers(-64, 65)) / 2.0**shift
+    np.testing.assert_array_equal(quadratic_table(Q, const), enumerated_costs(Q, const))
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=16, exponent=0, seed=0)
+@given(n=st.integers(0, 16), exponent=st.integers(-6, 6), seed=st.integers(0, 2**32 - 1))
+def test_quadratic_table_stays_within_n_ulp_of_the_enumeration_on_floats(n, exponent, seed):
+    rng = np.random.default_rng(seed)
+    Q = np.triu(rng.uniform(-2.0, 2.0, size=(n, n))) * 10.0**exponent
+    const = float(rng.uniform(-2.0, 2.0)) * 10.0**exponent
+    # the constant goes in last on both sides, so its size bounds that rounding
+    bound = n * np.finfo(float).eps * (np.abs(Q).sum() + abs(const))
+    assert np.abs(quadratic_table(Q, const) - enumerated_costs(Q, const)).max() <= bound
+
+
+@pytest.mark.parametrize("n", [19, 20])
+def test_table_ranges_are_the_bytes_of_slices_of_the_whole(n):
+    # 19 and 20 variables span two and four 2^18-entry chunks
+    rng = np.random.default_rng(40 + n)
+    qubo = random_qubo(rng, n)
+    whole = qubo_cost_vector(qubo)
+    bound = n * np.finfo(float).eps * (np.abs(qubo.Q).sum() + abs(qubo.constant))
+    for v in [*rng.integers(0, whole.size, 40), whole.size - 1]:
+        assert abs(whole[v] - qubo_cost(qubo, int_to_bits(v, n))) <= bound
+    chunk = 1 << 18
+    spans = [(chunk - 5, chunk + 7), (1000, whole.size - 999), (chunk, whole.size)]
+    spans += [(start, start + chunk) for start in range(0, whole.size, chunk)]
+    for start, stop in spans:
+        assert qubo_cost_vector(qubo, start, stop).tobytes() == whole[start:stop].tobytes()
+    # scoring reads the whole table, brute force its chunks: the optimum scores 0
+    report = brute_force_solve(qubo)
+    assert len(report.optimal_set) == 1
+    p = Distribution({report.optimal_set[0]: 1.0})
+    assert relative_error(p, qubo, report.optimal_cost).value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +395,56 @@ def test_cost_vector_is_memoised_and_read_only():
         with pytest.raises(ValueError):
             vec[0] = 1.0
     np.testing.assert_array_equal(qubo.cost_vector(), qubo_cost_vector(qubo))
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=0, dyadic=True, seed=0)
+@example(n=10, dyadic=False, seed=0)
+@given(n=st.integers(0, 10), dyadic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ising_cost_vector_equals_the_per_string_diagonal(n, dyadic, seed):
+    rng = np.random.default_rng(seed)
+    if dyadic:  # k / 16 with |k| <= 64: both sides are exact
+        draw = lambda size: rng.integers(-64, 65, size) / 16.0  # noqa: E731
+    else:
+        draw = lambda size: rng.uniform(-2.0, 2.0, size)  # noqa: E731
+    weights = draw((n, n))
+    h_quad = {(i, j): float(weights[i, j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
+    ising = IsingModel(h_quad, draw(n), float(draw(1)[0]), n)
+    reference = np.array([diag_cost(ising, int_to_bits(v, n)) for v in range(1 << n)])
+    if dyadic:
+        np.testing.assert_array_equal(ising.cost_vector(), reference)
+    else:
+        # the bit form's sum of |Q'| and |const'| is at most 9 times this scale
+        scale = abs(ising.h_const) + np.abs(ising.h_lin).sum() + sum(map(abs, h_quad.values()))
+        bound = n * np.finfo(float).eps * 9 * scale
+        assert np.abs(ising.cost_vector() - reference).max() <= bound
+
+
+def test_ising_model_refuses_a_field_vector_of_another_length():
+    with pytest.raises(ValueError, match="h_lin has 2 entries for 3 qubits"):
+        IsingModel({}, [1.0, 2.0], 0.0, num_qubits=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["h_lin", "h_quad", "h_const"])
+def test_ising_model_refuses_non_finite_coefficients_by_name(field, bad):
+    coefficients = {"h_quad": {(0, 1): 0.5}, "h_lin": [1.0, 2.0], "h_const": 0.0}
+    if field == "h_lin":
+        coefficients["h_lin"] = [1.0, bad]
+    elif field == "h_quad":
+        coefficients["h_quad"] = {(0, 1): bad}
+    else:
+        coefficients["h_const"] = bad
+    with pytest.raises(ValueError, match=f"non-finite {field}"):
+        IsingModel(**coefficients)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_ising_cost_vector_refuses_weights_whose_bit_form_overflows():
+    # 4 * 1e308 is inf: the table would hold inf and NaN, not +-1e308
+    ising = IsingModel({(0, 1): 1e308}, [0.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="non-finite bit form of h_quad, h_lin and h_const"):
+        ising.cost_vector()
 
 
 def test_ising_diag_cost_scalar_matches_vector():

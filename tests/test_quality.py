@@ -27,9 +27,17 @@ from qubolab.quality import (
     state_fidelity,
 )
 from qubolab.simulator import SampleSet, StateVector, sample
-from qubolab.usecases import build_lama, example_series, gen_cities
+from qubolab.usecases import TrpSpec, build_lama, decode_trp, example_series, gen_cities
 
-from util import bits_to_str, build_trp, hellinger_by_key, int_to_bits, qubo_cost, random_qubo
+from util import (
+    bits_to_str,
+    build_trp,
+    hellinger_by_key,
+    int_to_bits,
+    qubo_cost,
+    random_qubo,
+    route_to_bits,
+)
 
 
 def test_fidelity_identical_distributions():
@@ -105,6 +113,12 @@ def test_distribution_rejects_malformed_keys():
     for probs in ({"200000": 1.0}, {"0b": 1.0}, {"0": 0.5, "01": 0.5}, {10: 0.5, 11: 0.5}):
         with pytest.raises(ValueError):
             Distribution(probs)
+
+
+def test_distribution_from_one_shot_is_certain_and_from_no_shot_refuses():
+    assert Distribution.from_sampleset(SampleSet({"101": 1}, shots=1)).probs == {"101": 1.0}
+    with pytest.raises(ValueError, match="empty sample set"):
+        Distribution.from_sampleset(SampleSet({}, shots=0))
 
 
 def test_distribution_from_sampleset_and_state():
@@ -245,6 +259,19 @@ def test_random_baseline_deterministic_and_positive():
     assert a.value > 0.0
 
 
+def test_random_baseline_of_one_trial_is_that_trial_and_of_none_refuses():
+    qubo = random_qubo(np.random.default_rng(12), 4)
+    rng = np.random.default_rng(3)  # the one trial's draws, as random_baseline makes them
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    probs = np.abs(amps) ** 2 / (np.abs(amps) ** 2).sum()
+    expected = abs(probs @ qubo_cost_vector(qubo) - 2.0) / 2.0
+    base = random_baseline(qubo, trials=1, seed=3, c_opt=2.0)
+    assert not base.is_absolute
+    assert abs(base.value - expected) <= 1e-12 * expected
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        random_baseline(qubo, trials=0, c_opt=2.0)
+
+
 def test_random_baseline_converges_to_uniform_error():
     rng = np.random.default_rng(3)
     q = np.triu(rng.uniform(0.5, 2.0, (6, 6)))
@@ -314,6 +341,23 @@ def test_solution_rates_optimal_never_exceeds_feasible():
         verdict = {k: (bool(rng.integers(2)), float(rng.integers(3))) for k in keys}
         feasible, optimal = solution_rates(samples, lambda s: verdict[s], c_opt=1.0)
         assert 0.0 <= optimal <= feasible <= 100.0
+
+
+def test_solution_rates_counts_a_tour_half_a_unit_long_as_feasible_not_optimal():
+    # unit distances but for the two diagonals of 1.25: the best tour is 4.0
+    # long and the two crossing tours are 0.5 longer
+    distances = np.ones((4, 4)) - np.eye(4)
+    distances[0, 2] = distances[2, 0] = distances[1, 3] = distances[3, 1] = 1.25
+    spec = TrpSpec(4, distances)
+    best, near = (bits_to_str(route_to_bits(order, 4)) for order in ([0, 1, 2, 3], [0, 1, 3, 2]))
+
+    def decoder(s):
+        _, ok, length = decode_trp(s, spec)
+        return ok, length
+
+    assert decoder(best) == (True, 4.0) and decoder(near) == (True, 4.5)
+    samples = SampleSet({best: 3, near: 1}, shots=4)
+    assert solution_rates(samples, decoder, c_opt=4.0) == (100.0, 75.0)
 
 
 def test_solution_rates_rejects_empty():

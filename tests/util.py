@@ -20,6 +20,7 @@ from qubolab.model import (
     as_bits,
     build_quio,
     encode_binary,
+    index_bits,
     upper_triangularize,
 )
 from qubolab.quality import Distribution
@@ -86,6 +87,19 @@ def qubo_cost(qubo: QuboProblem, bits: np.ndarray | str) -> float:
     if b.size != qubo.num_vars:
         raise ValueError(f"expected {qubo.num_vars} bits, got {b.size}")
     return float(b @ qubo.Q @ b + qubo.constant)
+
+
+def all_bitstrings(num_bits: int) -> np.ndarray:
+    """(2^n, n) float 0/1 rows of the integers 0..2^n-1, bit i in column i."""
+    return index_bits(np.arange(1 << num_bits), num_bits).astype(np.float64)
+
+
+def enumerated_costs(Q: np.ndarray, const: float) -> np.ndarray:
+    """b'Qb + const of every bitstring as ``((b @ Q) * b).sum`` over the float
+    rows of ``all_bitstrings``: the O(n^2 2^n) enumeration that
+    ``model.quadratic_table`` is tested against."""
+    b = all_bitstrings(len(Q))
+    return ((b @ Q) * b).sum(axis=1) + const
 
 
 def diag_cost(ising: IsingModel, bits: np.ndarray) -> float:
