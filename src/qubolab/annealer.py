@@ -18,7 +18,7 @@ from .simulator import apply_gate  # noqa: F401  unused; perfbench/spans.py trac
 
 TROTTER_QUBIT_CAP = 12
 # 200x the default 5 000 steps: 12 qubits take ~0.3 ms a step, about five minutes
-# at the cap, where the schedule arrays take ~130 MB; a tiny dt is refused, not run
+# at the cap, where the schedule arrays take ~30 MB; a tiny dt is refused, not run
 TROTTER_STEP_CAP = 1_000_000
 SA_ENTRY_CAP = 1 << BRUTE_FORCE_CAP  # sweeps and reads * bits: SA's arrays stay dense-sized
 
@@ -151,7 +151,7 @@ def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateV
         return StateVector.plus_state(n)
     dt_eff = schedule.total_time / steps
     t = (np.arange(steps) + 0.5) * dt_eff
-    evolve = phase_mixer_kernel(ising.cost_vector(), mixer_first=True)
+    evolve = phase_mixer_kernel(ising.distinct_costs(), mixer_first=True)
     return StateVector(evolve(0.5 * schedule.b(t) * dt_eff, -schedule.a(t) * dt_eff), n)
 
 

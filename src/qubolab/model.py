@@ -158,10 +158,13 @@ def _subset_sums(start, weights) -> np.ndarray:
 
 def quadratic_table(Q: np.ndarray, const: float, start: int = 0, stop: int | None = None) -> np.ndarray:
     """b'Qb + const, Q upper-triangular, of the bitstrings with integer values
-    ``start..stop-1`` (default: all 2^n); an entry's sums depend on its index
-    alone. Bit k of the low table adds Q[k,k] and its column's subset sums."""
+    ``start..stop-1`` (default: all 2^n; ``ValueError`` unless 0 <= start <=
+    stop <= 2^n); an entry's sums depend on its index alone. Bit k of the
+    low table adds Q[k,k] and its column's subset sums."""
     require_dense(n := len(Q))
     stop = 1 << n if stop is None else stop
+    if not 0 <= start <= stop <= 1 << n:
+        raise ValueError(f"range start={start}, stop={stop} is not within 0..2^{n}")
     low = min(n, _CHUNK_BITS)
     table = np.zeros(1 << low)
     for k in range(low):
@@ -341,6 +344,7 @@ class IsingModel:
     h_const: float
     num_qubits: int = 0
     _cost: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _distinct: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.h_lin = np.asarray(self.h_lin, dtype=np.float64).ravel()
@@ -374,6 +378,20 @@ class IsingModel:
             self._cost = quadratic_table(Q, const)
             self._cost.flags.writeable = False
         return self._cost
+
+    def distinct_costs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, where) = np.unique(self.cost_vector(), return_inverse=True)``:
+        the k sorted distinct values of the diagonal and, per bitstring, the
+        index of its value, so ``values[where]`` is the diagonal (-0.0 and 0.0
+        count as one value). The kernels exponentiate the k values instead of
+        all 2^n entries. Memoised and read-only beside ``cost_vector``, and
+        like it no constructor field, so ``repr`` and a rebuild from the
+        fields (the codec's walk) skip it."""
+        if self._distinct is None:
+            self._distinct = np.unique(self.cost_vector(), return_inverse=True)
+            for array in self._distinct:
+                array.flags.writeable = False
+        return self._distinct
 
 
 @dataclass
@@ -486,12 +504,47 @@ def brute_force_solve(qubo: QuboProblem) -> SolveReport:
     )
 
 
+def _first_grid_index(base, penalty, feasible, c_star) -> int:
+    """The lowest index k of the rho grid at which ``min_penalty``'s test can
+    pass; every lower index provably fails (see ``min_penalty``)."""
+    below = ~feasible & (base < c_star)
+    # feasible entries' rounding noise below 0 must stay << _ATOL at every rho
+    if not below.any() or penalty.min() < -_ATOL / (4 * _PENALTY_CEILING):
+        return 0
+    ratio = (c_star - base[below]) / penalty[below]
+    best = ratio.argmax()
+    b = np.flatnonzero(below)[best]
+    k = int(min(ratio[best] / _PENALTY_STEP, _PENALTY_CEILING / _PENALTY_STEP))
+    # the scan's own float operations; their value is monotone in k
+    while k >= 0 and not base[b] + (k * _PENALTY_STEP) * penalty[b] < c_star:
+        k -= 1
+    return k + 1
+
+
 def min_penalty(qcio: QcioProblem, enc: BinaryEncoding) -> float:
     """Smallest grid penalty weight whose QUBO optima all solve the constrained problem.
 
     Scans rho = 0, 0.1, 0.2, ... up to 50 and brute-forces the penalized problem
     at every grid point; returns the first rho for which every minimizer decodes
     to a feasible integer vector attaining the constrained optimum.
+
+    The scan starts at a proven lower bound (``_first_grid_index``). Take
+    the infeasible point b (penalty > _ATOL) with base(b) < c* that
+    maximises (c* - base) / penalty, and step its grid index down from
+    that ratio / 0.1 until ``base_b + (k * 0.1) * penalty_b < c*`` holds in
+    the scan's own float operations. That value is monotone in k, so it is
+    below c* at every lower index too, and there the test fails. If the
+    argmin of the totals is infeasible, it is among the optima. If it is
+    feasible with a penalty >= 0, its total is at least its base, so at
+    least c*, which is more than b's total: impossible. If it is feasible
+    with a penalty just below 0 (rounding noise of the table), its total
+    is within rho * |noise| << _ATOL of c*, so b lies within _ATOL of the
+    minimum, among the optima, and is infeasible. The bound is not used
+    (the scan starts at 0) when some penalty is below -_ATOL / (4 * 50),
+    which keeps rho * |noise| <= _ATOL / 4 at every grid point. Every index
+    from the bound on is tested as before, so the result is that of the
+    scan from 0 (``tests/util.py::full_rho_scan``); on Ex2p1 (rho = 5.1)
+    the scan makes 2 passes over the 2^16 totals instead of 52.
     """
     # the cost and the squared residual |ABb - r|^2 as two QUBOs in the bits
     squares = QuioProblem(qcio.A.T @ qcio.A, -2.0 * qcio.r @ qcio.A, float(qcio.r @ qcio.r), 1.0)
@@ -501,7 +554,8 @@ def min_penalty(qcio: QcioProblem, enc: BinaryEncoding) -> float:
     if not np.any(feasible):
         raise ValueError("no encodable point satisfies the constraints")
     c_star = base[feasible].min()
-    for k in range(round(_PENALTY_CEILING / _PENALTY_STEP) + 1):
+    first = _first_grid_index(base, penalty, feasible, c_star)
+    for k in range(first, round(_PENALTY_CEILING / _PENALTY_STEP) + 1):
         rho = k * _PENALTY_STEP
         total = base + rho * penalty
         opt = total <= total.min() + _ATOL

@@ -190,13 +190,21 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     return state
 
 
-def _rx_walls(thetas) -> np.ndarray:
-    """RX(theta) for every angle in ``thetas``, as a (len, 2, 2) array with
-    ``gate_matrix``'s arithmetic, so each entry equals its ``Gate`` matrix."""
+_WALL_BLOCK = 256  # steps whose RX matrices a kernel holds at once
+
+
+def _rx_walls(thetas, out: np.ndarray) -> np.ndarray:
+    """RX(theta) for every angle in ``thetas``, written into the first
+    ``len(thetas)`` matrices of the complex (m, 2, 2) array ``out`` and
+    returned as that view, with ``gate_matrix``'s arithmetic, so each entry
+    equals its ``Gate`` matrix: cos and sin of the halved angles as
+    contiguous arrays, and the exact ``-1j * s``."""
     half = np.asarray(thetas, dtype=float) / 2
-    c, s = np.cos(half), np.sin(half)
-    off = -1j * s
-    return np.stack([c, off, off, c], axis=-1).reshape(-1, 2, 2)
+    walls = out[: len(half)]
+    walls[:, 0, 0] = walls[:, 1, 1] = np.cos(half)
+    np.multiply(-1j, np.sin(half), out=walls[:, 0, 1])
+    walls[:, 1, 0] = walls[:, 0, 1]
+    return walls
 
 
 def _wall_legs(a: np.ndarray, b: np.ndarray, n: int) -> tuple:
@@ -226,33 +234,56 @@ def _wall(mats, legs: tuple, at: int) -> int:
     return at ^ (len(legs[at]) & 1)
 
 
-def phase_mixer_kernel(cost, mixer_first: bool = False):
+def _phase_factors(phi, distinct, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-i phi cost[v]) for every v, written into ``out``, from the
+    distinct-value pair ``distinct = (values, where)`` of ``cost``: the
+    product and the complex ``exp`` of each of the k values go into the
+    k-entry complex ``table``, and ``take`` gathers them."""
+    values, where = distinct
+    np.multiply(-1j * phi, values, out=table)
+    return np.exp(table, out=table).take(where, out=out)
+
+
+def phase_mixer_kernel(distinct, mixer_first: bool = False):
     """``evolve(phis, thetas)``: |+...+> through the steps ``zip(phis, thetas)``
-    on the length-2^n diagonal ``cost``, n >= 1. Each step multiplies amplitude
-    v by exp(-i phi cost[v]), then applies RX(theta) to every qubit (the RX wall
-    first with ``mixer_first``). The two complex buffers are set up here once:
-    ``_wall`` moves the state between them, one ``np.dot`` per gate, and the
-    phase factors go into the one it does not occupy. ``evolve`` returns the
+    on a length-2^n cost diagonal, n >= 1, given as ``distinct = (values,
+    where) = np.unique(cost, return_inverse=True)`` (``IsingModel.distinct_costs``).
+    Each step multiplies amplitude v by exp(-i phi cost[v]), then applies
+    RX(theta) to every qubit (the RX wall first with ``mixer_first``).
+
+    ``_phase_factors`` exponentiates the k distinct values only. Each factor
+    is the same IEEE product as on the whole diagonal (its real operand has a
+    zero imaginary part, so each part rounds once, fused or not, in numpy's
+    SIMD body and tail alike) and the same complex ``exp``; -0.0 and 0.0,
+    which ``np.unique`` merges, give the same factor. So every state keeps
+    its bits. Set up here once: the two complex buffers, which ``_wall``
+    moves the state between (one ``np.dot`` per gate) and whose free one
+    takes the factors, the factor table, and the RX matrices of
+    ``_WALL_BLOCK`` steps, refilled per block. ``evolve`` returns the state's
     buffer unvalidated, and its next call overwrites it. QAOA, the landscape
-    and Trotter run on it; the same gates through ``apply_gate`` are its oracle."""
-    cost = np.asarray(cost, dtype=float)
-    n = cost.size.bit_length() - 1
-    if cost.ndim != 1 or cost.size < 2 or cost.size != 1 << n:
-        raise ValueError(f"cost diagonal of length {cost.size} is not 2^n with n >= 1")
-    buffers = (np.empty(cost.size, dtype=complex), np.empty(cost.size, dtype=complex))
+    and Trotter run on it; the same gates through ``apply_gate`` are its
+    oracle."""
+    values, where = distinct
+    n = where.size.bit_length() - 1
+    if where.ndim != 1 or where.size < 2 or where.size != 1 << n:
+        raise ValueError(f"cost diagonal of length {where.size} is not 2^n with n >= 1")
+    buffers = (np.empty(where.size, dtype=complex), np.empty(where.size, dtype=complex))
     legs = _wall_legs(*buffers, n)
+    table = np.empty(values.size, dtype=complex)
+    walls = np.empty((_WALL_BLOCK, 2, 2), dtype=complex)
 
     def evolve(phis, thetas) -> np.ndarray:
-        buffers[0].fill(cost.size ** -0.5)
+        buffers[0].fill(where.size ** -0.5)
         at = 0  # index of the buffer that holds the state
-        for phi, rx in zip(phis, _rx_walls(thetas)):
-            if mixer_first:
-                at = _wall([rx] * n, legs, at)
-            psi, phase = buffers[at], buffers[1 - at]
-            np.multiply(-1j * phi, cost, out=phase)
-            psi *= np.exp(phase, out=phase)
-            if not mixer_first:
-                at = _wall([rx] * n, legs, at)
+        for first in range(0, len(thetas), _WALL_BLOCK):
+            block = slice(first, first + _WALL_BLOCK)
+            for phi, rx in zip(phis[block], _rx_walls(thetas[block], walls)):
+                if mixer_first:
+                    at = _wall([rx] * n, legs, at)
+                psi, phase = buffers[at], buffers[1 - at]
+                psi *= _phase_factors(phi, distinct, table, phase)
+                if not mixer_first:
+                    at = _wall([rx] * n, legs, at)
         return buffers[at]
 
     return evolve
@@ -274,19 +305,28 @@ def ry_cx_kernel(perm: np.ndarray):
     separated by CX chains; ``angles[l][q]`` is the RY angle on qubit q in wall
     l. The two buffers are set up here once; ``perm`` (from
     ``cx_chain_permutation``) gathers the state into the other one between
-    walls, and ``_wall`` moves it between them. Every gate is real, so the
-    state stays real. The next call overwrites the buffer a call returns;
-    ``run_circuit`` on the same gates is the oracle."""
+    walls, and ``_wall`` moves it between them. A call writes its RY
+    matrices, with ``gate_matrix``'s arithmetic, into a table the kernel
+    keeps and reallocates only for more layers than before. Every gate is
+    real, so the state stays real. The next call overwrites the buffer a
+    call returns; ``run_circuit`` on the same gates is the oracle."""
     n = perm.size.bit_length() - 1
     buffers = (np.empty(perm.size), np.empty(perm.size))
     legs = _wall_legs(*buffers, n)
+    tables = np.empty((0, n, 2, 2))
 
     def amplitudes(angles) -> np.ndarray:
+        nonlocal tables
+        if len(tables) < len(angles):
+            tables = np.empty((len(angles), n, 2, 2))
         buffers[0].fill(0.0)
         buffers[0][0] = 1.0
         at = 0  # index of the buffer that holds the state
         c, s = np.cos(angles / 2), np.sin(angles / 2)
-        walls = np.stack([c, -s, s, c], axis=-1).reshape(*angles.shape, 2, 2)
+        walls = tables[: len(angles)]
+        walls[..., 0, 0] = walls[..., 1, 1] = c
+        walls[..., 1, 0] = s
+        np.negative(s, out=walls[..., 0, 1])
         for layer, mats in enumerate(walls):
             if layer:
                 buffers[at].take(perm, out=buffers[1 - at])

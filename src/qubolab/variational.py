@@ -124,9 +124,11 @@ def _amplitudes(ising: IsingModel, algorithm: str):
     kernel set up here once, whose next call overwrites them: complex from
     ``phase_mixer_kernel``, real from ``ry_cx_kernel``. The gate-level
     ``qaoa_circuit`` and ``vqe_circuit`` are their oracles, QAOA's up to the
-    global phase of the constant h'', which the kernel's diagonal holds."""
+    global phase of the constant h'', which the kernel's diagonal holds. The
+    QAOA kernel takes the diagonal as ``ising.distinct_costs()``, so every
+    kernel of one model shares one distinct-value table."""
     if algorithm == "qaoa":
-        evolve = phase_mixer_kernel(ising.cost_vector())
+        evolve = phase_mixer_kernel(ising.distinct_costs())
         return lambda table: evolve(table[1], 2.0 * table[0])
     return ry_cx_kernel(cx_chain_permutation(ising.num_qubits))
 

@@ -352,3 +352,14 @@ def test_trotter_kernel_matches_gate_by_gate_reference(n):
         fast = qa_trotter(ising, schedule, dt).amplitudes
         reference = gate_by_gate_trotter(ising, schedule, dt).amplitudes
         assert np.array_equal(fast, reference)
+
+
+# the kernel fills the RX matrices of 256 steps at a time: schedules that end
+# just before, at and after a block boundary, and that span three blocks
+@pytest.mark.parametrize("steps", [255, 256, 257, 513])
+def test_trotter_kernel_matches_gate_by_gate_reference_across_rx_blocks(steps):
+    rng = np.random.default_rng(steps)
+    ising = to_ising(QuboProblem(Q=np.triu(rng.uniform(-2.0, 2.0, size=(2, 2))), constant=0.5))
+    schedule = AnnealSchedule(steps * 0.01)
+    fast = qa_trotter(ising, schedule, 0.01).amplitudes
+    assert np.array_equal(fast, gate_by_gate_trotter(ising, schedule, 0.01).amplitudes)

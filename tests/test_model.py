@@ -6,6 +6,8 @@ encoding, Pauli substitution) and are frozen here as literals.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 from qubolab.model import (
     BinaryEncoding,
     IsingModel,
-    QcioProblem,
     QuboProblem,
     SolveReport,
     brute_force_solve,
@@ -48,15 +49,8 @@ from util import (
     quio_cost,
     random_qcio,
     random_qubo,
+    toy_qcio,
 )
-
-
-def toy_qcio(M, l, c, A, r, upper=3):
-    n = len(l)
-    return QcioProblem(
-        dim_n=n, M=M, l=l, c=c, A=A, r=r,
-        lower=np.zeros(n, dtype=int), upper=np.full(n, upper),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +389,39 @@ def test_cost_vector_is_memoised_and_read_only():
         with pytest.raises(ValueError):
             vec[0] = 1.0
     np.testing.assert_array_equal(qubo.cost_vector(), qubo_cost_vector(qubo))
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0, 16), (5, 4), (-1, 3)],
+    ids=["stop-past-2^n", "stop-below-start", "negative-start"],
+)
+def test_cost_table_refuses_a_range_outside_the_table(start, stop):
+    qubo = QuboProblem(np.eye(3), 0.0)
+    for table in (lambda: qubo_cost_vector(qubo, start, stop),
+                  lambda: quadratic_table(qubo.Q, 0.0, start, stop)):
+        with pytest.raises(ValueError, match=f"start={start}, stop={stop} is not within 0..2\\^3"):
+            table()
+    # the bounds themselves are a range: empty at either end, or all of it
+    for start, stop in ((0, 0), (8, 8), (0, 8)):
+        whole = qubo.cost_vector()[start:stop]
+        assert qubo_cost_vector(qubo, start, stop).tobytes() == whole.tobytes()
+
+
+def test_ising_distinct_costs_are_a_read_only_memo_outside_the_fields():
+    ising = to_ising(random_qubo(np.random.default_rng(12), 7))
+    twin = replace(ising)  # built from the constructor fields, as the codec builds
+    values, where = ising.distinct_costs()
+    assert ising.distinct_costs()[0] is values and ising.distinct_costs()[1] is where
+    assert np.array_equal(values, np.unique(ising.cost_vector()))
+    assert np.array_equal(values[where], ising.cost_vector())
+    for array in (values, where):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # no constructor field, so repr and a rebuild ignore the memo
+    assert "_distinct" not in {f.name for f in fields(IsingModel) if f.init}
+    assert repr(ising) == repr(twin)
+    assert replace(ising)._distinct is None
 
 
 @settings(max_examples=40, deadline=None)

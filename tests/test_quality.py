@@ -4,20 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qubolab.model import (
     QuboProblem,
     brute_force_solve,
-    build_quio,
-    encode_binary,
     index_bits,
-    min_penalty,
     qubo_cost_vector,
     render_bits,
 )
 from qubolab.quality import (
+    _GUARD,
     Distribution,
     RelativeError,
     hellinger_fidelity,
@@ -27,11 +25,11 @@ from qubolab.quality import (
     state_fidelity,
 )
 from qubolab.simulator import SampleSet, StateVector, sample
-from qubolab.usecases import TrpSpec, build_lama, decode_trp, example_series, gen_cities
+from qubolab.usecases import TrpSpec, decode_trp
 
 from util import (
     bits_to_str,
-    build_trp,
+    bundled_qubos,
     hellinger_by_key,
     int_to_bits,
     qubo_cost,
@@ -200,18 +198,6 @@ def test_relative_error_fallback_at_zero_optimum():
     assert abs(err.value - 1.0) < 1e-12  # mean cost 1, absolute difference
 
 
-def bundled_qubos():
-    """The QUBO of every bundled charging instance up to 16 qubits at its
-    automatic penalty, and of 3- and 4-city tours in both layouts."""
-    for name, spec in example_series().items():
-        if spec.num_qubits <= 16:
-            qcio, enc = build_lama(spec)
-            yield name, encode_binary(build_quio(qcio, min_penalty(qcio, enc)), enc)
-    for cities in (3, 4):
-        for layout in ("symmetric", "asymmetric"):
-            yield f"{cities}-{layout}", build_trp(gen_cities(cities, layout))
-
-
 @pytest.mark.parametrize("name, qubo", list(bundled_qubos()))
 def test_relative_error_is_exactly_zero_on_every_minimizer(name, qubo):
     report = brute_force_solve(qubo)
@@ -294,6 +280,25 @@ def test_random_baseline_matches_the_uniform_error_on_bundled_problems(name, qub
     sigma = np.sqrt(cost.var() / (cost.size + 1)) / (abs(c_opt) * np.sqrt(trials))
     base = random_baseline(qubo, trials=trials, seed=0, c_opt=c_opt)
     assert not base.is_absolute
+    assert abs(base.value - expected) < 5 * sigma, (base.value - expected) / sigma
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=4, seed=28, const=0)  # C* = 0
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), const=st.integers(-8, 8))
+def test_random_baseline_matches_the_closed_form_on_hypothesis_qubos(n, seed, const):
+    # the same Dirichlet law as on the bundled problems, on QUBOs of k/4
+    # entries, whose optimum is often exactly 0: there the absolute form
+    rng = np.random.default_rng(seed)
+    qubo = QuboProblem(np.triu(rng.integers(-8, 9, (n, n)) / 4.0), const / 4.0)
+    cost, trials = qubo.cost_vector(), 50
+    assume(cost.var() > 0.0)
+    c_opt = brute_force_solve(qubo).optimal_cost
+    scale = 1.0 if abs(c_opt) < _GUARD else abs(c_opt)
+    expected = (cost.mean() - c_opt) / scale
+    sigma = np.sqrt(cost.var() / (cost.size + 1)) / (scale * np.sqrt(trials))
+    base = random_baseline(qubo, trials=trials, seed=seed, c_opt=c_opt)
+    assert base.is_absolute == (abs(c_opt) < _GUARD)
     assert abs(base.value - expected) < 5 * sigma, (base.value - expected) / sigma
 
 

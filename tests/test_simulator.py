@@ -19,9 +19,9 @@ from qubolab.simulator import (
     run_circuit,
     sample,
 )
-from qubolab.simulator import _rx_walls
+from qubolab.simulator import _phase_factors, _rx_walls
 
-from util import bits_to_str, expectation_diagonal, int_to_bits
+from util import bits_to_str, bundled_isings, expectation_diagonal, int_to_bits
 
 
 def basis(bits: str) -> StateVector:
@@ -228,7 +228,7 @@ def test_gate_validation():
 def test_phase_mixer_state_rejects_diagonal_without_qubits(cost):
     for mixer_first in (False, True):
         with pytest.raises(ValueError, match="not 2\\^n"):
-            phase_mixer_kernel(cost, mixer_first)
+            phase_mixer_kernel(np.unique(cost, return_inverse=True), mixer_first)
 
 
 def phase_mixer_gate_by_gate(cost, steps, mixer_first):
@@ -263,7 +263,8 @@ def test_phase_mixer_state_equals_gates_for_odd_and_even_n(n, mixer_first):
     cost = rng.uniform(-3.0, 3.0, size=1 << n)
     for p in range(1, 5):
         steps = rng.uniform(-np.pi, np.pi, size=(p, 2))
-        fast = phase_mixer_kernel(cost, mixer_first)(steps[:, 0], steps[:, 1])
+        kernel = phase_mixer_kernel(np.unique(cost, return_inverse=True), mixer_first)
+        fast = kernel(steps[:, 0], steps[:, 1])
         reference = phase_mixer_gate_by_gate(cost, steps, mixer_first).amplitudes
         assert np.array_equal(fast, reference)
 
@@ -271,9 +272,72 @@ def test_phase_mixer_state_equals_gates_for_odd_and_even_n(n, mixer_first):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
 def test_kernel_rx_entries_equal_gate_matrix_bit_for_bit(thetas):
-    walls = _rx_walls(thetas)
+    walls = _rx_walls(thetas, np.full((8, 2, 2), np.nan, dtype=complex))
+    assert walls.shape == (len(thetas), 2, 2)
     for theta, mat in zip(thetas, walls):
         assert mat.tobytes() == gate_matrix(Gate("RX", (0,), theta)).tobytes()
+
+
+def full_phase_factors(phi, cost):
+    """The phase factors on the whole diagonal, as the kernel computed them
+    before its distinct-value table: one multiply and one exp per entry."""
+    phase = np.empty(cost.size, dtype=complex)
+    np.multiply(-1j * phi, cost, out=phase)
+    return np.exp(phase, out=phase)
+
+
+def assert_table_path_keeps_bytes(phi, cost, distinct=None):
+    values, where = np.unique(cost, return_inverse=True) if distinct is None else distinct
+    table = np.empty(values.size, dtype=complex)
+    out = np.full(cost.size, np.nan, dtype=complex)
+    fast = _phase_factors(phi, (values, where), table, out)
+    assert fast is out
+    assert fast.tobytes() == full_phase_factors(phi, cost).tobytes()
+
+
+angles = st.floats(-1e4, 1e4)
+costs = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=angles, size=st.integers(1, 70), pool=st.lists(costs, min_size=1, max_size=9),
+       draw=st.randoms(use_true_random=False))
+def test_phase_table_equals_the_full_exp_byte_for_byte(phi, size, pool, draw):
+    # values drawn from a small pool repeat at arbitrary positions: in numpy's
+    # SIMD body and in its tail, in the diagonal and in the table alike
+    cost = np.array([draw.choice(pool) for _ in range(size)])
+    assert_table_path_keeps_bytes(phi, cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi=angles, cost=st.lists(costs, min_size=1, max_size=70, unique=True))
+def test_phase_table_of_distinct_values_equals_the_full_exp(phi, cost):
+    assert_table_path_keeps_bytes(phi, np.array(cost))
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi=angles, value=costs, size=st.integers(1, 70))
+def test_phase_table_of_one_value_equals_the_full_exp(phi, value, size):
+    assert_table_path_keeps_bytes(phi, np.full(size, value))
+
+
+@pytest.mark.parametrize("phi", [0.0, -0.0, 0.7, -0.7, 3e3])
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 16, 17, 67])
+def test_phase_table_merges_signed_zeros_without_moving_a_bit(phi, size):
+    # np.unique keeps one of -0.0 and 0.0, so half of these entries are
+    # computed from the other zero; a repeated nonzero value sits at the
+    # first (SIMD body) and last (tail) position
+    cost = np.where(np.arange(size) % 2, -0.0, 0.0)
+    assert np.unique(cost).size == 1
+    assert_table_path_keeps_bytes(phi, cost)
+    cost[0] = cost[-1] = 1.25
+    assert_table_path_keeps_bytes(phi, cost)
+
+
+@pytest.mark.parametrize("name, ising", list(bundled_isings()))
+def test_phase_table_keeps_bytes_on_bundled_diagonals(name, ising):
+    for phi in (0.1, -0.9, 2.5):
+        assert_table_path_keeps_bytes(phi, ising.cost_vector(), ising.distinct_costs())
 
 
 def test_state_validation():

@@ -21,13 +21,15 @@ from qubolab.model import (
     build_quio,
     encode_binary,
     index_bits,
+    min_penalty,
+    to_ising,
     upper_triangularize,
 )
 from qubolab.quality import Distribution
 from qubolab.serialize import from_dict
 from qubolab.simulator import Circuit, Gate, StateVector, run_circuit
 from qubolab.transpiler import Layout
-from qubolab.usecases import TrpSpec, trp_model
+from qubolab.usecases import TrpSpec, build_lama, example_series, gen_cities, trp_model
 
 UNITARY_QUBIT_CAP = 6
 
@@ -57,6 +59,15 @@ def random_qcio(rng: np.random.Generator, n: int) -> tuple[QcioProblem, BinaryEn
         lower=np.zeros(n, dtype=int), upper=np.full(n, 3),
     )
     return qcio, BinaryEncoding.levels(n)
+
+
+def toy_qcio(M, l, c, A, r, upper=3) -> QcioProblem:
+    """A QCIO over 0..upper in every variable."""
+    n = len(l)
+    return QcioProblem(
+        dim_n=n, M=M, l=l, c=c, A=A, r=r,
+        lower=np.zeros(n, dtype=int), upper=np.full(n, upper),
+    )
 
 
 def symmetrized(Q: np.ndarray) -> np.ndarray:
@@ -223,6 +234,44 @@ def build_trp(spec: TrpSpec) -> QuboProblem:
     """Tour QUBO over m^2 assignment bits at the spec's penalty weight."""
     qcio, enc = trp_model(spec)
     return encode_binary(build_quio(qcio, spec.rho), enc)
+
+
+def bundled_qubos():
+    """The QUBO of every bundled charging instance up to 16 qubits at its
+    automatic penalty, and of 3- and 4-city tours in both layouts."""
+    for name, spec in example_series().items():
+        if spec.num_qubits <= 16:
+            qcio, enc = build_lama(spec)
+            yield name, encode_binary(build_quio(qcio, min_penalty(qcio, enc)), enc)
+    for cities in (3, 4):
+        for layout in ("symmetric", "asymmetric"):
+            yield f"{cities}-{layout}", build_trp(gen_cities(cities, layout))
+
+
+def bundled_isings():
+    """The Ising model of every ``bundled_qubos`` problem, by the same name."""
+    for name, qubo in bundled_qubos():
+        yield name, to_ising(qubo)
+
+
+def full_rho_scan(qcio: QcioProblem, enc: BinaryEncoding) -> float:
+    """``model.min_penalty`` as it scanned before its proven lower bound:
+    every grid point from rho = 0, the same tables and the same test, so
+    the two must return the same rho (or raise the same error)."""
+    squares = QuioProblem(qcio.A.T @ qcio.A, -2.0 * qcio.r @ qcio.A, float(qcio.r @ qcio.r), 1.0)
+    qubos = [encode_binary(quio, enc) for quio in (build_quio(qcio, 0.0), squares)]
+    base, penalty = (q.cost_vector() for q in qubos)
+    feasible = penalty <= 1e-9
+    if not np.any(feasible):
+        raise ValueError("no encodable point satisfies the constraints")
+    c_star = base[feasible].min()
+    for k in range(501):
+        rho = k * 0.1
+        total = base + rho * penalty
+        opt = total <= total.min() + 1e-9
+        if np.all(feasible[opt]) and np.all(np.abs(base[opt] - c_star) <= 1e-9):
+            return rho
+    raise ValueError("no valid penalty weight found up to ceiling 50.0")
 
 
 def load_json(path):
