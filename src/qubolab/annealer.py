@@ -128,7 +128,7 @@ def sa_sample(qubo: QuboProblem, cfg: SaConfig) -> SampleSet:
                 flip -= delta  # twice: -flip where accepted; reads that do
                 flip -= delta  # not accept subtract +-0
     # Counter keeps the order in which reads first reach each bitstring
-    return SampleSet(Counter(render_bits(flips.T < 0.0)), reads)
+    return SampleSet(Counter(render_bits(flips.T < 0.0)))
 
 
 def qa_trotter(ising: IsingModel, schedule: AnnealSchedule, dt: float) -> StateVector:

@@ -30,8 +30,8 @@ from .model import (
     encode_binary,
     min_penalty,
     number_array,
-    require_finite,
     require_integer,
+    require_penalty,
     require_real,
     to_ising,
 )
@@ -174,7 +174,7 @@ def _check_use_case(use_case) -> None:
     that is missing, foreign to the named use case (a typo such as
     ``layuot``) or of the wrong type: ``cities`` and ``seed`` >= 0 are integers
     (a bool, float or string is refused, never truncated) and ``rho`` is "auto"
-    or a finite real number."""
+    or a penalty weight (``require_penalty``: a finite real number >= 0)."""
     if not isinstance(use_case, dict):
         raise ValueError(f"config field 'use_case' needs an object, got {use_case!r}")
     name = use_case.get("name")
@@ -189,8 +189,7 @@ def _check_use_case(use_case) -> None:
         require_integer(f"use_case field {key!r}", use_case.get(key, 0), least)
     rho = use_case.get("rho", "auto")
     if rho != "auto":
-        require_real("use_case field 'rho'", rho)
-        require_finite("use_case field 'rho'", rho)
+        require_penalty(rho)
 
 
 def _flag_use_case(args) -> dict:
@@ -260,17 +259,16 @@ class _Problem:
                         f"automatic penalty needs <= {_PENALTY_SCAN_CAP} bits; pass --rho"
                     )
                 rho = min_penalty(qcio, enc)
-            rho = float(rho)
-            doc.update(instance=instance, rho=rho, spec=to_dict(spec))
-            doc.update(qcio=to_dict(qcio), encoding=to_dict(enc))
+            doc["instance"] = instance
         else:
-            rho = 1.0 if rho == "auto" else float(rho)
             spec = gen_cities(
                 use_case["cities"], use_case.get("layout", "symmetric"),
-                seed=use_case.get("seed", 0), rho=rho,
+                seed=use_case.get("seed", 0),
             )
             qcio, enc = trp_model(spec)
-            doc.update(rho=rho, spec=to_dict(spec))
+            rho = 1.0 if rho == "auto" else rho
+        rho = float(rho)
+        doc.update(rho=rho, spec=to_dict(spec))
         doc["qubo"] = to_dict(encode_binary(build_quio(qcio, rho), enc))
         return cls(doc)
 

@@ -61,6 +61,15 @@ def require_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def require_penalty(rho) -> None:
+    """The one penalty-weight rule: raise ``ValueError`` unless ``rho`` is
+    a finite real number >= 0."""
+    require_real("penalty weight 'rho'", rho)
+    require_finite("penalty weight 'rho'", rho)
+    if rho < 0:
+        raise ValueError(f"penalty weight must be nonnegative, got 'rho' = {rho!r}")
+
+
 def require_each(rule, name: str, values) -> None:
     """``rule(name, v)`` for every ``v`` in ``values``, a sequence or dict
     view. The rules above depend on the type alone, so one value of each
@@ -182,16 +191,14 @@ def quadratic_table(Q: np.ndarray, const: float, start: int = 0, stop: int | Non
 # problem representations
 
 
-@dataclass
+@dataclass(eq=False)
 class QcioProblem:
     """Quadratic constrained integer problem min x'Mx + lx + c s.t. Ax = r.
 
     Parameters
     ----------
-    dim_n:
-        Number of integer variables.
     M:
-        n x n cost matrix.
+        n x n cost matrix; n is the number of integer variables.
     l:
         Linear cost row vector of length n.
     c:
@@ -200,58 +207,53 @@ class QcioProblem:
         n x n constraint matrix (rows may be zero padding).
     r:
         Constraint right-hand side of length n.
-    lower, upper:
-        Elementwise integer bounds on the variables.
+
+    The variables' domain is set by the ``BinaryEncoding`` paired with the
+    problem, not by the problem itself.
     """
 
-    dim_n: int
     M: np.ndarray
     l: np.ndarray
     c: float
     A: np.ndarray
     r: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.dim_n
-        require_integer("dim_n", n)
         self.M = number_array("M", self.M)
         self.l = number_array("l", self.l).ravel()
         require_real("c", self.c)
         self.c = float(self.c)
         self.A = number_array("A", self.A)
         self.r = number_array("r", self.r).ravel()
-        self.lower = number_array("lower", self.lower, np.int64).ravel()
-        self.upper = number_array("upper", self.upper, np.int64).ravel()
         require_finite("M, l, c, A or r", self.M, self.l, self.c, self.A, self.r)
-        if self.M.shape != (n, n):
-            raise ValueError(f"M must be {n}x{n}, got {self.M.shape}")
+        if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
+            raise ValueError(f"M must be square, got {self.M.shape}")
+        n = self.dim_n
         if self.A.shape != (n, n):
             raise ValueError(f"A must be {n}x{n}, got {self.A.shape}")
         if self.l.shape != (n,) or self.r.shape != (n,):
             raise ValueError("l and r must have length n")
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("bounds must have length n")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound exceeds upper bound")
+
+    @property
+    def dim_n(self) -> int:
+        """Number of integer variables."""
+        return len(self.M)
 
 
-@dataclass
+@dataclass(eq=False)
 class QuioProblem:
-    """Unconstrained integer problem after folding constraints in at weight rho."""
+    """Unconstrained integer problem after folding constraints in at a penalty weight."""
 
     M_rho: np.ndarray
     l_rho: np.ndarray
     c_rho: float
-    rho: float
 
     @property
     def dim_n(self) -> int:
         return self.M_rho.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class BinaryEncoding:
     """Linear map x = B b from N bits to n integers.
 
@@ -298,29 +300,28 @@ class BinaryEncoding:
         return cls(B=B, bits_per_var=[bits_per_var] * num_vars)
 
 
-@dataclass
+@dataclass(eq=False)
 class QuboProblem:
-    """min b'Qb + constant over bitstrings, Q upper-triangular."""
+    """min b'Qb + constant over bitstrings, Q upper-triangular; its two
+    fields are the whole document, and ``num_vars`` is the side of Q."""
 
     Q: np.ndarray
     constant: float
-    num_vars: int = 0
-    _cost: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _cost: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.Q = number_array("Q", self.Q)
         require_real("constant", self.constant)
-        require_integer("num_vars", self.num_vars)
         self.constant = float(self.constant)
         if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
             raise ValueError("Q must be square")
-        if self.num_vars == 0:
-            self.num_vars = self.Q.shape[0]
-        elif self.num_vars != self.Q.shape[0]:
-            raise ValueError("num_vars does not match Q")
         if np.any(np.tril(self.Q, k=-1) != 0.0):
             raise ValueError("Q must be upper-triangular")
         require_finite("Q or constant", self.Q, self.constant)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.Q)
 
     def cost_vector(self) -> np.ndarray:
         """``qubo_cost_vector`` of every bitstring, the rows brute force enumerates;
@@ -331,7 +332,7 @@ class QuboProblem:
         return self._cost
 
 
-@dataclass
+@dataclass(eq=False)
 class IsingModel:
     """Diagonal cost Hamiltonian sum h_ij Z_i Z_j + sum h'_i Z_i + h'' I.
 
@@ -342,25 +343,27 @@ class IsingModel:
     h_quad: dict[tuple[int, int], float]
     h_lin: np.ndarray
     h_const: float
-    num_qubits: int = 0
-    _cost: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _distinct: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _cost: np.ndarray | None = field(default=None, init=False, repr=False)
+    _distinct: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.h_lin = np.asarray(self.h_lin, dtype=np.float64).ravel()
         self.h_const = float(self.h_const)
-        self.num_qubits = self.num_qubits or self.h_lin.size
-        if self.h_lin.size != self.num_qubits:
-            raise ValueError(f"h_lin has {self.h_lin.size} entries for {self.num_qubits} qubits")
         self.h_quad = {
             (int(i), int(j)): float(w) for (i, j), w in self.h_quad.items()
         }
+        n = self.num_qubits
         for i, j in self.h_quad:
-            if not 0 <= i < j < self.num_qubits:
+            if not 0 <= i < j < n:
                 raise ValueError(f"coupling ({i},{j}) must satisfy 0 <= i < j < n")
         require_finite("h_lin", self.h_lin)
         require_finite("h_quad", list(self.h_quad.values()))
         require_finite("h_const", self.h_const)
+
+    @property
+    def num_qubits(self) -> int:
+        """One qubit per entry of ``h_lin``."""
+        return self.h_lin.size
 
     def cost_vector(self) -> np.ndarray:
         """The diagonal cost of every bitstring, indexed by integer value: the
@@ -423,12 +426,11 @@ def build_quio(qcio: QcioProblem, rho: float) -> QuioProblem:
     M_rho = M + rho A'A,  l_rho = l - 2 rho r'A,  c_rho = c + rho |r|^2,
     so that cost_rho(x) = cost(x) + rho |Ax - r|^2.
     """
-    if rho < 0:
-        raise ValueError("penalty weight must be nonnegative")
+    require_penalty(rho)
     M_rho = qcio.M + rho * qcio.A.T @ qcio.A
     l_rho = qcio.l - 2.0 * rho * qcio.r @ qcio.A
     c_rho = qcio.c + rho * float(qcio.r @ qcio.r)
-    return QuioProblem(M_rho=M_rho, l_rho=l_rho, c_rho=c_rho, rho=rho)
+    return QuioProblem(M_rho=M_rho, l_rho=l_rho, c_rho=c_rho)
 
 
 def upper_triangularize(mat: np.ndarray) -> np.ndarray:
@@ -474,7 +476,7 @@ def to_ising(qubo: QuboProblem) -> IsingModel:
             h_lin[i] -= q_ij / 4.0
             h_lin[j] -= q_ij / 4.0
             h_const += q_ij / 4.0
-    return IsingModel(h_quad=h_quad, h_lin=h_lin, h_const=h_const, num_qubits=N)
+    return IsingModel(h_quad=h_quad, h_lin=h_lin, h_const=h_const)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +549,7 @@ def min_penalty(qcio: QcioProblem, enc: BinaryEncoding) -> float:
     the scan makes 2 passes over the 2^16 totals instead of 52.
     """
     # the cost and the squared residual |ABb - r|^2 as two QUBOs in the bits
-    squares = QuioProblem(qcio.A.T @ qcio.A, -2.0 * qcio.r @ qcio.A, float(qcio.r @ qcio.r), 1.0)
+    squares = QuioProblem(qcio.A.T @ qcio.A, -2.0 * qcio.r @ qcio.A, float(qcio.r @ qcio.r))
     qubos = [encode_binary(quio, enc) for quio in (build_quio(qcio, 0.0), squares)]
     base, penalty = (quadratic_table(q.Q, q.constant) for q in qubos)
     feasible = penalty <= _ATOL

@@ -18,7 +18,7 @@ from .model import require_integer
 _TOL = 1e-6  # COBYLA's final trust-region radius
 
 
-@dataclass
+@dataclass(eq=False)
 class OptTrace:
     iterates: list  # [(params, cost), ...] in evaluation order
     final_cost: float
@@ -33,7 +33,7 @@ class OptTrace:
             raise ValueError("final_cost must equal the last iterate's cost")
 
 
-@dataclass
+@dataclass(eq=False)
 class MultiStartReport:
     traces: list
     best_params: np.ndarray

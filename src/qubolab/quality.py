@@ -47,9 +47,10 @@ class Distribution:
 
     @classmethod
     def from_sampleset(cls, samples: SampleSet) -> "Distribution":
-        if samples.shots < 1:
+        shots = samples.shots
+        if shots < 1:
             raise ValueError("empty sample set")
-        return cls({s: c / samples.shots for s, c in samples.counts.items()})
+        return cls({s: c / shots for s, c in samples.counts.items()})
 
     @classmethod
     def from_state(cls, state: StateVector) -> "Distribution":

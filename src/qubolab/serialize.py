@@ -1,14 +1,18 @@
 """JSON interchange for the documents the CLI exchanges, and its CSV exports.
 
-One field-driven codec covers the nine document types that ``qubolab``
+One field-driven codec covers the seven document types that ``qubolab``
 writes or reads back. A document carries the ``init`` fields of its
 dataclass under their own names, a "type" tag and a schema version: arrays
 become nested lists, tuples become lists and tuple dict keys become
 ``"i,j"`` strings. Decoding hands the fields straight to the constructor,
 whose ``__post_init__`` checks and coerces them. A new document type is one
 entry in ``DOCUMENT_TYPES``, plus a ``_DECODE_HOOKS`` entry only when a
-field holds tuple-keyed dicts. CSV exports start with a
-``# schema_version=N`` comment line so plot files stay self-describing.
+field holds tuple-keyed dicts. A value derived from other fields
+(``QuboProblem.num_vars``, ``SampleSet.shots``, ``LamaSpec.num_cars``,
+``TrpSpec.num_cities``) is no ``init`` field, so a document holds each fact
+once, and a document that still carries one is refused, naming it. CSV
+exports start with a ``# schema_version=N`` comment line so plot files stay
+self-describing.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .annealer import SweepRow
-from .model import BinaryEncoding, QcioProblem, QuboProblem, SolveReport
+from .model import QuboProblem, SolveReport
 from .quality import Distribution
 from .simulator import SampleSet
 from .transpiler import ErrorMap
@@ -32,8 +36,7 @@ from .variational import Landscape
 SCHEMA_VERSION = 1
 
 DOCUMENT_TYPES = {cls.__name__: cls for cls in (
-    QcioProblem, BinaryEncoding, QuboProblem, SolveReport, LamaSpec, TrpSpec,
-    SampleSet, Distribution, ErrorMap,
+    QuboProblem, SolveReport, LamaSpec, TrpSpec, SampleSet, Distribution, ErrorMap,
 )}
 _signature = functools.cache(inspect.signature)  # checks a document's field names
 

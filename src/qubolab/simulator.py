@@ -110,7 +110,7 @@ class Circuit:
         return self
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     amplitudes: np.ndarray
     num_qubits: int
@@ -146,20 +146,20 @@ class StateVector:
 
 @dataclass
 class SampleSet:
+    """Counts of sampled bitstrings; ``shots`` is their sum, set once here."""
+
     counts: dict
-    shots: int
+    shots: int = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.counts, dict):
             raise ValueError(f"counts must be an object, got {self.counts!r}")
         require_each(require_integer, "count", self.counts.values())
-        require_integer("shots", self.shots)
         self.counts = {k: int(v) for k, v in self.counts.items()}
         parse_bits(self.counts)
         if any(v < 0 for v in self.counts.values()):
             raise ValueError("negative count")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to shots")
+        self.shots = sum(self.counts.values())
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -345,5 +345,5 @@ def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
     draws = np.random.default_rng(seed).multinomial(shots, probs)
     drawn = np.flatnonzero(draws)
     keys = render_bits(index_bits(drawn, state.num_qubits))
-    return SampleSet(dict(zip(keys, draws[drawn].tolist())), shots)
+    return SampleSet(dict(zip(keys, draws[drawn].tolist())))
 

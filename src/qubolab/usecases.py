@@ -9,7 +9,7 @@ the cyclic tour assignment b_{city,time} with one-hot row/column penalties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .model import (
     require_each,
     require_finite,
     require_integer,
-    require_real,
 )
 
 NUM_LEVELS = 4  # charging levels 0..3, two bits per variable
@@ -29,24 +28,22 @@ NUM_LEVELS = 4  # charging levels 0..3, two bits per variable
 
 @dataclass
 class LamaSpec:
-    """One charging station, ``num_cars`` cars, ``num_timeslots`` slots.
+    """One charging station, one car per availability window, ``num_timeslots`` slots.
 
     availability[c] lists the slots car c may charge in; required_energy[c]
-    is its demand in level units summed over those slots.
+    is its demand in level units summed over those slots. Every car charges
+    at one of the ``NUM_LEVELS`` levels per slot. ``num_cars`` is
+    ``len(availability)``, set once here: decoders read it per bitstring.
     """
 
     num_timeslots: int
-    num_cars: int
     availability: list[list[int]]
     required_energy: list[int]
-    num_levels: int = NUM_LEVELS
+    num_cars: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("num_timeslots", "num_cars", "num_levels"):
-            require_integer(name, getattr(self, name), least=1)
-        if self.num_levels != NUM_LEVELS:  # the 2-bit encoding holds levels 0..3 only
-            raise ValueError(f"num_levels must be {NUM_LEVELS}, got {self.num_levels!r}")
-        T, C = self.num_timeslots, self.num_cars
+        require_integer("num_timeslots", self.num_timeslots, least=1)
+        T = self.num_timeslots
         windows, energy = self.availability, self.required_energy
         seq = (list, tuple)
         if not isinstance(windows, seq) or not all(isinstance(v, seq) for v in [energy, *windows]):
@@ -56,9 +53,12 @@ class LamaSpec:
             require_each(require_integer, "availability", window)
         self.availability = [sorted(int(t) for t in w) for w in windows]
         self.required_energy = [int(e) for e in energy]
-        if len(self.availability) != C or len(self.required_energy) != C:
+        self.num_cars = len(self.availability)
+        if not self.num_cars:
+            raise ValueError("need at least one car")
+        if len(self.required_energy) != self.num_cars:
             raise ValueError("availability and required_energy must have one entry per car")
-        max_level = self.num_levels - 1
+        max_level = NUM_LEVELS - 1
         for c, window in enumerate(self.availability):
             if not window:
                 raise ValueError(f"car {c} has no available slots")
@@ -80,7 +80,8 @@ class LamaSpec:
 def build_lama(spec: LamaSpec) -> tuple[QcioProblem, BinaryEncoding]:
     """Integer model of the charging problem plus its two-bit level encoding.
 
-    Variable x_{c,t} (index c*T + t) is the level car c charges at in slot t.
+    Variable x_{c,t} (index c*T + t) is the level car c charges at in slot t,
+    0..3 through its two bits.
     The objective sum_t (sum_c x_{c,t})^2 flattens the load profile; the
     constraint rows pin each car's energy inside its window and zero it
     outside. Uses 2*C*T qubits.
@@ -105,17 +106,7 @@ def build_lama(spec: LamaSpec) -> tuple[QcioProblem, BinaryEncoding]:
                 A[row, c * T + t] = 1.0
                 r[row] = 0.0
                 row += 1
-    qcio = QcioProblem(
-        dim_n=n,
-        M=M,
-        l=np.zeros(n),
-        c=0.0,
-        A=A,
-        r=r,
-        lower=np.zeros(n, dtype=int),
-        upper=np.full(n, spec.num_levels - 1),
-    )
-    return qcio, BinaryEncoding.levels(n)
+    return QcioProblem(M=M, l=np.zeros(n), c=0.0, A=A, r=r), BinaryEncoding.levels(n)
 
 
 def decode_lama(bits: np.ndarray | str, spec: LamaSpec) -> tuple[np.ndarray, bool]:
@@ -149,19 +140,19 @@ def example_series() -> dict[str, LamaSpec]:
     1, 3 / 1, 3, 1 / 3, 3, 6, 19, matching the original study of the model.
     """
     ex = {
-        "Ex0p1": LamaSpec(3, 1, [[0, 1]], [2]),
-        "Ex0p2": LamaSpec(3, 1, [[0, 1, 2]], [4]),
-        "Ex1p1": LamaSpec(4, 1, [[0, 1]], [2]),
-        "Ex1p2": LamaSpec(4, 1, [[0, 1, 2]], [4]),
-        "Ex1p3": LamaSpec(4, 1, [[0, 1, 2, 3]], [4]),
-        "Ex2p1": LamaSpec(4, 2, [[0, 1], [1, 2]], [4, 4]),
-        "Ex2p2": LamaSpec(4, 2, [[0, 1, 2], [1, 2, 3]], [4, 4]),
-        "Ex2p3": LamaSpec(4, 2, [[0, 1, 2, 3], [1, 2, 3]], [4, 4]),
-        "Ex2p4": LamaSpec(4, 2, [[0, 1, 2, 3], [0, 1, 2, 3]], [4, 4]),
-        "Ex3p1": LamaSpec(8, 2, [[0, 1, 2, 3], [3, 4, 5, 6, 7]], [4, 4]),
-        "Ex3p2": LamaSpec(8, 2, [list(range(8)), list(range(8))], [8, 8]),
-        "Ex4p1": LamaSpec(8, 3, [[0, 1, 2], [2, 3, 4], [4, 5, 6, 7]], [4, 4, 4]),
-        "Ex4p2": LamaSpec(8, 3, [list(range(8))] * 3, [8, 8, 8]),
+        "Ex0p1": LamaSpec(3, [[0, 1]], [2]),
+        "Ex0p2": LamaSpec(3, [[0, 1, 2]], [4]),
+        "Ex1p1": LamaSpec(4, [[0, 1]], [2]),
+        "Ex1p2": LamaSpec(4, [[0, 1, 2]], [4]),
+        "Ex1p3": LamaSpec(4, [[0, 1, 2, 3]], [4]),
+        "Ex2p1": LamaSpec(4, [[0, 1], [1, 2]], [4, 4]),
+        "Ex2p2": LamaSpec(4, [[0, 1, 2], [1, 2, 3]], [4, 4]),
+        "Ex2p3": LamaSpec(4, [[0, 1, 2, 3], [1, 2, 3]], [4, 4]),
+        "Ex2p4": LamaSpec(4, [[0, 1, 2, 3], [0, 1, 2, 3]], [4, 4]),
+        "Ex3p1": LamaSpec(8, [[0, 1, 2, 3], [3, 4, 5, 6, 7]], [4, 4]),
+        "Ex3p2": LamaSpec(8, [list(range(8)), list(range(8))], [8, 8]),
+        "Ex4p1": LamaSpec(8, [[0, 1, 2], [2, 3, 4], [4, 5, 6, 7]], [4, 4, 4]),
+        "Ex4p2": LamaSpec(8, [list(range(8))] * 3, [8, 8, 8]),
     }
     return ex
 
@@ -170,34 +161,27 @@ def example_series() -> dict[str, LamaSpec]:
 # truck routing
 
 
-@dataclass
+@dataclass(eq=False)
 class TrpSpec:
-    """Cyclic tour over ``num_cities`` with pairwise distances and penalty rho."""
+    """Cyclic tour over the cities of a symmetric, zero-diagonal distance
+    matrix. ``num_cities`` is its side, set once here: decoders read it
+    per bitstring. The penalty weight is the bundle's, not the spec's."""
 
-    num_cities: int
     distances: np.ndarray
-    layout: str = "symmetric"
-    rho: float = 1.0
+    num_cities: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = self.num_cities
-        require_integer("num_cities", m)
-        if m < 3:
-            raise ValueError("need at least three cities")
         self.distances = number_array("distances", self.distances)
         require_finite("distances", self.distances)
+        m = self.num_cities = len(self.distances) if self.distances.ndim else 0
+        if m < 3:
+            raise ValueError("need at least three cities")
         if self.distances.shape != (m, m):
             raise ValueError(f"distance matrix must be {m}x{m}")
-        if self.layout not in ("symmetric", "asymmetric"):
-            raise ValueError("layout must be 'symmetric' or 'asymmetric'")
         if np.any(np.diag(self.distances) != 0.0):
             raise ValueError("distance matrix must have zero diagonal")
         if not np.allclose(self.distances, self.distances.T):
             raise ValueError("distance matrix must be symmetric")
-        require_real("penalty weight", self.rho)
-        require_finite("penalty weight", self.rho)
-        if self.rho < 0:
-            raise ValueError("penalty weight must be nonnegative")
 
     @property
     def num_qubits(self) -> int:
@@ -209,13 +193,15 @@ class TrpSpec:
         return float(sum(self.distances[order[t], order[(t + 1) % m]] for t in range(m)))
 
 
-def gen_cities(m: int, layout: str = "symmetric", seed: int = 0, rho: float = 1.0) -> TrpSpec:
+def gen_cities(m: int, layout: str = "symmetric", seed: int = 0) -> TrpSpec:
     """City layout generator.
 
     symmetric: m points equidistant on the unit circle (adjacent chord length
     2 sin(pi/m)); asymmetric: seeded uniform points in the unit square. Both
-    use Euclidean distances.
+    use Euclidean distances, which are all the spec keeps: the layout and
+    seed only make them, and the penalty weight goes to ``build_quio``.
     """
+    require_integer("num_cities", m)
     if m < 3:  # TrpSpec's own check, made before any points are drawn
         raise ValueError("need at least three cities")
     if layout == "symmetric":
@@ -227,11 +213,11 @@ def gen_cities(m: int, layout: str = "symmetric", seed: int = 0, rho: float = 1.
         raise ValueError("layout must be 'symmetric' or 'asymmetric'")
     delta = points[:, None, :] - points[None, :, :]
     distances = np.sqrt((delta**2).sum(axis=2))
-    return TrpSpec(num_cities=m, distances=distances, layout=layout, rho=rho)
+    return TrpSpec(distances)
 
 
 def trp_model(spec: TrpSpec) -> tuple[QcioProblem, BinaryEncoding]:
-    """Integer model of the tour problem, bounds 0..1, plus its one-bit encoding.
+    """Integer model of the tour problem plus its one-bit encoding (values 0..1).
 
     Variable b_{i,t} (index i*m + t) is 1 when city i is visited at time t.
     The objective charges d_ij for city j following city i (time wraps);
@@ -250,14 +236,11 @@ def trp_model(spec: TrpSpec) -> tuple[QcioProblem, BinaryEncoding]:
         A[i, i * m : (i + 1) * m] = 1.0  # city i appears exactly once
         A[m + i, i::m] = 1.0  # time step i hosts exactly one city
     qcio = QcioProblem(
-        dim_n=n,
         M=np.kron(spec.distances / d_max, successor),
         l=np.zeros(n),
         c=0.0,
         A=A,
         r=np.repeat([1.0, 0.0], [2 * m, n - 2 * m]),
-        lower=np.zeros(n, dtype=int),
-        upper=np.ones(n, dtype=int),
     )
     return qcio, BinaryEncoding.levels(n, 1)
 

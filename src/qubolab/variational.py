@@ -67,7 +67,7 @@ def ansatz_params(algorithm: str, layers: int, num_qubits: int, vector) -> np.nd
     return vector.reshape(shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class Landscape:
     """``grid[i][j]`` is the energy at ``(beta, gamma) = (axis[i], axis[j])``."""
 

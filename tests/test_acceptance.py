@@ -190,8 +190,8 @@ def test_03_transform_chain_oracle():
         assert np.allclose(costs, qcio_penalized_costs(qcio, enc, rho), atol=1e-9)
         assert np.allclose(to_ising(qubo).cost_vector(), costs, atol=1e-9)
     for m in (3, 4):
-        spec = gen_cities(m, "symmetric", rho=1.5)
-        qubo = build_trp(spec)
+        spec = gen_cities(m, "symmetric")
+        qubo = build_trp(spec, 1.5)
         costs = qubo_cost_vector(qubo)
         assert np.allclose(costs, trp_direct_costs(spec, 1.5), atol=1e-9)
         assert np.allclose(to_ising(qubo).cost_vector(), costs, atol=1e-9)
@@ -381,8 +381,8 @@ def test_09_trotter_trend_and_exact_overlap():
 
 
 def test_10_solution_rates_both_use_cases():
-    spec = gen_cities(5, "symmetric", rho=2.0)
-    qubo = build_trp(spec)
+    spec = gen_cities(5, "symmetric")
+    qubo = build_trp(spec, 2.0)
     assert qubo.num_vars == 25
     best_length = min(
         decode_trp(route_to_bits(list(order), 5), spec)[2]

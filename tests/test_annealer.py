@@ -155,7 +155,7 @@ def reference_sa_sample(qubo, cfg):
     for row in states.astype(int):
         key = bits_to_str(row)
         counts[key] = counts.get(key, 0) + 1
-    return SampleSet(counts, reads)
+    return SampleSet(counts)
 
 
 def assert_same_samples(fast, reference):
@@ -181,7 +181,7 @@ def test_sa_kernel_equals_reference_loop(seed, n, reads, sweeps, t_hot):
 
 @pytest.mark.parametrize("cities", [4, 5, 9])  # 9 cities: 81-bit keys
 def test_sa_kernel_equals_reference_loop_on_tours(cities):
-    qubo = build_trp(gen_cities(cities, rho=2.0))
+    qubo = build_trp(gen_cities(cities), 2.0)
     cfg = SaConfig(num_reads=400, sweeps=30, seed=cities)
     assert_same_samples(sa_sample(qubo, cfg), reference_sa_sample(qubo, cfg))
 
@@ -308,7 +308,7 @@ def test_trotter_matches_exact_integration_at_two_qubits():
 def test_trotter_rejects_oversize_and_bad_dt():
     from qubolab.model import IsingModel
 
-    big = IsingModel({}, np.zeros(13), 0.0, 13)
+    big = IsingModel({}, np.zeros(13), 0.0)
     with pytest.raises(ValueError):
         qa_trotter(big, AnnealSchedule(1.0), dt=0.1)
     ising, _ = three_qubit_ising()

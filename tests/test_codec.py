@@ -38,13 +38,11 @@ def instances() -> list:
     qcio, enc = build_lama(example_series()["Ex0p1"])
     qubo = encode_binary(build_quio(qcio, 1.5), enc)
     return [
-        qcio,
-        enc,
         qubo,
         brute_force_solve(qubo),
         example_series()["Ex2p1"],
-        gen_cities(4, "asymmetric", seed=3, rho=1.5),
-        SampleSet({"010": 7, "000": 3}, shots=10),
+        gen_cities(4, "asymmetric", seed=3),
+        SampleSet({"010": 7, "000": 3}),
         ErrorMap(
             {0: 0.001, 10: 0.002, 2: 0.003},
             {(0, 10): 0.01, (2, 3): 0.015, (10, 2): 0.02},
@@ -68,7 +66,7 @@ def test_dumps_matches_golden_document(obj):
     assert dumps(from_dict(json.loads(text))) + "\n" == text
 
 
-def test_malformed_documents_rejected():
+def test_malformed_documents_rejected(tmp_path, capsys):
     good = json.loads(dumps(Distribution({"1": 1.0})))
     with pytest.raises(ValueError, match="unknown document type"):
         from_dict({**good, "type": "Mystery"})
@@ -82,6 +80,40 @@ def test_malformed_documents_rejected():
     del report["optimal_cost"]
     with pytest.raises(ValueError, match="missing"):
         from_dict(report)
+    # a field that repeats another, or that nothing reads, is no field: a
+    # document written with one is refused, naming it
+    lama = json.loads(dumps(example_series()["Ex0p1"]))
+    trp = json.loads(dumps(gen_cities(4)))
+    for doc, field in [
+        ({**json.loads(dumps(QuboProblem(Q=[[1.0]], constant=0.0))), "num_vars": 1}, "num_vars"),
+        ({**json.loads(dumps(SampleSet({"01": 2}))), "shots": 2}, "shots"),
+        ({**lama, "num_cars": 1}, "num_cars"),
+        ({**lama, "num_levels": 4}, "num_levels"),
+        ({**trp, "num_cities": 4}, "num_cities"),
+        ({**trp, "layout": "symmetric"}, "layout"),
+        ({**trp, "rho": 1.0}, "rho"),
+    ]:
+        with pytest.raises(ValueError, match=f"{doc['type']} document: .* '{field}'$"):
+            from_dict(doc)
+    # the QCIO and its encoding are rebuilt from the spec, never read back
+    for kind in ("QcioProblem", "BinaryEncoding"):
+        with pytest.raises(ValueError, match=f"unknown document type '{kind}'"):
+            from_dict({"schema_version": 1, "type": kind, "B": [[1.0]], "M": [[1.0]]})
+    # through the CLI: an old bundle and an old SampleSet exit 1 and write nothing
+    bundle, samples, out = tmp_path / "bundle.json", tmp_path / "samples.json", tmp_path / "out.json"
+    assert cli.main(["build", "lama", "--instance", "Ex0p1", "-o", str(bundle)]) == 0
+    old = json.loads(bundle.read_text())
+    old["qubo"]["num_vars"] = 6
+    bundle.write_text(json.dumps(old))
+    samples.write_text(json.dumps({**json.loads(dumps(SampleSet({"01": 2}))), "shots": 2}))
+    capsys.readouterr()
+    for argv, field in [
+        (["solve-brute", str(bundle), "-o", str(out)], "num_vars"),
+        (["score", str(samples), str(samples), "-o", str(out)], "shots"),
+    ]:
+        assert cli.main(argv) == 1
+        assert f"unexpected keyword argument '{field}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -121,7 +153,7 @@ def test_solve_report_rejects_wrong_field_types(fields):
 def test_valid_route_and_report_keep_their_values():
     order, _, _ = decode_trp(route_to_bits([2, 0, 1], 3), gen_cities(3))
     assert order == [2, 0, 1]
-    spec = LamaSpec(np.int64(3), 1, [(np.int64(1), 0)], [np.int64(2)])
+    spec = LamaSpec(np.int64(3), [(np.int64(1), 0)], [np.int64(2)])
     assert (spec.availability, spec.required_energy) == ([[0, 1]], [2])
     assert {type(spec.availability[0][0]), type(spec.required_energy[0])} == {int}
     report = SolveReport(np.float64(-1.5), ("01", "10"), np.int64(4))
@@ -136,19 +168,20 @@ def test_valid_route_and_report_keep_their_values():
 @pytest.mark.parametrize(
     "doc",
     [
-        {"type": "LamaSpec", "num_timeslots": 3, "num_cars": 1, "availability": [[0, 1]],
+        {"type": "LamaSpec", "num_timeslots": 3, "availability": [[0, 1]],
          "required_energy": [2.7]},
-        {"type": "LamaSpec", "num_timeslots": 3, "num_cars": 1, "availability": [[0, 1.5]],
+        {"type": "LamaSpec", "num_timeslots": 3, "availability": [[0, 1.5]],
          "required_energy": [2]},
-        {"type": "LamaSpec", "num_timeslots": 1.5, "num_cars": 1, "availability": [[0]],
+        {"type": "LamaSpec", "num_timeslots": 1.5, "availability": [[0]],
          "required_energy": [2]},
+        # num_cars and shots are no fields now: refused by name, whatever the value
         {"type": "LamaSpec", "num_timeslots": 3, "num_cars": True, "availability": [[0, 1]],
          "required_energy": [2]},
-        {"type": "LamaSpec", "num_timeslots": 3, "num_cars": 1, "availability": 5,
+        {"type": "LamaSpec", "num_timeslots": 3, "availability": 5,
          "required_energy": [2]},
-        {"type": "SampleSet", "counts": {"0": 2.5, "1": 2.5}, "shots": 4},
+        {"type": "SampleSet", "counts": {"0": 2.5, "1": 2.5}},
         {"type": "SampleSet", "counts": {"0": 1}, "shots": True},
-        {"type": "SampleSet", "counts": [["0", 1]], "shots": 1},
+        {"type": "SampleSet", "counts": [["0", 1]]},
         {"type": "Distribution", "probs": [["0", 1.0]]},
         {"type": "Distribution", "probs": {"0": "1.0"}},
         {"type": "ErrorMap", "single": [0.1], "two": {}, "measure": {}},
@@ -158,10 +191,11 @@ def test_valid_route_and_report_keep_their_values():
         {"type": "QuboProblem", "Q": [[1.0]], "constant": [1.0]},
         {"type": "QuboProblem", "Q": [["1.5"]], "constant": 0.0},
         {"type": "QuboProblem", "Q": [[True]], "constant": 0.0},
+        # no document type now; test_model checks that the constructor refuses both
         {"type": "BinaryEncoding", "B": [[1.0, 2.0]], "bits_per_var": 2},
         {"type": "BinaryEncoding", "B": [[1.0, 2.0]], "bits_per_var": [2.5]},
         {"type": "TrpSpec", "num_cities": "3", "distances": [[0.0]]},
-        {"type": "TrpSpec", "num_cities": 3, "distances": {}},
+        {"type": "TrpSpec", "distances": {}},
     ],
     ids=[
         "lama-fraction-energy", "lama-fraction-slot", "lama-fraction-slots", "lama-bool-cars",
@@ -178,16 +212,14 @@ def test_documents_refuse_values_they_once_truncated_or_crashed_on(doc):
 
 
 # ---------------------------------------------------------------------------
-# fuzzing the nine documents
+# fuzzing the seven documents
 
 # fields whose value is a real number, and fields whose entries are: a
 # fraction is a valid value there
-_REAL_FIELDS = {"c", "constant", "optimal_cost", "rho"}
-_REAL_ENTRIES = {"M", "l", "A", "r", "B", "Q", "distances", "probs", "single", "two", "measure"}
-# text that is neither a bitstring nor a layout name
-_TEXT = st.text(min_size=1, max_size=8).filter(
-    lambda s: s.strip("01") and s not in ("symmetric", "asymmetric")
-)
+_REAL_FIELDS = {"constant", "optimal_cost"}
+_REAL_ENTRIES = {"Q", "distances", "probs", "single", "two", "measure"}
+# text that is not a bitstring
+_TEXT = st.text(min_size=1, max_size=8).filter(lambda s: s.strip("01"))
 _NOT_NUMBERS = st.one_of(st.booleans(), _TEXT, st.none())
 _CORRUPT = {
     "bool": st.booleans(),
@@ -204,7 +236,7 @@ _CORRUPT = {
 
 @st.composite
 def corrupt_documents(draw):
-    """A valid document of one of the nine types with one field, or one
+    """A valid document of one of the seven types with one field, or one
     entry nested in it, set to a value it must refuse; and that field."""
     doc = json.loads(dumps(draw(st.sampled_from(instances()))))
     field = draw(st.sampled_from(sorted(set(doc) - {"schema_version", "type"})))
@@ -227,6 +259,8 @@ def test_from_dict_refuses_one_corrupt_field(case):
 
 
 def test_defaulted_fields_may_be_omitted():
+    report = from_dict({"type": "SolveReport", "optimal_cost": 0.5})
+    assert (report.optimal_set, report.evaluations) == ([], 0)
     doc = {"type": "QuboProblem", "Q": [[1.0, -1.0], [0.0, 2.0]], "constant": 0.5}
     assert from_dict(doc).num_vars == 2
 
@@ -263,7 +297,7 @@ def test_trp_spec_rejects_a_non_finite_distance_pair(bad):
     distances = np.ones((3, 3)) - np.eye(3)
     distances[0, 1] = distances[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite distances"):
-        TrpSpec(num_cities=3, distances=distances)
+        TrpSpec(distances=distances)
 
 
 def test_score_rejects_nan_distribution_file(tmp_path, capsys):

@@ -6,16 +6,18 @@ encoding, Pauli substitution) and are frozen here as literals.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qubolab import model, optimizer, simulator, usecases, variational
 from qubolab.model import (
     BinaryEncoding,
     IsingModel,
+    QcioProblem,
     QuboProblem,
     SolveReport,
     brute_force_solve,
@@ -34,6 +36,8 @@ from qubolab.model import (
     upper_triangularize,
 )
 from qubolab.quality import Distribution, relative_error
+from qubolab.simulator import StateVector
+from qubolab.usecases import gen_cities
 
 from util import (
     all_bitstrings,
@@ -49,7 +53,6 @@ from util import (
     quio_cost,
     random_qcio,
     random_qubo,
-    toy_qcio,
 )
 
 
@@ -162,7 +165,7 @@ def test_build_quio_identity_constraint_with_zero_rhs():
 
 def test_build_quio_expands_penalty_by_hand():
     # 1*(x - 2)^2 = x^2 - 4x + 4
-    qcio = toy_qcio(M=[[0.0]], l=[0.0], c=0.0, A=[[1.0]], r=[2.0])
+    qcio = QcioProblem(M=[[0.0]], l=[0.0], c=0.0, A=[[1.0]], r=[2.0])
     quio = build_quio(qcio, 1.0)
     np.testing.assert_allclose(quio.M_rho, [[1.0]])
     np.testing.assert_allclose(quio.l_rho, [-4.0])
@@ -170,7 +173,7 @@ def test_build_quio_expands_penalty_by_hand():
 
 
 def test_build_quio_rejects_negative_rho():
-    qcio = toy_qcio(M=[[0.0]], l=[0.0], c=0.0, A=[[1.0]], r=[2.0])
+    qcio = QcioProblem(M=[[0.0]], l=[0.0], c=0.0, A=[[1.0]], r=[2.0])
     with pytest.raises(ValueError):
         build_quio(qcio, -0.5)
 
@@ -208,7 +211,7 @@ def test_upper_triangularize_preserves_quadratic_form():
 
 def test_encode_binary_level_encoding_by_hand():
     # (b1 + 2 b2)^2 with b^2 = b: Q = [[1, 4], [0, 4]]
-    quio = build_quio(toy_qcio([[1.0]], [0.0], 0.0, [[0.0]], [0.0]), 0.0)
+    quio = build_quio(QcioProblem([[1.0]], [0.0], 0.0, [[0.0]], [0.0]), 0.0)
     enc = BinaryEncoding.levels(1)
     qubo = encode_binary(quio, enc)
     np.testing.assert_allclose(qubo.Q, [[1.0, 4.0], [0.0, 4.0]])
@@ -216,14 +219,14 @@ def test_encode_binary_level_encoding_by_hand():
 
 
 def test_encode_binary_zero_problem_gives_zero_qubo():
-    quio = build_quio(toy_qcio([[0.0]], [0.0], 0.0, [[0.0]], [0.0]), 0.0)
+    quio = build_quio(QcioProblem([[0.0]], [0.0], 0.0, [[0.0]], [0.0]), 0.0)
     qubo = encode_binary(quio, BinaryEncoding.levels(1))
     np.testing.assert_array_equal(qubo.Q, np.zeros((2, 2)))
 
 
 def test_encode_binary_identity_encoding_merges_linear_terms():
     quio = build_quio(
-        toy_qcio(np.diag([2.0, 3.0]), [1.0, -1.0], 0.5, np.zeros((2, 2)), [0.0, 0.0]),
+        QcioProblem(np.diag([2.0, 3.0]), [1.0, -1.0], 0.5, np.zeros((2, 2)), [0.0, 0.0]),
         0.0,
     )
     enc = BinaryEncoding(B=np.eye(2), bits_per_var=[1, 1])
@@ -232,8 +235,14 @@ def test_encode_binary_identity_encoding_merges_linear_terms():
     assert qubo.constant == 0.5
 
 
+@pytest.mark.parametrize("bits_per_var", [2, [2.5]])
+def test_binary_encoding_refuses_a_malformed_bit_count(bits_per_var):
+    with pytest.raises(ValueError, match="bits_per_var must be"):
+        BinaryEncoding(B=[[1.0, 2.0]], bits_per_var=bits_per_var)
+
+
 def test_encode_binary_rejects_dimension_mismatch():
-    quio = build_quio(toy_qcio([[1.0]], [0.0], 0.0, [[0.0]], [0.0]), 0.0)
+    quio = build_quio(QcioProblem([[1.0]], [0.0], 0.0, [[0.0]], [0.0]), 0.0)
     with pytest.raises(ValueError):
         encode_binary(quio, BinaryEncoding.levels(2))
 
@@ -436,7 +445,7 @@ def test_ising_cost_vector_equals_the_per_string_diagonal(n, dyadic, seed):
         draw = lambda size: rng.uniform(-2.0, 2.0, size)  # noqa: E731
     weights = draw((n, n))
     h_quad = {(i, j): float(weights[i, j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7}
-    ising = IsingModel(h_quad, draw(n), float(draw(1)[0]), n)
+    ising = IsingModel(h_quad, draw(n), float(draw(1)[0]))
     reference = np.array([diag_cost(ising, int_to_bits(v, n)) for v in range(1 << n)])
     if dyadic:
         np.testing.assert_array_equal(ising.cost_vector(), reference)
@@ -447,9 +456,33 @@ def test_ising_cost_vector_equals_the_per_string_diagonal(n, dyadic, seed):
         assert np.abs(ising.cost_vector() - reference).max() <= bound
 
 
+def test_value_equal_array_holders_compare_as_a_bool():
+    # the generated __eq__ compared the ndarray fields and raised "The truth
+    # value of an array with more than one element is ambiguous"
+    for make in (
+        lambda: QuboProblem(np.eye(2), 0.0),
+        lambda: IsingModel({(0, 1): 1.0}, np.zeros(2), 0.0),
+        lambda: QcioProblem(np.eye(2), np.zeros(2), 0.0, np.eye(2), np.ones(2)),
+        lambda: gen_cities(3),
+        lambda: StateVector.plus_state(2),
+    ):
+        a, b = make(), make()
+        assert (a == b) is False and (a != b) is True and (a == a) is True
+    # so every dataclass of the package with an ndarray field compares by identity
+    holders = {
+        cls for module in (model, optimizer, simulator, usecases, variational)
+        for cls in vars(module).values()
+        if is_dataclass(cls) and any("ndarray" in str(f.type) for f in fields(cls))
+    }
+    assert len(holders) == 9
+    assert not [cls for cls in holders if cls.__dataclass_params__.eq]
+
+
 def test_ising_model_refuses_a_field_vector_of_another_length():
-    with pytest.raises(ValueError, match="h_lin has 2 entries for 3 qubits"):
-        IsingModel({}, [1.0, 2.0], 0.0, num_qubits=3)
+    # h_lin sets the qubit count, so a coupling past it is refused
+    with pytest.raises(ValueError, match=r"coupling \(0,2\) must satisfy 0 <= i < j < n"):
+        IsingModel({(0, 2): 1.0}, [1.0, 2.0], 0.0)
+    assert IsingModel({(0, 2): 1.0}, [1.0, 2.0, 0.0], 0.0).num_qubits == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -595,21 +628,21 @@ def test_brute_force_chunking_agrees_with_single_pass():
 
 
 def test_min_penalty_unconstrained_is_zero():
-    qcio = toy_qcio(np.diag([1.0, 1.0]), [0.0, 0.0], 0.0, np.zeros((2, 2)), [0.0, 0.0])
+    qcio = QcioProblem(np.diag([1.0, 1.0]), [0.0, 0.0], 0.0, np.zeros((2, 2)), [0.0, 0.0])
     assert min_penalty(qcio, BinaryEncoding.levels(2)) == 0.0
 
 
 def test_min_penalty_linear_toy_lands_on_first_valid_grid_point():
     # min x s.t. x = 2 over 0..3; penalized cost x + rho (x - 2)^2 keeps
     # x=1 tied with x=2 up to rho = 1, so the first clean grid point is 1.1
-    qcio = toy_qcio([[0.0]], [1.0], 0.0, [[1.0]], [2.0])
+    qcio = QcioProblem([[0.0]], [1.0], 0.0, [[1.0]], [2.0])
     enc = BinaryEncoding.levels(1)
     rho = min_penalty(qcio, enc)
     assert abs(rho - 1.1) < 1e-12
 
 
 def test_min_penalty_grid_neighbors_stay_feasible():
-    qcio = toy_qcio([[0.0]], [1.0], 0.0, [[1.0]], [2.0])
+    qcio = QcioProblem([[0.0]], [1.0], 0.0, [[1.0]], [2.0])
     enc = BinaryEncoding.levels(1)
     rho = min_penalty(qcio, enc)
     for k in range(10):
@@ -633,14 +666,14 @@ def test_min_penalty_reports_unreachable_ceiling():
     # min c x s.t. x = 1 over x in {0, 1}: x = 0 costs rho, x = 1 costs c, so
     # only a weight above c leaves the feasible point the one minimizer
     enc = BinaryEncoding.levels(1, bits_per_var=1)
-    qcio = toy_qcio([[0.0]], [100.0], 0.0, [[1.0]], [1.0], upper=1)
+    qcio = QcioProblem([[0.0]], [100.0], 0.0, [[1.0]], [1.0])
     with pytest.raises(ValueError, match="no valid penalty weight found up to ceiling 50.0"):
         min_penalty(qcio, enc)
-    qcio = toy_qcio([[0.0]], [40.0], 0.0, [[1.0]], [1.0], upper=1)
+    qcio = QcioProblem([[0.0]], [40.0], 0.0, [[1.0]], [1.0])
     assert abs(min_penalty(qcio, enc) - 40.1) < 1e-9
 
 
 def test_min_penalty_rejects_unsatisfiable_constraints():
-    qcio = toy_qcio([[0.0]], [0.0], 0.0, [[1.0]], [7.0])  # x=7 not encodable
+    qcio = QcioProblem([[0.0]], [0.0], 0.0, [[1.0]], [7.0])  # x=7 not encodable
     with pytest.raises(ValueError):
         min_penalty(qcio, BinaryEncoding.levels(1))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qubolab.model import BinaryEncoding, QcioProblem, _first_grid_index, min_penalty
 from qubolab.usecases import build_lama, example_series
 
-from util import full_rho_scan, toy_qcio
+from util import full_rho_scan
 
 # the automatic penalty of every bundled charging instance of at most 16 bits
 BUNDLED_RHO = {
@@ -50,18 +50,18 @@ def test_min_penalty_equals_the_full_scan_on_bundled_instances(name):
     "qcio, enc, expected",
     [
         # unconstrained: rho = 0 already passes
-        (toy_qcio(np.eye(2), [0.0, 0.0], 0.0, np.zeros((2, 2)), [0.0, 0.0]),
+        (QcioProblem(np.eye(2), [0.0, 0.0], 0.0, np.zeros((2, 2)), [0.0, 0.0]),
          BinaryEncoding.levels(2), 0.0),
         # min x s.t. x = 2: x = 1 ties with x = 2 at rho = 1
-        (toy_qcio([[0.0]], [1.0], 0.0, [[1.0]], [2.0]), BinaryEncoding.levels(1), 1.1),
+        (QcioProblem([[0.0]], [1.0], 0.0, [[1.0]], [2.0]), BinaryEncoding.levels(1), 1.1),
         # min c x s.t. x = 1 over {0, 1}: the first weight above c
-        (toy_qcio([[0.0]], [40.0], 0.0, [[1.0]], [1.0], upper=1),
+        (QcioProblem([[0.0]], [40.0], 0.0, [[1.0]], [1.0]),
          BinaryEncoding.levels(1, bits_per_var=1), 40.1),
-        (toy_qcio([[0.0]], [100.0], 0.0, [[1.0]], [1.0], upper=1),
+        (QcioProblem([[0.0]], [100.0], 0.0, [[1.0]], [1.0]),
          BinaryEncoding.levels(1, bits_per_var=1),
          "no valid penalty weight found up to ceiling 50.0"),
         # x = 7 is not encodable in two bits
-        (toy_qcio([[0.0]], [0.0], 0.0, [[1.0]], [7.0]), BinaryEncoding.levels(1),
+        (QcioProblem([[0.0]], [0.0], 0.0, [[1.0]], [7.0]), BinaryEncoding.levels(1),
          "no encodable point satisfies the constraints"),
     ],
     ids=["unconstrained", "linear-tie", "ceiling-40.1", "unreachable-ceiling", "unsatisfiable"],
@@ -91,8 +91,7 @@ def qcio_problems(draw):
     x = rng.integers(0, 1 << bits, n)
     r = A @ x + (draw(st.integers(0, 1)) if draw(st.booleans()) else 0.0)
     qcio = QcioProblem(
-        dim_n=n, M=coefficients((n, n)), l=coefficients(n), c=float(coefficients(())),
-        A=A, r=r, lower=np.zeros(n, dtype=int), upper=np.full(n, (1 << bits) - 1),
+        M=coefficients((n, n)), l=coefficients(n), c=float(coefficients(())), A=A, r=r
     )
     return qcio, BinaryEncoding.levels(n, bits)
 
@@ -110,7 +109,7 @@ def test_witness_steps_down_from_a_total_that_equals_c_star():
     base, penalty = np.array([1.0, 2.0]), np.array([1.0, 0.0])
     assert base[0] + (10 * 0.1) * penalty[0] == 2.0
     assert _first_grid_index(base, penalty, penalty <= 1e-9, 2.0) == 10
-    qcio = toy_qcio([[0.0]], [1.0], 0.0, [[1.0]], [2.0])
+    qcio = QcioProblem([[0.0]], [1.0], 0.0, [[1.0]], [2.0])
     assert assert_same_rho(qcio, BinaryEncoding.levels(1)) == 1.1
 
 

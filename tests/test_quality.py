@@ -114,13 +114,13 @@ def test_distribution_rejects_malformed_keys():
 
 
 def test_distribution_from_one_shot_is_certain_and_from_no_shot_refuses():
-    assert Distribution.from_sampleset(SampleSet({"101": 1}, shots=1)).probs == {"101": 1.0}
+    assert Distribution.from_sampleset(SampleSet({"101": 1})).probs == {"101": 1.0}
     with pytest.raises(ValueError, match="empty sample set"):
-        Distribution.from_sampleset(SampleSet({}, shots=0))
+        Distribution.from_sampleset(SampleSet({}))
 
 
 def test_distribution_from_sampleset_and_state():
-    d = Distribution.from_sampleset(SampleSet({"00": 3, "10": 1}, shots=4))
+    d = Distribution.from_sampleset(SampleSet({"00": 3, "10": 1}))
     assert d.probs == {"00": 0.75, "10": 0.25}
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 2 ** -0.5
@@ -321,7 +321,7 @@ def test_random_baseline_beats_trained_state_direction():
 
 def test_solution_rates_arithmetic_example():
     counts = {"000": 300, "001": 60, "010": 40}
-    samples = SampleSet(counts, shots=400)
+    samples = SampleSet(counts)
     table = {"000": (False, 0.0), "001": (True, 5.0), "010": (True, 3.0)}
     feasible, optimal = solution_rates(samples, lambda s: table[s], c_opt=3.0)
     assert feasible == 25.0
@@ -329,7 +329,7 @@ def test_solution_rates_arithmetic_example():
 
 
 def test_solution_rates_all_optimal_and_none_feasible():
-    samples = SampleSet({"11": 10}, shots=10)
+    samples = SampleSet({"11": 10})
     assert solution_rates(samples, lambda s: (True, 1.0), 1.0) == (100.0, 100.0)
     assert solution_rates(samples, lambda s: (False, 0.0), 1.0) == (0.0, 0.0)
 
@@ -342,7 +342,7 @@ def test_solution_rates_optimal_never_exceeds_feasible():
         counts = {k: c for k, c in counts.items() if c}
         if not counts:
             continue
-        samples = SampleSet(counts, shots=sum(counts.values()))
+        samples = SampleSet(counts)
         verdict = {k: (bool(rng.integers(2)), float(rng.integers(3))) for k in keys}
         feasible, optimal = solution_rates(samples, lambda s: verdict[s], c_opt=1.0)
         assert 0.0 <= optimal <= feasible <= 100.0
@@ -353,7 +353,7 @@ def test_solution_rates_counts_a_tour_half_a_unit_long_as_feasible_not_optimal()
     # long and the two crossing tours are 0.5 longer
     distances = np.ones((4, 4)) - np.eye(4)
     distances[0, 2] = distances[2, 0] = distances[1, 3] = distances[3, 1] = 1.25
-    spec = TrpSpec(4, distances)
+    spec = TrpSpec(distances)
     best, near = (bits_to_str(route_to_bits(order, 4)) for order in ([0, 1, 2, 3], [0, 1, 3, 2]))
 
     def decoder(s):
@@ -361,13 +361,13 @@ def test_solution_rates_counts_a_tour_half_a_unit_long_as_feasible_not_optimal()
         return ok, length
 
     assert decoder(best) == (True, 4.0) and decoder(near) == (True, 4.5)
-    samples = SampleSet({best: 3, near: 1}, shots=4)
+    samples = SampleSet({best: 3, near: 1})
     assert solution_rates(samples, decoder, c_opt=4.0) == (100.0, 75.0)
 
 
 def test_solution_rates_rejects_empty():
     with pytest.raises(ValueError):
-        solution_rates(SampleSet({}, shots=0), lambda s: (True, 0.0), 0.0)
+        solution_rates(SampleSet({}), lambda s: (True, 0.0), 0.0)
 
 
 def test_relative_error_is_namedtuple():

@@ -411,18 +411,18 @@ def test_sample_equals_per_string_comprehension(seed, n, shots):
 
 
 def test_sampleset_validation():
+    # shots is the sum of the counts, so no document can state another
+    assert SampleSet({"00": 3, "01": 2}).shots == 5
     with pytest.raises(ValueError):
-        SampleSet({"00": 3, "01": 2}, shots=4)
+        SampleSet({"01": 1, "2": 1, "abc": 2})
     with pytest.raises(ValueError):
-        SampleSet({"01": 1, "2": 1, "abc": 2}, shots=4)
+        SampleSet({"01": 2, "21": 2})
     with pytest.raises(ValueError):
-        SampleSet({"01": 2, "21": 2}, shots=4)
-    with pytest.raises(ValueError):
-        SampleSet({"00": -1, "01": 2}, shots=1)
+        SampleSet({"00": -1, "01": 2})
     # str(10) and str(11) would pass as the bitstrings "10" and "11"
     for counts in ({10: 1, 11: 1}, {"10": 1, 11: 1}):
         with pytest.raises(ValueError, match="is not a str"):
-            SampleSet(counts, shots=2)
+            SampleSet(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ choice); they are asserted here via the QUBO brute-force oracle.
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
 
+from qubolab import cli
 from qubolab.model import (
     QuboProblem,
     brute_force_solve,
@@ -22,7 +25,9 @@ from qubolab.model import (
     to_ising,
     upper_triangularize,
 )
+from qubolab.serialize import from_dict
 from qubolab.usecases import (
+    NUM_LEVELS,
     LamaSpec,
     TrpSpec,
     build_lama,
@@ -56,7 +61,7 @@ def lama_qubo(spec, rho):
 
 def test_lama_qubit_counts_match_series_sizes():
     for (T, C), n in [((3, 1), 6), ((4, 1), 8), ((4, 2), 16), ((8, 2), 32), ((8, 3), 48)]:
-        spec = LamaSpec(T, C, [list(range(T))] * C, [T] * C)
+        spec = LamaSpec(T, [list(range(T))] * C, [T] * C)
         qcio, enc = build_lama(spec)
         assert enc.num_bits == n
         assert spec.num_qubits == n
@@ -65,33 +70,37 @@ def test_lama_qubit_counts_match_series_sizes():
 
 def test_lama_rejects_excess_energy_demand():
     with pytest.raises(ValueError):
-        LamaSpec(3, 1, [[0]], [4])  # one slot holds at most level 3
+        LamaSpec(3, [[0]], [4])  # one slot holds at most level 3
 
 
 @pytest.mark.parametrize("num_levels", [2, 3, 8])
 def test_lama_rejects_levels_the_two_bit_encoding_cannot_hold(num_levels):
     # at 2 levels "010000" would decode as a feasible level-2 schedule, and at
-    # 8 the QCIO bounds 0..7 would sit on 2-bit variables
-    with pytest.raises(ValueError, match="num_levels must be 4"):
-        LamaSpec(3, 1, [[0, 1]], [2], num_levels=num_levels)
+    # 8 levels 0..7 would sit on 2-bit variables: the level count is the
+    # constant NUM_LEVELS, and a document that names one is refused by name
+    assert NUM_LEVELS == 4 and not hasattr(LamaSpec(3, [[0, 1]], [2]), "num_levels")
+    doc = {"type": "LamaSpec", "num_timeslots": 3, "availability": [[0, 1]],
+           "required_energy": [2], "num_levels": num_levels}
+    with pytest.raises(ValueError, match="num_levels"):
+        from_dict(doc)
 
 
 def test_lama_rejects_empty_window():
     with pytest.raises(ValueError):
-        LamaSpec(3, 1, [[]], [0])
+        LamaSpec(3, [[]], [0])
 
 
 def test_decode_lama_zero_bits():
-    spec0 = LamaSpec(3, 1, [[0, 1]], [0])
+    spec0 = LamaSpec(3, [[0, 1]], [0])
     levels, feasible = decode_lama("000000", spec0)
     assert feasible and np.all(levels == 0)
-    spec1 = LamaSpec(3, 1, [[0, 1]], [1])
+    spec1 = LamaSpec(3, [[0, 1]], [1])
     _, feasible = decode_lama("000000", spec1)
     assert not feasible
 
 
 def test_decode_lama_full_level_in_single_slot():
-    spec = LamaSpec(3, 1, [[1]], [3])
+    spec = LamaSpec(3, [[1]], [3])
     bits = np.zeros(6, dtype=int)
     bits[2] = 1  # slot 1 low bit
     bits[3] = 1  # slot 1 high bit -> level 3
@@ -102,7 +111,7 @@ def test_decode_lama_full_level_in_single_slot():
 
 def test_decode_lama_rejects_wrong_length():
     with pytest.raises(ValueError):
-        decode_lama("0000", LamaSpec(3, 1, [[0]], [0]))
+        decode_lama("0000", LamaSpec(3, [[0]], [0]))
 
 
 def test_decoders_refuse_non_binary_strings():
@@ -171,7 +180,7 @@ def test_trp_variable_counts():
         assert qubo.num_vars == n
 
 
-def reference_build_trp(spec):
+def reference_build_trp(spec, rho):
     """The hand-folded tour QUBO ``build_trp`` replaced, kept as its oracle:
     the distance block plus one outer product and diagonal update per one-hot
     row, with the constant summed 2m times."""
@@ -186,7 +195,6 @@ def reference_build_trp(spec):
             for t in range(m):
                 W[i * m + t, j * m + (t + 1) % m] += d[i, j]
     constant = 0.0
-    rho = spec.rho
     for i in range(m):  # each city appears exactly once
         v = np.zeros(N)
         v[i * m : (i + 1) * m] = 1.0
@@ -209,8 +217,8 @@ _DYADIC_RHOS = (0.0, 0.5, 1.0, 1.5, 2.0)
 @pytest.mark.parametrize("m", range(3, 10))
 def test_trp_chain_equals_hand_folded_reference(m, layout):
     for rho in (*_DYADIC_RHOS, 0.1, 1.3):
-        spec = gen_cities(m, layout, seed=m, rho=rho)
-        qubo, expected = build_trp(spec), reference_build_trp(spec)
+        spec = gen_cities(m, layout, seed=m)
+        qubo, expected = build_trp(spec, rho), reference_build_trp(spec, rho)
         np.testing.assert_array_equal(qubo.Q, expected.Q)
         # rho * |r|^2 rounds once; the reference's running sum rounds at
         # every step, so the two agree whenever the multiples of rho are exact
@@ -225,8 +233,6 @@ def test_trp_model_is_one_hot_rows_over_one_bit_variables():
     np.testing.assert_array_equal(enc.B, np.eye(16))
     np.testing.assert_array_equal(qcio.r, [1.0] * 8 + [0.0] * 8)
     np.testing.assert_array_equal(qcio.A[8:], 0.0)
-    np.testing.assert_array_equal(qcio.lower, 0)
-    np.testing.assert_array_equal(qcio.upper, 1)
     for order in itertools.permutations(range(4)):
         x = route_to_bits(list(order), 4)
         np.testing.assert_array_equal(constraint_residual(qcio, x), 0.0)
@@ -234,7 +240,7 @@ def test_trp_model_is_one_hot_rows_over_one_bit_variables():
 
 def test_trp_spec_needs_three_cities():
     with pytest.raises(ValueError, match="at least three cities"):
-        TrpSpec(2, [[0.0, 1.0], [1.0, 0.0]])
+        TrpSpec([[0.0, 1.0], [1.0, 0.0]])
     for m in range(-2, 3):
         for layout in ("symmetric", "asymmetric"):
             with pytest.raises(ValueError, match="at least three cities"):
@@ -265,10 +271,9 @@ def test_trp_sparsity_pattern_is_layout_independent():
 
 
 def test_trp_penalty_block_vanishes_exactly_on_permutations():
-    spec = gen_cities(4, "asymmetric", seed=9, rho=1.7)
-    spec_free = TrpSpec(4, spec.distances, spec.layout, rho=0.0)
-    qubo = build_trp(spec)
-    qubo_free = build_trp(spec_free)
+    spec = gen_cities(4, "asymmetric", seed=9)
+    qubo = build_trp(spec, 1.7)
+    qubo_free = build_trp(spec, 0.0)
     for order in itertools.permutations(range(4)):
         bits = route_to_bits(list(order), 4)
         penalty = qubo_cost(qubo, bits) - qubo_cost(qubo_free, bits)
@@ -286,20 +291,28 @@ def test_trp_penalty_block_vanishes_exactly_on_permutations():
         (True, "must be a real number"),
     ],
 )
-def test_trp_spec_rejects_bad_penalty(rho, message):
-    distances = gen_cities(4).distances
+def test_trp_spec_rejects_bad_penalty(tmp_path, capsys, rho, message):
+    # the spec holds no penalty; the weight is refused where it is read
+    out = tmp_path / "out.json"
+    if isinstance(rho, float):  # a flag reads numbers only
+        assert cli.main(["build", "trp", "--cities", "4", f"--rho={rho!r}", "-o", str(out)]) == 1
+        assert re.search(message, capsys.readouterr().err)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "use_case": {"name": "trp", "cities": 4, "rho": rho}, "algorithm": "sa", "seeds": [0],
+    }))
+    assert cli.main(["run", str(config), "-o", str(out)]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
     with pytest.raises(ValueError, match=message):
-        TrpSpec(4, distances, rho=rho)
-    with pytest.raises(ValueError, match=message):
-        gen_cities(4, rho=rho)
+        build_quio(trp_model(gen_cities(4))[0], rho)
 
 
 def test_trp_penalty_block_at_least_rho_off_permutations():
     rho = 0.9
-    spec = gen_cities(3, "symmetric", rho=rho)
-    spec_free = TrpSpec(3, spec.distances, spec.layout, rho=0.0)
-    qubo = build_trp(spec)
-    qubo_free = build_trp(spec_free)
+    spec = gen_cities(3, "symmetric")
+    qubo = build_trp(spec, rho)
+    qubo_free = build_trp(spec, 0.0)
     for v in range(1 << 9):
         bits = int_to_bits(v, 9)
         _, feasible, _ = decode_trp(bits, spec)
@@ -338,8 +351,8 @@ def test_decode_trp_rejects_wrong_length():
 
 
 def test_trp_qubo_cost_of_tours_is_scaled_length():
-    spec = gen_cities(4, "asymmetric", seed=5, rho=2.0)
-    qubo = build_trp(spec)
+    spec = gen_cities(4, "asymmetric", seed=5)
+    qubo = build_trp(spec, 2.0)
     scale = spec.distances.max()
     for order in itertools.permutations(range(4)):
         bits = route_to_bits(list(order), 4)
@@ -349,8 +362,8 @@ def test_trp_qubo_cost_of_tours_is_scaled_length():
 
 
 def test_symmetric_four_city_optimum_is_the_ring_in_all_phases():
-    spec = gen_cities(4, "symmetric", rho=2.0)
-    report = brute_force_solve(build_trp(spec))
+    spec = gen_cities(4, "symmetric")
+    report = brute_force_solve(build_trp(spec, 2.0))
     assert len(report.optimal_set) == 8  # 4 rotations x 2 directions
     tour_lengths = {}
     for order in itertools.permutations(range(4)):
@@ -413,4 +426,4 @@ def test_ising_spin_form_matches_qubo_cost_by_enumeration():
 
 
 def test_trp_spin_form_matches_on_tour_qubo():
-    _assert_ising_matches_by_enumeration(build_trp(gen_cities(3, "symmetric", rho=1.3)))
+    _assert_ising_matches_by_enumeration(build_trp(gen_cities(3, "symmetric"), 1.3))

@@ -229,7 +229,7 @@ def test_rzz_count_per_layer_matches_couplings():
 
 
 def test_single_coupling_gives_one_rzz_per_layer():
-    ising = IsingModel(h_quad={(0, 1): 0.5}, h_lin=np.zeros(2), h_const=0.0, num_qubits=2)
+    ising = IsingModel(h_quad={(0, 1): 0.5}, h_lin=np.zeros(2), h_const=0.0)
     circ = qaoa_circuit(ising, ansatz_params("qaoa", 2, 2, np.full(4, 0.5)))
     assert sum(1 for g in circ.gates if g.kind == "RZZ") == 2
 
@@ -410,8 +410,8 @@ def test_vqe_objective_validation():
         vqe_objective(ising, layers=1)(np.zeros(5))
 
 
-_ONE_QUBIT = IsingModel(h_quad={}, h_lin=np.zeros(1), h_const=0.0, num_qubits=1)
-_WIDE = IsingModel(h_quad={}, h_lin=np.zeros(27), h_const=0.0, num_qubits=27)
+_ONE_QUBIT = IsingModel(h_quad={}, h_lin=np.zeros(1), h_const=0.0)
+_WIDE = IsingModel(h_quad={}, h_lin=np.zeros(27), h_const=0.0)
 
 
 # every refusal comes when the objective is built, before any evaluation or
@@ -474,7 +474,7 @@ def ising_models(draw):
     coefficient = st.floats(-2.0, 2.0, allow_nan=False)
     weights = {(i, j): draw(st.just(0.0) | coefficient) for i in range(n) for j in range(i + 1, n)}
     h_lin = [draw(coefficient) for _ in range(n)] if draw(st.booleans()) else np.zeros(n)
-    return IsingModel({k: w for k, w in weights.items() if w}, h_lin, draw(coefficient), n)
+    return IsingModel({k: w for k, w in weights.items() if w}, h_lin, draw(coefficient))
 
 
 def assert_p1_energy(ising, beta, gamma):
@@ -491,7 +491,7 @@ def assert_p1_energy(ising, beta, gamma):
 
 @settings(max_examples=80, deadline=None)
 @given(ising_models(), st.floats(0.0, np.pi), st.floats(0.0, np.pi))
-@example(IsingModel({}, [0.0], 5e-324, 1), 0.0, 0.0)  # 0.5 * 5e-324 rounds to 0 twice
+@example(IsingModel({}, [0.0], 5e-324), 0.0, 0.0)  # 0.5 * 5e-324 rounds to 0 twice
 def test_qaoa_objective_equals_the_p1_closed_form(ising, beta, gamma):
     assert_p1_energy(ising, beta, gamma)
 

@@ -54,20 +54,7 @@ def random_qcio(rng: np.random.Generator, n: int) -> tuple[QcioProblem, BinaryEn
     x_feas = rng.integers(0, 4, size=n)
     r = np.zeros(n)
     r[0] = float(A[0] @ x_feas)
-    qcio = QcioProblem(
-        dim_n=n, M=M, l=l, c=c, A=A, r=r,
-        lower=np.zeros(n, dtype=int), upper=np.full(n, 3),
-    )
-    return qcio, BinaryEncoding.levels(n)
-
-
-def toy_qcio(M, l, c, A, r, upper=3) -> QcioProblem:
-    """A QCIO over 0..upper in every variable."""
-    n = len(l)
-    return QcioProblem(
-        dim_n=n, M=M, l=l, c=c, A=A, r=r,
-        lower=np.zeros(n, dtype=int), upper=np.full(n, upper),
-    )
+    return QcioProblem(M=M, l=l, c=c, A=A, r=r), BinaryEncoding.levels(n)
 
 
 def symmetrized(Q: np.ndarray) -> np.ndarray:
@@ -230,10 +217,11 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     return cols
 
 
-def build_trp(spec: TrpSpec) -> QuboProblem:
-    """Tour QUBO over m^2 assignment bits at the spec's penalty weight."""
+def build_trp(spec: TrpSpec, rho: float = 1.0) -> QuboProblem:
+    """Tour QUBO over m^2 assignment bits at penalty weight ``rho`` (1.0, the
+    CLI's "auto" for tours, by default)."""
     qcio, enc = trp_model(spec)
-    return encode_binary(build_quio(qcio, spec.rho), enc)
+    return encode_binary(build_quio(qcio, rho), enc)
 
 
 def bundled_qubos():
@@ -258,7 +246,7 @@ def full_rho_scan(qcio: QcioProblem, enc: BinaryEncoding) -> float:
     """``model.min_penalty`` as it scanned before its proven lower bound:
     every grid point from rho = 0, the same tables and the same test, so
     the two must return the same rho (or raise the same error)."""
-    squares = QuioProblem(qcio.A.T @ qcio.A, -2.0 * qcio.r @ qcio.A, float(qcio.r @ qcio.r), 1.0)
+    squares = QuioProblem(qcio.A.T @ qcio.A, -2.0 * qcio.r @ qcio.A, float(qcio.r @ qcio.r))
     qubos = [encode_binary(quio, enc) for quio in (build_quio(qcio, 0.0), squares)]
     base, penalty = (q.cost_vector() for q in qubos)
     feasible = penalty <= 1e-9
