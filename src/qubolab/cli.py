@@ -206,6 +206,12 @@ def _flag_use_case(args) -> dict:
     return dict(fields, name=args.use_case, rho=rho)
 
 
+def _penalized_qubo(qcio, enc, rho: float):
+    """The QUBO a bundle holds: ``qcio`` at penalty weight ``rho``, binary
+    encoded by ``enc``."""
+    return encode_binary(build_quio(qcio, rho), enc)
+
+
 class _Problem:
     """Hydrated bundle: QUBO plus use-case decoding context, and the one place
     that tells the use cases apart. The Ising model, oracle results and
@@ -269,8 +275,21 @@ class _Problem:
             rho = 1.0 if rho == "auto" else rho
         rho = float(rho)
         doc.update(rho=rho, spec=to_dict(spec))
-        doc["qubo"] = to_dict(encode_binary(build_quio(qcio, rho), enc))
+        doc["qubo"] = to_dict(_penalized_qubo(qcio, enc, rho))
         return cls(doc)
+
+    def check_rho(self) -> None:
+        """Raise ``ValueError`` naming ``rho`` unless the bundle has one that
+        rebuilds its ``qubo`` bytes (``Q`` and ``constant``) from its spec."""
+        if "rho" not in self.doc:
+            raise ValueError("problem bundle has no 'rho' field")
+        rho = self.doc["rho"]
+        require_penalty(rho)
+        model = build_lama if self.use_case == "lama" else trp_model
+        rebuilt = _penalized_qubo(*model(self.spec), float(rho))
+        qubo = self.qubo
+        if (rebuilt.Q.tobytes(), rebuilt.constant.hex()) != (qubo.Q.tobytes(), qubo.constant.hex()):
+            raise ValueError(f"bundle field 'rho' = {rho!r} does not rebuild its qubo")
 
     @functools.cached_property
     def ising(self) -> IsingModel:
@@ -341,7 +360,11 @@ class _Problem:
 
 
 def _load_problem(path) -> _Problem:
-    return _Problem(_load_raw(path, "ProblemBundle"))
+    """The bundle at ``path``, its parts checked against each other and its
+    ``rho`` against its ``qubo``."""
+    problem = _Problem(_load_raw(path, "ProblemBundle"))
+    problem.check_rho()
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +672,13 @@ def _variational_record(problem, settings, seed, device) -> dict:
         ising, algorithm, layers, report.best_params, settings["shots"], seed
     )
     empirical = Distribution.from_sampleset(samples)
+    fidelity = state_fidelity(empirical, state)
+    del state  # scoring needs no amplitudes; free them before its 2^n buffers
     record = {
         "seed": seed,
         "best_cost": report.best_cost,
         "best_params": [float(v) for v in report.best_params],
-        "fidelity": state_fidelity(empirical, state),
+        "fidelity": fidelity,
         "counts": dict(samples.counts),
     }
     try:

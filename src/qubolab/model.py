@@ -178,7 +178,9 @@ def quadratic_table(Q: np.ndarray, const: float, start: int = 0, stop: int | Non
     table = np.zeros(1 << low)
     for k in range(low):
         np.add(table[: 1 << k], _subset_sums(Q[k, k], Q[:k, k]), out=table[1 << k : 2 << k])
-    high = quadratic_table(Q[low:, low:], 0.0) if n > low else [0.0]
+    if n == low:  # one chunk: its high and linear sums, all +0.0, add nothing
+        return (table + const)[start:stop]
+    high = quadratic_table(Q[low:, low:], 0.0)
     linear = _subset_sums(np.zeros(low), Q[:low, low:].T)
     chunks = []
     for h in range(start >> low, ((stop - 1) >> low) + 1):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -472,8 +473,9 @@ def test_anneal_sa_prints_the_oracle_reason(tmp_path, capsys):
             {"qubo": to_dict(example_series()["Ex0p1"])},
             "bundle field 'qubo' holds a LamaSpec, not a QuboProblem",
         ),
+        ({"rho": 99.0}, "bundle field 'rho' = 99.0 does not rebuild its qubo"),
     ],
-    ids=["spec-width", "other-use-case", "unknown-use-case", "spec-as-qubo"],
+    ids=["spec-width", "other-use-case", "unknown-use-case", "spec-as-qubo", "rho"],
 )
 def test_bundle_whose_parts_disagree_is_refused(lama_problem, tmp_path, capsys, command, change, message):
     bad = tmp_path / "bad.json"
@@ -485,7 +487,32 @@ def test_bundle_whose_parts_disagree_is_refused(lama_problem, tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["use_case", "qubo", "spec"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["lama", "--instance", "Ex0p1"],
+        ["lama", "--instance", "Ex1p1", "--rho", "3.7"],
+        ["trp", "--cities", "4", "--layout", "asymmetric", "--seed", "5"],
+        ["trp", "--cities", "3", "--rho", "2.5"],
+    ],
+    ids=["lama-auto", "lama-rho", "trp-asymmetric", "trp-rho"],
+)
+def test_built_bundles_load_with_their_rho(tmp_path, flags):
+    # loading rebuilds the qubo from spec and rho and compares the bytes
+    bundle = tmp_path / "p.json"
+    assert run_cli("build", *flags, "-o", str(bundle)) == 0
+    assert run_cli("solve-brute", str(bundle)) == 0
+
+
+@pytest.mark.parametrize("rho", [True, "2", -1.0])
+def test_bundle_with_a_malformed_rho_is_refused_by_name(lama_problem, tmp_path, capsys, rho):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(lama_problem.read_text()), rho=rho)))
+    assert run_cli("solve-brute", str(bad)) == 1
+    assert "'rho'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["use_case", "qubo", "spec", "rho"])
 def test_bundle_missing_a_field_is_refused_by_name(lama_problem, tmp_path, capsys, key):
     # was a bare KeyError: "error: 'spec'"
     doc = json.loads(lama_problem.read_text())
@@ -971,6 +998,26 @@ def test_run_documents_match_their_golden_hashes():
     old, new = by_field(golden), by_field(json.loads(result.stdout))
     moved = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
     assert not moved, "moved: " + ", ".join(moved)
+
+
+def test_a_wide_qaoa_seed_peaks_below_6_mib_of_traced_heap():
+    """A 16-qubit QAOA seed, scoring included, holds few 2^n arrays at once:
+    the random baseline fills two buffers in place, and the trained state is
+    freed before scoring. Fresh arrays per baseline trial, with the state
+    kept, peaked at 7.5 MiB."""
+    config = {
+        "use_case": {"name": "lama", "instance": "Ex2p1", "rho": "auto"},
+        "algorithm": "qaoa", "layers": 1, "starts": 1, "max_iter": 10,
+        "shots": 10000, "seeds": [7],
+    }
+    tracemalloc.start()
+    try:
+        (record,) = cli.run(config)["records"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "random_baseline" in record
+    assert peak < 6 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_run_records_have_rates(tmp_path):

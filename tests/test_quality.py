@@ -32,6 +32,7 @@ from util import (
     bundled_qubos,
     hellinger_by_key,
     int_to_bits,
+    per_trial_random_baseline,
     qubo_cost,
     random_qubo,
     route_to_bits,
@@ -300,6 +301,31 @@ def test_random_baseline_matches_the_closed_form_on_hypothesis_qubos(n, seed, co
     base = random_baseline(qubo, trials=trials, seed=seed, c_opt=c_opt)
     assert base.is_absolute == (abs(c_opt) < _GUARD)
     assert abs(base.value - expected) < 5 * sigma, (base.value - expected) / sigma
+
+
+def _same_error(a: RelativeError, b: RelativeError) -> bool:
+    return (a.value.hex(), a.is_absolute) == (b.value.hex(), b.is_absolute)
+
+
+@pytest.mark.parametrize("name, qubo", list(bundled_qubos()))
+def test_random_baseline_equals_the_per_trial_loop_on_bundled_problems(name, qubo):
+    c_opt = brute_force_solve(qubo).optimal_cost
+    base = random_baseline(qubo, seed=7, c_opt=c_opt)
+    assert _same_error(base, per_trial_random_baseline(qubo, 50, 7, c_opt))
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=4, seed=28, const=0, trials=3)  # C* = 0: the absolute form
+@given(
+    n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), const=st.integers(-8, 8),
+    trials=st.integers(1, 5),
+)
+def test_random_baseline_equals_the_per_trial_loop_on_hypothesis_qubos(n, seed, const, trials):
+    rng = np.random.default_rng(seed)
+    qubo = QuboProblem(np.triu(rng.integers(-8, 9, (n, n)) / 4.0), const / 4.0)
+    c_opt = brute_force_solve(qubo).optimal_cost
+    base = random_baseline(qubo, trials=trials, seed=seed, c_opt=c_opt)
+    assert _same_error(base, per_trial_random_baseline(qubo, trials, seed, c_opt))
 
 
 def test_random_baseline_beats_trained_state_direction():

@@ -25,7 +25,7 @@ from qubolab.model import (
     to_ising,
     upper_triangularize,
 )
-from qubolab.quality import Distribution
+from qubolab.quality import _GUARD, Distribution, RelativeError
 from qubolab.serialize import from_dict
 from qubolab.simulator import Circuit, Gate, StateVector, run_circuit
 from qubolab.transpiler import Layout
@@ -222,6 +222,24 @@ def build_trp(spec: TrpSpec, rho: float = 1.0) -> QuboProblem:
     CLI's "auto" for tours, by default)."""
     qcio, enc = trp_model(spec)
     return encode_binary(build_quio(qcio, rho), enc)
+
+
+def per_trial_random_baseline(qubo: QuboProblem, trials: int, seed: int, c_opt: float) -> RelativeError:
+    """``random_baseline`` with fresh arrays per trial: ``rng.normal`` real
+    parts, then imaginary parts, |a|^2 normalised and scored against the
+    cost table; the relative error, or the absolute one when C* is within
+    ``_GUARD`` of zero."""
+    cost = qubo.cost_vector()
+    rng = np.random.default_rng(seed)
+    values = np.empty(trials)
+    for t in range(trials):
+        amps = rng.normal(size=cost.size) + 1j * rng.normal(size=cost.size)
+        probs = np.abs(amps) ** 2
+        probs /= probs.sum()
+        values[t] = probs @ cost
+    is_absolute = abs(c_opt) < _GUARD
+    scale = 1.0 if is_absolute else abs(c_opt)
+    return RelativeError(float(np.mean([abs(float(v) - c_opt) / scale for v in values])), is_absolute)
 
 
 def bundled_qubos():
